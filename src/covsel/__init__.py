@@ -6,7 +6,6 @@ picking the model that minimises a penalised empirical loss, where the
 penalty is computed entirely from the data.
 """
 
-from ._kernels import backend_name
 from .dictionary import (
     BasisFamily,
     DegenerateCollectionError,
@@ -72,7 +71,6 @@ __all__ = [
     "SampleSet",
     "SelectionReport",
     "TruthSpec",
-    "backend_name",
     "build_collection",
     "build_design",
     "check_quadratic_form_tail",

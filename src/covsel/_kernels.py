@@ -1,43 +1,16 @@
-"""Hot numeric kernels for the Monte Carlo loops.
+"""Batched numpy statistics for the Monte Carlo loops.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback. The active backend is chosen at import time; set the environment
-variable ``COVSEL_DISABLE_NUMBA=1`` to force the numpy path (it is also used
-automatically when numba is unavailable). Both paths are exported under
-explicit names so tests and benchmarks can compare them directly.
-
-All kernels take a replication batch ``X`` of shape (reps, n, p) plus a
+Both kernels take a replication batch ``X`` of shape (reps, n, p) plus a
 stack of projectors (M, p, p) and write per-replication results into fresh
-arrays, so chunked or threaded callers compose results deterministically.
+arrays, so results do not depend on how replications are chunked.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_disabled():
-    flag = os.environ.get("COVSEL_DISABLE_NUMBA", "")
-    return flag.strip().lower() not in ("", "0", "false", "no")
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via COVSEL_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def model_stats_numpy(X, projs):
+def model_stats_batch(X, projs):
     """Per-replication, per-model fit statistics.
 
     Returns (norm4_mean, proj_norm4_mean, fit_norm_sq) where, for
@@ -63,7 +36,7 @@ def model_stats_numpy(X, projs):
     return norm4, proj_norm4, fit_sq
 
 
-def deviation_numpy(X, projs, sigma):
+def deviation_batch(X, projs, sigma):
     """Per-replication squared deviations of the projected sample covariance.
 
     Returns (err_sq, proj_dev_sq) where, with S = (1/n) X^T X and per-model
@@ -87,94 +60,3 @@ def deviation_numpy(X, projs, sigma):
         d2 = a - psp[None, :, :]
         proj_dev_sq[:, m] = np.einsum("rij,rij->r", d2, d2)
     return err_sq, proj_dev_sq
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _model_stats_jit(X, projs):
-        reps, n, p = X.shape
-        m_count = projs.shape[0]
-        norm4 = np.zeros(reps)
-        proj_norm4 = np.zeros((reps, m_count))
-        fit_sq = np.zeros((reps, m_count))
-        for r in range(reps):
-            x = X[r]
-            acc = 0.0
-            for i in range(n):
-                s = 0.0
-                for j in range(p):
-                    s += x[i, j] * x[i, j]
-                acc += s * s
-            norm4[r] = acc / n
-            for m in range(m_count):
-                xp = x @ projs[m]
-                acc4 = 0.0
-                for i in range(n):
-                    s = 0.0
-                    for j in range(p):
-                        s += xp[i, j] * xp[i, j]
-                    acc4 += s * s
-                proj_norm4[r, m] = acc4 / n
-                c = xp.T @ xp
-                sq = 0.0
-                for i in range(p):
-                    for j in range(p):
-                        sq += c[i, j] * c[i, j]
-                fit_sq[r, m] = sq / (n * n)
-        return norm4, proj_norm4, fit_sq
-
-    @njit(cache=True, nogil=True)
-    def _deviation_jit(X, projs, psp, sigma):
-        reps, n, p = X.shape
-        m_count = projs.shape[0]
-        err_sq = np.zeros((reps, m_count))
-        proj_dev_sq = np.zeros((reps, m_count))
-        for r in range(reps):
-            s_mat = X[r].T @ X[r] / n
-            for m in range(m_count):
-                a = projs[m] @ s_mat @ projs[m]
-                e = 0.0
-                d = 0.0
-                for i in range(p):
-                    for j in range(p):
-                        t1 = sigma[i, j] - a[i, j]
-                        e += t1 * t1
-                        t2 = a[i, j] - psp[m, i, j]
-                        d += t2 * t2
-                err_sq[r, m] = e
-                proj_dev_sq[r, m] = d
-        return err_sq, proj_dev_sq
-
-    def model_stats_jit(X, projs):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        projs = np.ascontiguousarray(projs, dtype=np.float64)
-        return _model_stats_jit(X, projs)
-
-    def deviation_jit(X, projs, sigma):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        projs = np.ascontiguousarray(projs, dtype=np.float64)
-        sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-        psp = np.stack([proj @ sigma @ proj for proj in projs])
-        return _deviation_jit(X, projs, psp, sigma)
-
-else:
-    model_stats_jit = None
-    deviation_jit = None
-
-
-if HAVE_NUMBA:
-    model_stats_batch = model_stats_jit
-    deviation_batch = deviation_jit
-else:
-    model_stats_batch = model_stats_numpy
-    deviation_batch = deviation_numpy
-
-
-def backend_name():
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if HAVE_NUMBA else "numpy"

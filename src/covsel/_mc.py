@@ -1,8 +1,7 @@
 """Shared Monte Carlo plumbing: per-replication RNG streams and chunking.
 
 Every replication draws from a generator seeded by (seed, replication
-index), so results are identical no matter how replications are batched or
-scheduled across threads.
+index), so results are identical no matter how replications are batched.
 """
 
 from __future__ import annotations

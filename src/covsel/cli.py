@@ -285,9 +285,6 @@ def cmd_simulate(args):
     seed = args.seed if args.seed is not None else _get(
         parser, "experiment", "seed", int, default=0
     )
-    threads = args.threads if args.threads is not None else _get(
-        parser, "experiment", "threads", int, default=1
-    )
     try:
         cfg = ExperimentConfig(
             kernel=kernel,
@@ -304,7 +301,6 @@ def cmd_simulate(args):
             alpha=_get(parser, "experiment", "alpha", float, default=0.5),
             diagnostics=_get(parser, "experiment", "diagnostics", _bool, default=False),
             diagnostics_reps=_get(parser, "experiment", "diagnostics_reps", int, default=1000),
-            threads=threads,
             keep_replications=_get(
                 parser, "experiment", "keep_replications", _bool, default=False
             ),
@@ -575,14 +571,13 @@ def build_parser():
     common.add_argument("--config", default=None, help="INI configuration file")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--theta", type=float, default=None, help="penalty multiplier minus one")
-    common.add_argument("--seed", type=int, default=None, help="experiment seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for replications")
 
     p_select = sub.add_parser("select", parents=[common], help="select a covariance model from CSV data")
     p_select.add_argument("--input", default=None, help="input CSV (header = grid values)")
     p_select.set_defaults(func=cmd_select)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="run a seeded Monte Carlo experiment")
+    p_sim.add_argument("--seed", type=int, default=None, help="experiment seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", parents=[common], help="run the brute-force oracle equivalence suite")

@@ -66,17 +66,6 @@ def pinv(a, rtol=RANK_RTOL):
     return np.linalg.pinv(a, rcond=rtol)
 
 
-def numerical_rank(a, rtol=RANK_RTOL):
-    """Rank of `a` counting singular values above rtol * sigma_max."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
-
-
 def projector_from_design(g, rtol=RANK_RTOL):
     """Orthogonal projector onto the column space of the design matrix `g`.
 

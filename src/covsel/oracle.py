@@ -21,7 +21,7 @@ from .linalg import (
     psd_factor,
     require_finite,
 )
-from .selection import tie_break_key
+from .selection import at_minimum, tie_break_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +147,8 @@ def oracle_model(truth, collection, n):
     table = risk_table(truth, collection, n)
     if not table:
         raise ValueError("empty collection")
-    best = min(rec.risk for rec in table)
-    tol = 1e-12 * max(1.0, abs(best))
-    tied = [rec for rec in table if rec.risk <= best + tol]
+    mask = at_minimum([rec.risk for rec in table])
+    tied = [rec for rec, is_tied in zip(table, mask) if is_tied]
     tied.sort(key=lambda rec: tie_break_key(rec.model))
     return tied[0].model, table
 

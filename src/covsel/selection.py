@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Criteria within this relative distance of the minimum count as tied.
 TIE_RTOL = 1e-12
 
@@ -45,6 +47,18 @@ def penalty_known(model, variance_factor, cfg, n):
 def tie_break_key(model):
     """Deterministic tie-break: smaller dim first, then lexicographic indices."""
     return (model.dim, model.indices)
+
+
+def at_minimum(criteria):
+    """Mask of the entries tied at the minimum along the last axis.
+
+    An entry is tied when it lies within TIE_RTOL * max(1, |best|) of the
+    minimum `best`. This is the one decision rule: `select`, the Monte Carlo
+    loop and the oracle all take the argmin through it.
+    """
+    criteria = np.asarray(criteria, dtype=float)
+    best = criteria.min(axis=-1, keepdims=True)
+    return criteria <= best + TIE_RTOL * np.maximum(1.0, np.abs(best))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +121,8 @@ def select(fits, cfg, n, penalty_mode="data_driven", variance_factors=None):
             }
         )
 
-    best = min(row["criterion"] for row in rows)
-    tol = TIE_RTOL * max(1.0, abs(best))
-    tied = [row for row in rows if row["criterion"] <= best + tol]
+    mask = at_minimum([row["criterion"] for row in rows])
+    tied = [row for row, is_tied in zip(rows, mask) if is_tied]
     tied.sort(key=lambda row: tie_break_key(row["_fit"].model))
     selected = tied[0]["_fit"].model
 

@@ -3,13 +3,12 @@ Monte Carlo experiment driver tying estimation, selection, and the oracle
 together.
 
 Replication r of an experiment draws from a generator keyed by the
-experiment seed and r, so reports are identical for any chunking or thread
-count; aggregation happens serially in a fixed order.
+experiment seed and r, so reports are identical for any chunking;
+aggregation happens in a fixed order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from ._mc import draw_batch, iter_chunks
 from .dictionary import BasisFamily, build_collection, build_design
 from .estimator import SampleSet
 from .linalg import psd_factor, require_finite
-from .selection import TIE_RTOL, tie_break_key
+from .selection import at_minimum, tie_break_key
 
 KERNEL_KINDS = ("brownian", "ornstein_uhlenbeck", "finite_rank")
 
@@ -115,7 +114,6 @@ class ExperimentConfig:
     alpha: float = 0.5
     diagnostics: bool = False
     diagnostics_reps: int = 1000
-    threads: int = 1
     keep_replications: bool = False
 
     def __post_init__(self):
@@ -125,8 +123,6 @@ class ExperimentConfig:
             raise ValueError("n must be >= 2")
         if not self.theta > 0:
             raise ValueError("theta must be > 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.n_grid is not None:
             ns = tuple(int(v) for v in self.n_grid)
             if any(v < 2 for v in ns):
@@ -140,13 +136,6 @@ def uniform_grid(p, t_min=0.0, t_max=1.0):
     if p < 1:
         raise ValueError("p must be >= 1")
     return t_min + (np.arange(p) + 0.5) * (t_max - t_min) / p
-
-
-def _argmin_tiebreak(criteria):
-    """Row-wise argmin over columns already sorted in tie-break order."""
-    best = criteria.min(axis=1, keepdims=True)
-    tol = TIE_RTOL * np.maximum(1.0, np.abs(best))
-    return np.argmax(criteria <= best + tol, axis=1)
 
 
 def _run_block(truth, models, cfg, n, seed_key):
@@ -166,28 +155,21 @@ def _run_block(truth, models, cfg, n, seed_key):
     sel_kn = np.empty(reps, dtype=np.int64)
     err_kn = np.empty(reps)
 
-    def work(start, stop):
+    for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed_key, start, stop)
         norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, projs)
         err_sq, _ = _kernels.deviation_batch(x, projs, truth.sigma)
         loss = norm4[:, None] - fit_sq
         crit_dd = loss + (1.0 + cfg.theta) * (proj_norm4 - fit_sq) / n
         crit_kn = loss + (1.0 + cfg.theta) * true_traces[None, :] / n
-        pick_dd = _argmin_tiebreak(crit_dd)
-        pick_kn = _argmin_tiebreak(crit_kn)
+        # the first tied column wins because models are in tie-break order
+        pick_dd = np.argmax(at_minimum(crit_dd), axis=1)
+        pick_kn = np.argmax(at_minimum(crit_kn), axis=1)
         rows = np.arange(stop - start)
         sel_dd[start:stop] = pick_dd
         err_dd[start:stop] = err_sq[rows, pick_dd]
         sel_kn[start:stop] = pick_kn
         err_kn[start:stop] = err_sq[rows, pick_kn]
-
-    chunks = list(iter_chunks(reps, n, truth.p))
-    if cfg.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(lambda c: work(*c), chunks))
-    else:
-        for start, stop in chunks:
-            work(start, stop)
     return sel_dd, err_dd, dims[sel_dd], sel_kn, err_kn, dims[sel_kn]
 
 
@@ -227,8 +209,7 @@ def run_experiment(cfg):
     runs = []
     n_values = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     for i_n, n in enumerate(n_values):
-        table = oracle.risk_table(truth, collection, n)
-        best_model, _ = oracle.oracle_model(truth, collection, n)
+        best_model, table = oracle.oracle_model(truth, collection, n)
         oracle_risk = min(rec.risk for rec in table)
 
         sel_dd, err_dd, dim_dd, sel_kn, err_kn, dim_kn = _run_block(
@@ -280,7 +261,6 @@ def run_experiment(cfg):
         runs.append(run)
 
     return {
-        "kernel_backend": _kernels.backend_name(),
         "config": _describe_config(cfg),
         "collection": [
             {"indices": list(m.indices), "rank": m.rank, "dim": m.dim} for m in models
@@ -323,7 +303,6 @@ def _describe_config(cfg):
         "alpha": cfg.alpha,
         "diagnostics": cfg.diagnostics,
         "diagnostics_reps": cfg.diagnostics_reps,
-        "threads": cfg.threads,
         "keep_replications": cfg.keep_replications,
     }
     return out

@@ -106,6 +106,14 @@ class TestSelectCommand:
         )
         assert code == 2
 
+    def test_seed_flag_rejected(self, tmp_path):
+        data = write_toy(tmp_path)
+        cfg = select_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--seed", "1", "--config", str(cfg), "--input", str(data),
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_bad_theta_exits_2(self, tmp_path):
         data = write_toy(tmp_path)
         cfg = select_config(tmp_path)

@@ -1,5 +1,5 @@
-"""Backend equivalence: the numba kernels and the pure-numpy fallbacks must
-agree, and both must agree with a direct per-replication computation."""
+"""The batched numpy kernels must agree with a direct per-replication
+computation."""
 
 import numpy as np
 import pytest
@@ -61,35 +61,10 @@ def test_numpy_path_matches_direct(reps, n, p, m_count):
     projs = random_projs(p, m_count)
     sigma = np.eye(p)
     for got, want in zip(
-        _kernels.model_stats_numpy(X, projs), direct_model_stats(X, projs)
+        _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
     ):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
     for got, want in zip(
-        _kernels.deviation_numpy(X, projs, sigma), direct_deviation(X, projs, sigma)
+        _kernels.deviation_batch(X, projs, sigma), direct_deviation(X, projs, sigma)
     ):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba backend unavailable")
-@pytest.mark.parametrize("reps,n,p,m_count", CASES)
-def test_numba_path_matches_numpy(reps, n, p, m_count):
-    X = rng.standard_normal((reps, n, p))
-    projs = random_projs(p, m_count)
-    a = rng.standard_normal((p, p))
-    sigma = a @ a.T
-    for got, want in zip(
-        _kernels.model_stats_jit(X, projs), _kernels.model_stats_numpy(X, projs)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    for got, want in zip(
-        _kernels.deviation_jit(X, projs, sigma), _kernels.deviation_numpy(X, projs, sigma)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_active_backend_exported():
-    assert _kernels.backend_name() in ("numba", "numpy")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.model_stats_batch is _kernels.model_stats_jit
-    else:
-        assert _kernels.model_stats_batch is _kernels.model_stats_numpy

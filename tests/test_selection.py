@@ -4,7 +4,9 @@ import pytest
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all, fit_model
 from covsel.selection import (
+    TIE_RTOL,
     PenaltyConfig,
+    at_minimum,
     penalty_data_driven,
     penalty_known,
     select,
@@ -73,6 +75,27 @@ class TestPenaltyValues:
         coll = build_collection(HIST, uniform_grid(2), scheme="nested", d_max=1)
         with pytest.raises(ValueError, match=">= 0"):
             penalty_known(coll.models[0], -1.0, PenaltyConfig(theta=1.0), n=10)
+
+
+class TestAtMinimum:
+    def test_one_dimensional(self):
+        best = 2.0
+        tol = TIE_RTOL * best
+        crits = [3.0, best, best, best + 0.5 * tol, best + 2.0 * tol]
+        assert at_minimum(crits).tolist() == [False, True, True, True, False]
+
+    def test_rows_are_independent(self):
+        # below 1 the tolerance is floored at TIE_RTOL; above, it scales with |best|
+        crits = np.array([
+            [0.5, 0.5 + 0.8 * TIE_RTOL, 0.5 + 2.0 * TIE_RTOL],
+            [1e3 * (1 + 2.0 * TIE_RTOL), 1e3, 1e3 * (1 + 0.5 * TIE_RTOL)],
+            [5.0, 1.0, 1.0],
+        ])
+        assert at_minimum(crits).tolist() == [
+            [True, True, False],
+            [False, True, True],
+            [False, True, True],
+        ]
 
 
 class TestSelect:

@@ -154,18 +154,21 @@ class TestRunExperiment:
         oracle_risks = [run["oracle"]["risk"] for run in report["runs"]]
         assert all(b <= a + 1e-15 for a, b in zip(oracle_risks, oracle_risks[1:]))
 
-    def test_threads_do_not_change_results(self, monkeypatch):
-        # force several small chunks so the thread pool actually matters
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        import covsel._mc as mc
+        import covsel.oracle as oracle
         import covsel.simulate as sim
 
-        original = sim.iter_chunks
-        monkeypatch.setattr(
-            sim, "iter_chunks", lambda reps, n, p: original(reps, n, p, target_floats=2_000)
-        )
-        r1 = run_experiment(small_config(reps=64))
-        r2 = run_experiment(small_config(reps=64, threads=4))
-        assert r1["runs"] == r2["runs"]
-        assert r1["config"]["threads"] != r2["config"]["threads"]  # only the echo differs
+        cfg = small_config(reps=64, diagnostics=True, diagnostics_reps=200)
+        whole = run_experiment(cfg)
+        # 2_000 floats is 16 replications of 30 x 4 per chunk, against one
+        # chunk at the default size
+        def small_chunks(reps, n, p):
+            return mc.iter_chunks(reps, n, p, target_floats=2_000)
+
+        monkeypatch.setattr(sim, "iter_chunks", small_chunks)
+        monkeypatch.setattr(oracle, "iter_chunks", small_chunks)
+        assert run_experiment(cfg) == whole
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
