@@ -17,13 +17,11 @@ from .dictionary import (
     make_model,
 )
 from .estimator import (
-    ModelFit,
     SampleSet,
     empirical_cov,
     fit_all,
-    fit_model,
     fourth_moment_cov_dense,
-    fourth_moment_trace,
+    project,
 )
 from .oracle import (
     RiskRecord,
@@ -32,20 +30,13 @@ from .oracle import (
     check_underestimation_prob,
     check_variance_factor_mean,
     gaussian_fourth_moment_dense,
-    min_fourth_moment_trace,
     oracle_model,
     risk_table,
     true_fourth_moment_trace,
     true_risk,
     true_variance_factor,
 )
-from .selection import (
-    PenaltyConfig,
-    SelectionReport,
-    penalty_data_driven,
-    penalty_known,
-    select,
-)
+from .selection import PenaltyConfig, SelectionReport, select
 from .simulate import (
     ExperimentConfig,
     KernelSpec,
@@ -64,7 +55,6 @@ __all__ = [
     "ExperimentConfig",
     "KernelSpec",
     "ModelCollection",
-    "ModelFit",
     "ModelSpec",
     "PenaltyConfig",
     "RiskRecord",
@@ -79,16 +69,12 @@ __all__ = [
     "empirical_cov",
     "eval_basis",
     "fit_all",
-    "fit_model",
     "fourth_moment_cov_dense",
-    "fourth_moment_trace",
     "gaussian_fourth_moment_dense",
     "kernel_to_sigma",
     "make_model",
-    "min_fourth_moment_trace",
     "oracle_model",
-    "penalty_data_driven",
-    "penalty_known",
+    "project",
     "psd_factor",
     "risk_table",
     "run_experiment",

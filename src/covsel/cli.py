@@ -4,8 +4,9 @@ equivalence suite.
 
 Exit codes: 0 ok, 1 validation failure, 2 input/config error, 3 degenerate
 model collection. Configuration comes from an INI file; every flag overrides
-its config key. The input CSV is self-describing: its header row carries the
-numeric grid values and each following row is one replication.
+its config key, and an unknown section or key is a config error. The input
+CSV is self-describing: its header row carries the numeric grid values and
+each following row is one replication.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ import numpy as np
 
 from . import linalg, oracle
 from .dictionary import BasisFamily, DegenerateCollectionError, build_collection, make_model
-from .estimator import (
-    SampleSet,
-    empirical_cov,
-    fit_all,
-    fit_model,
-    fourth_moment_cov_dense,
-    fourth_moment_trace,
-)
+from .estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
 from .selection import PenaltyConfig, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
@@ -101,7 +95,24 @@ def dump_json(path, payload):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _load_ini(path):
+# Every INI section and key each command knows; anything else is an error.
+_SHARED_KEYS = {
+    "basis": {"family", "max_index", "t_min", "t_max"},
+    "collection": {"scheme", "d_max", "k"},
+    "output": {"dir"},
+}
+KNOWN_KEYS = {
+    "select": {**_SHARED_KEYS, "data": {"input"}, "selection": {"theta"}},
+    "simulate": {
+        **_SHARED_KEYS,
+        "kernel": {"kind", "indices", "psi_diag", "length_scale"},
+        "experiment": {"p", "n", "n_grid", "reps", "seed", "theta", "alpha",
+                       "diagnostics", "diagnostics_reps", "keep_replications"},
+    },
+}
+
+
+def _load_ini(path, known):
     parser = configparser.ConfigParser()
     if path is not None:
         if not Path(path).exists():
@@ -110,6 +121,14 @@ def _load_ini(path):
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - known[section])
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
     return parser
 
 
@@ -187,7 +206,7 @@ def _kernel_spec(parser, family):
 # ---------------------------------------------------------------------------
 
 def cmd_select(args):
-    parser = _load_ini(args.config)
+    parser = _load_ini(args.config, KNOWN_KEYS["select"])
     input_path = args.input or _get(parser, "data", "input", str, required=True)
     out_dir = Path(args.out or _get(parser, "output", "dir", str, default="."))
     theta = args.theta if args.theta is not None else _get(
@@ -208,12 +227,11 @@ def cmd_select(args):
 
     collection = build_collection(family, grid, **coll_args)
     s = empirical_cov(samples)
-    fits = fit_all(samples, s, collection)
-    report = select(fits, cfg, samples.n)
+    loss, trace = fit_all(samples, s, collection)
+    report = select(collection.models, loss, trace, cfg, samples.n)
 
-    selected_fit = next(f for f in fits if f.model is report.selected)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out_dir / "sigma_hat.csv", grid, selected_fit.sigma_hat)
+    write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
     table_rows = [
         {
             "model": ";".join(str(i) for i in row["indices"]),
@@ -266,7 +284,7 @@ def cmd_select(args):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    parser = _load_ini(args.config)
+    parser = _load_ini(args.config, KNOWN_KEYS["simulate"])
     out_dir = Path(args.out or _get(parser, "output", "dir", str, default="."))
 
     p = _get(parser, "experiment", "p", int, default=8)
@@ -474,7 +492,7 @@ def _check_trace_range(rng):
     return True, ""
 
 
-def _check_fourth_moment_trace(rng):
+def _check_kron_free_trace(rng):
     family = BasisFamily(kind="fourier", t_min=0.0, t_max=1.0, max_index=6)
     for p in (2, 3, 4):
         grid = uniform_grid(p)
@@ -484,7 +502,7 @@ def _check_fourth_moment_trace(rng):
                 samples = SampleSet(grid=grid, data=x)
                 s = empirical_cov(samples)
                 model = make_model(family, range(int(rng.integers(1, p + 1))), grid)
-                fast = fourth_moment_trace(samples, s, model)
+                _, (fast,) = fit_all(samples, s, [model])
                 phi = fourth_moment_cov_dense(samples)
                 dense = float(
                     np.sum(linalg.kron(model.projector, model.projector) * phi)
@@ -520,15 +538,11 @@ def _check_loss_expansion(rng):
         samples = SampleSet(grid=grid, data=rng.standard_normal((n, p)))
         s = empirical_cov(samples)
         model = make_model(family, range(int(rng.integers(1, p + 1))), grid)
-        fit = fit_model(samples, s, model)
-        direct = np.mean(
-            [
-                linalg.frob_norm_sq(np.outer(x, x) - fit.sigma_hat)
-                for x in samples.data
-            ]
-        )
-        if abs(fit.loss - direct) > 1e-9 * max(1.0, abs(direct)):
-            return False, f"expanded loss {fit.loss} vs direct {direct}"
+        (loss,), _ = fit_all(samples, s, [model])
+        shat = project(s, model)
+        direct = np.mean([linalg.frob_norm_sq(np.outer(x, x) - shat) for x in samples.data])
+        if abs(loss - direct) > 1e-9 * max(1.0, abs(direct)):
+            return False, f"expanded loss {loss} vs direct {direct}"
     return True, ""
 
 
@@ -541,7 +555,7 @@ def cmd_validate(args):
         ("commutation defining property", lambda: _check_commutation(rng)),
         ("projector symmetry and idempotence", lambda: _check_projectors(rng)),
         ("projected trace range for PSD matrices", lambda: _check_trace_range(rng)),
-        ("kron-free fourth-moment trace vs dense", lambda: _check_fourth_moment_trace(rng)),
+        ("kron-free fourth-moment trace vs dense", lambda: _check_kron_free_trace(rng)),
         ("gaussian fourth-moment closed form vs dense",
          lambda: _check_gaussian_closed_form(rng, sign=sign)),
         ("expanded loss vs direct residual sum", lambda: _check_loss_expansion(rng)),
@@ -580,7 +594,7 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=None, help="experiment seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_val = sub.add_parser("validate", parents=[common], help="run the brute-force oracle equivalence suite")
+    p_val = sub.add_parser("validate", help="run the brute-force oracle equivalence suite")
     p_val.add_argument(
         "--inject-fault",
         default=None,

@@ -2,8 +2,7 @@
 fourth-moment trace that drives the data-driven penalty.
 
 The process is assumed centred, so the empirical covariance is
-S = (1/n) sum_i x_i x_i^T with no mean subtraction. A `center=True` escape
-hatch exists but sits outside the model the selection theory assumes.
+S = (1/n) sum_i x_i x_i^T with no mean subtraction.
 """
 
 from __future__ import annotations
@@ -49,35 +48,11 @@ class SampleSet:
         return self.data.shape[1]
 
 
-def empirical_cov(samples, center=False):
-    """Empirical covariance S = (1/n) sum_i x_i x_i^T (no mean subtraction).
-
-    `center=True` subtracts the sample mean first; that estimator is outside
-    the centred-process model and is provided for exploration only.
-    """
+def empirical_cov(samples):
+    """Empirical covariance S = (1/n) sum_i x_i x_i^T (no mean subtraction)."""
     x = samples.data
-    if center:
-        x = x - x.mean(axis=0, keepdims=True)
     s = x.T @ x / samples.n
     return 0.5 * (s + s.T)
-
-
-@dataclass(frozen=True, eq=False)
-class ModelFit:
-    """Per-model estimate with its empirical loss and penalty ingredients.
-
-    * sigma_hat = P S P, the projected sample covariance
-    * loss = (1/n) sum_i ||x_i x_i^T - sigma_hat||^2
-    * fourth_moment_trace = (1/n) sum_i ||P x_i||^4 - ||P S P||^2,
-      the projected trace of the empirical fourth-moment covariance
-    * variance_factor = fourth_moment_trace / dim
-    """
-
-    model: object
-    sigma_hat: np.ndarray = field(repr=False)
-    loss: float
-    fourth_moment_trace: float
-    variance_factor: float
 
 
 def _check_grid(samples, model):
@@ -85,59 +60,39 @@ def _check_grid(samples, model):
         raise ValueError("model grid does not match sample grid")
 
 
-def fourth_moment_trace(samples, s, model):
-    """Projected trace of the empirical fourth-moment covariance.
-
-    Computes Tr((P kron P) F) for F the empirical covariance of vec(x x^T),
-    without forming any p^2 x p^2 matrix, via
-
-        (1/n) sum_i ||P x_i||^4  -  ||P S P||^2.
-
-    Cost O(n p^2); the dense route in :func:`fourth_moment_cov_dense` exists
-    only as a small-scale oracle for this identity.
-    """
-    _check_grid(samples, model)
-    proj = model.projector
-    xp = samples.data @ proj
-    row_sq = np.einsum("ij,ij->i", xp, xp)
-    mean4 = float(np.mean(row_sq ** 2))
-    shat = proj @ s @ proj
-    return mean4 - frob_norm_sq(shat)
-
-
-def fit_model(samples, s, model):
-    """Fit one model: project S, evaluate the loss, and the penalty trace.
-
-    The loss uses the expansion (1/n) sum ||x_i x_i^T||^2 - ||sigma_hat||^2,
-    valid because the projector is orthogonal; the direct residual sum is
-    kept as a test oracle.
-    """
-    _check_grid(samples, model)
+def project(s, model):
+    """The estimate of one model: P S P, symmetrised."""
     proj = model.projector
     shat = proj @ s @ proj
-    shat = 0.5 * (shat + shat.T)
-
-    row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
-    const = float(np.mean(row_sq ** 2))
-    fit_sq = frob_norm_sq(shat)
-    loss = const - fit_sq
-
-    xp = samples.data @ proj
-    proj_sq = np.einsum("ij,ij->i", xp, xp)
-    trace = float(np.mean(proj_sq ** 2)) - fit_sq
-
-    return ModelFit(
-        model=model,
-        sigma_hat=shat,
-        loss=loss,
-        fourth_moment_trace=trace,
-        variance_factor=trace / model.dim,
-    )
+    return 0.5 * (shat + shat.T)
 
 
 def fit_all(samples, s, collection):
-    """Fit every model in the collection (independent fits, safe to parallelise)."""
-    return [fit_model(samples, s, model) for model in collection]
+    """Empirical loss and fourth-moment trace of every model, as two arrays
+    in collection order.
+
+    * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2, via the expansion
+      (1/n) sum_i ||x_i||^4 - ||P S P||^2, valid because P is an orthogonal
+      projector
+    * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T),
+      via (1/n) sum_i ||P x_i||^4 - ||P S P||^2, without forming any
+      p^2 x p^2 matrix
+
+    Cost O(n p^2) per model; the direct residual sum and the dense route in
+    :func:`fourth_moment_cov_dense` exist only as test oracles.
+    """
+    row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
+    const = float(np.mean(row_sq ** 2))
+    loss = np.empty(len(collection))
+    trace = np.empty(len(collection))
+    for j, model in enumerate(collection):
+        _check_grid(samples, model)
+        fit_sq = frob_norm_sq(project(s, model))
+        xp = samples.data @ model.projector
+        proj_sq = np.einsum("ij,ij->i", xp, xp)
+        loss[j] = const - fit_sq
+        trace[j] = float(np.mean(proj_sq ** 2)) - fit_sq
+    return loss, trace
 
 
 def fourth_moment_cov_dense(samples, size_guard=DEFAULT_SIZE_GUARD):

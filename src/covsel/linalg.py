@@ -1,5 +1,6 @@
-"""Dense linear-algebra primitives: vec, Frobenius geometry, pseudo-inverses,
-orthogonal projectors, and brute-force Kronecker/commutation constructions.
+"""Dense linear-algebra primitives: vec, the squared Frobenius norm,
+orthogonal projectors, PSD factors, and brute-force Kronecker/commutation
+constructions.
 
 The Kronecker and commutation builders are small-scale test oracles only and
 carry an explicit size guard; production code never materialises p**2 x p**2
@@ -33,37 +34,10 @@ def vec(a):
     return a.ravel(order="F")
 
 
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec` for a known (rows, cols) shape."""
-    v = require_finite(v, "vector")
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def frob_inner(a, b):
-    """Frobenius inner product Tr(a b^T); frob_inner(a, a) is the squared norm."""
-    a = require_finite(a, "first argument")
-    b = require_finite(b, "second argument")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frob_norm_sq(a):
     """Squared Frobenius norm."""
     a = np.asarray(a, dtype=float)
     return float(np.sum(a * a))
-
-
-def pinv(a, rtol=RANK_RTOL):
-    """Moore-Penrose pseudo-inverse with the package-wide rank cutoff.
-
-    Singular values below rtol * sigma_max are treated as zero, so the zero
-    matrix maps to the zero matrix.
-    """
-    a = require_finite(a, "matrix")
-    return np.linalg.pinv(a, rcond=rtol)
 
 
 def projector_from_design(g, rtol=RANK_RTOL):

@@ -6,7 +6,6 @@ Monte Carlo checks of the assumptions behind the data-driven penalty.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,23 +150,6 @@ def oracle_model(truth, collection, n):
     tied = [rec for rec, is_tied in zip(table, mask) if is_tied]
     tied.sort(key=lambda rec: tie_break_key(rec.model))
     return tied[0].model, table
-
-
-def min_fourth_moment_trace(truth, collection):
-    """Minimum of the true projected trace over the collection.
-
-    The selection theory needs this strictly positive; a warning fires when
-    it is zero within tolerance.
-    """
-    values = [true_fourth_moment_trace(truth, model) for model in collection]
-    out = min(values)
-    scale = max(1.0, max(abs(v) for v in values))
-    if out <= 1e-12 * scale:
-        warnings.warn(
-            f"minimum projected fourth-moment trace is {out:.3e}; "
-            "the collection violates the positivity the theory requires"
-        )
-    return out
 
 
 def _batched_variance_factors(truth, collection, n, reps, seed):

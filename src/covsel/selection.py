@@ -1,10 +1,9 @@
-"""Penalty computation and penalised model selection.
+"""Penalised model selection.
 
-Two penalty modes exist: "data_driven" uses the plug-in variance factor
-estimated from the sample (the production path), "known" uses externally
-supplied true variance factors (simulation studies only). A diagnostic
-"none" mode zeroes the penalty so tests can confirm that penalties actually
-change decisions.
+The penalty of a model is (1 + theta) * trace / n. With the empirical
+fourth-moment traces from `estimator.fit_all` this is the data-driven
+penalty; passing the true traces gives the known-factor penalty, and
+passing zeros gives no penalty at all.
 """
 
 from __future__ import annotations
@@ -26,22 +25,6 @@ class PenaltyConfig:
     def __post_init__(self):
         if not self.theta > 0:
             raise ValueError("theta must be strictly positive")
-
-
-def penalty_data_driven(fit, cfg, n):
-    """Plug-in penalty (1 + theta) * variance_factor * dim / n for one fit."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return (1.0 + cfg.theta) * fit.fourth_moment_trace / n
-
-
-def penalty_known(model, variance_factor, cfg, n):
-    """Penalty (1 + theta) * variance_factor * dim / n with a known factor."""
-    if variance_factor < 0:
-        raise ValueError("variance_factor must be >= 0")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return (1.0 + cfg.theta) * variance_factor * model.dim / n
 
 
 def tie_break_key(model):
@@ -73,66 +56,52 @@ class SelectionReport:
     selected: object
     rows: tuple
     max_variance_factor: float
-    theta: float
-    mode: str
     ties: tuple = field(default=())
 
 
-def select(fits, cfg, n, penalty_mode="data_driven", variance_factors=None):
-    """Pick the criterion-minimising model from a list of fits.
+def select(models, loss, trace, cfg, n):
+    """Pick the criterion-minimising model.
 
     Parameters
     ----------
-    fits : list of ModelFit
+    models : sequence of ModelSpec
+    loss, trace : per-model empirical loss and fourth-moment trace, in the
+        order of `models` (as returned by `estimator.fit_all`)
     cfg : PenaltyConfig
     n : number of replications behind the fits
-    penalty_mode : "data_driven", "known", or "none" (diagnostic, zero penalty)
-    variance_factors : mapping indices-tuple -> true variance factor,
-        required for "known" mode.
 
     Ties (criteria within TIE_RTOL relative) break toward the smaller dim,
     then the lexicographically smallest index set, so the result does not
-    depend on the order of `fits`.
+    depend on the order of `models`.
     """
-    if not fits:
-        raise ValueError("no model fits to select from")
+    loss = np.asarray(loss, dtype=float).tolist()
+    trace = np.asarray(trace, dtype=float).tolist()
+    if not models:
+        raise ValueError("no models to select from")
+    if not len(models) == len(loss) == len(trace):
+        raise ValueError("models, loss and trace must have the same length")
+    if n < 2:
+        raise ValueError("need n >= 2")
 
     rows = []
-    for fit in fits:
-        if penalty_mode == "data_driven":
-            pen = penalty_data_driven(fit, cfg, n)
-        elif penalty_mode == "known":
-            if variance_factors is None:
-                raise ValueError("known mode requires variance_factors")
-            pen = penalty_known(fit.model, variance_factors[fit.model.indices], cfg, n)
-        elif penalty_mode == "none":
-            pen = 0.0
-        else:
-            raise ValueError(f"unknown penalty_mode {penalty_mode!r}")
+    for model, model_loss, model_trace in zip(models, loss, trace):
+        pen = (1.0 + cfg.theta) * model_trace / n
         rows.append(
             {
-                "indices": fit.model.indices,
-                "dim": fit.model.dim,
-                "loss": fit.loss,
-                "variance_factor": fit.variance_factor,
+                "indices": model.indices,
+                "dim": model.dim,
+                "loss": model_loss,
+                "variance_factor": model_trace / model.dim,
                 "penalty": pen,
-                "criterion": fit.loss + pen,
-                "_fit": fit,
+                "criterion": model_loss + pen,
             }
         )
 
     mask = at_minimum([row["criterion"] for row in rows])
-    tied = [row for row, is_tied in zip(rows, mask) if is_tied]
-    tied.sort(key=lambda row: tie_break_key(row["_fit"].model))
-    selected = tied[0]["_fit"].model
-
-    for row in rows:
-        del row["_fit"]
+    tied = sorted((model for model, is_tied in zip(models, mask) if is_tied), key=tie_break_key)
     return SelectionReport(
-        selected=selected,
+        selected=tied[0],
         rows=tuple(rows),
         max_variance_factor=max(row["variance_factor"] for row in rows),
-        theta=cfg.theta,
-        mode=penalty_mode,
-        ties=tuple(row["indices"] for row in tied),
+        ties=tuple(model.indices for model in tied),
     )

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covsel.cli import main, read_samples_csv, write_matrix_csv
+from covsel.cli import KNOWN_KEYS, _load_ini, main, read_samples_csv, write_matrix_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_CSV = "0.25,0.75\n1,0\n0,1\n"
 
@@ -114,6 +117,12 @@ class TestSelectCommand:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_unknown_key_exits_2(self, tmp_path):
+        data = write_toy(tmp_path)
+        cfg = select_config(tmp_path, extra="thetta = 2.0\n")
+        assert main(["select", "--config", str(cfg), "--input", str(data),
+                     "--out", str(tmp_path)]) == 2
+
     def test_bad_theta_exits_2(self, tmp_path):
         data = write_toy(tmp_path)
         cfg = select_config(tmp_path)
@@ -217,6 +226,27 @@ class TestSimulateCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "no.ini")]) == 2
 
+    @pytest.mark.parametrize("line", ["repz = 9", "threads = 4"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(f"[experiment]\np = 4\nreps = 5\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert line.split(" ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["experimnet", "DEFAULT"])
+    def test_unknown_section_exits_2(self, tmp_path, capsys, section):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(f"[{section}]\nreps = 5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "simulate"])
+def test_shipped_config_keys_known(command):
+    _load_ini(CONFIGS / f"{command}_example.ini", KNOWN_KEYS[command])
+
 
 class TestValidateCommand:
     def test_default_run_passes(self, capsys):
@@ -236,3 +266,11 @@ class TestValidateCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL gaussian fourth-moment closed form vs dense" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--config", "missing.ini"], ["--out", "somewhere"], ["--theta", "-5"]]
+    )
+    def test_takes_no_config_flags(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *flags])
+        assert exc.value.code == 2

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from covsel.dictionary import BasisFamily, build_collection, make_model
-from covsel.estimator import (
-    SampleSet,
-    empirical_cov,
-    fit_model,
-    fourth_moment_cov_dense,
-    fourth_moment_trace,
-)
+from covsel.estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
 from covsel.linalg import frob_norm_sq, kron
 from covsel.simulate import uniform_grid
 
@@ -65,8 +59,7 @@ class TestEmpiricalCov:
         x = np.ones((5, 2)) + rng.standard_normal((5, 2)) * 0.01
         s = empirical_cov(samples_from(x))
         assert s[0, 0] > 0.5  # second moment, far above the tiny variance
-        s_centered = empirical_cov(samples_from(x), center=True)
-        assert s_centered[0, 0] < 0.1
+        np.testing.assert_allclose(s, x.T @ x / 5, atol=1e-12)
 
     def test_symmetric_and_psd(self):
         for _ in range(10):
@@ -81,8 +74,7 @@ class TestFitModel:
         x = rng.standard_normal((6, 4))
         samples = samples_from(x)
         s = empirical_cov(samples)
-        fit = fit_model(samples, s, full_rank_model(4))
-        np.testing.assert_allclose(fit.sigma_hat, s, atol=1e-12)
+        np.testing.assert_allclose(project(s, full_rank_model(4)), s, atol=1e-12)
 
     def test_rank_one_projection_direct_multiply(self):
         # P = [[.5,.5],[.5,.5]] is idempotent, so with S = I the projected
@@ -91,10 +83,10 @@ class TestFitModel:
         s = empirical_cov(samples)
         model = make_model(FOURIER, [0], samples.grid)
         np.testing.assert_allclose(model.projector, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
-        fit = fit_model(samples, s, model)
+        shat = project(s, model)
         expected = model.projector @ s @ model.projector
-        np.testing.assert_allclose(fit.sigma_hat, expected, atol=1e-14)
-        np.testing.assert_allclose(fit.sigma_hat, 0.5 * model.projector, atol=1e-14)
+        np.testing.assert_allclose(shat, expected, atol=1e-14)
+        np.testing.assert_allclose(shat, 0.5 * model.projector, atol=1e-14)
 
     def test_loss_matches_direct_residual_sum(self):
         for _ in range(10):
@@ -102,26 +94,27 @@ class TestFitModel:
             samples = samples_from(x)
             s = empirical_cov(samples)
             model = make_model(FOURIER, range(int(rng.integers(1, 4))), samples.grid)
-            fit = fit_model(samples, s, model)
-            direct = np.mean([frob_norm_sq(np.outer(xi, xi) - fit.sigma_hat) for xi in x])
-            assert fit.loss == pytest.approx(direct, rel=1e-9, abs=1e-9)
+            (loss,), _ = fit_all(samples, s, [model])
+            shat = project(s, model)
+            direct = np.mean([frob_norm_sq(np.outer(xi, xi) - shat) for xi in x])
+            assert loss == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_sigma_hat_in_model_space(self):
         x = rng.standard_normal((5, 4))
         samples = samples_from(x)
         s = empirical_cov(samples)
         model = make_model(FOURIER, [0, 1], samples.grid)
-        fit = fit_model(samples, s, model)
+        shat = project(s, model)
         proj = model.projector
-        np.testing.assert_allclose(fit.sigma_hat, proj @ fit.sigma_hat @ proj, atol=1e-9)
-        np.testing.assert_allclose(fit.sigma_hat, fit.sigma_hat.T, atol=1e-12)
+        np.testing.assert_allclose(shat, proj @ shat @ proj, atol=1e-9)
+        np.testing.assert_allclose(shat, shat.T, atol=1e-12)
 
     def test_grid_mismatch(self):
         samples = samples_from(rng.standard_normal((4, 3)))
         s = empirical_cov(samples)
         model = make_model(FOURIER, [0], uniform_grid(3, 0.0, 0.5))
         with pytest.raises(ValueError, match="grid"):
-            fit_model(samples, s, model)
+            fit_all(samples, s, [model])
 
     def test_replication_order_invariance(self):
         x = rng.standard_normal((9, 3))
@@ -131,57 +124,57 @@ class TestFitModel:
         for data in (x, x[perm]):
             samples = samples_from(data)
             s = empirical_cov(samples)
-            fits.append(fit_model(samples, s, model))
-        assert fits[0].loss == pytest.approx(fits[1].loss, rel=1e-12)
-        assert fits[0].fourth_moment_trace == pytest.approx(
-            fits[1].fourth_moment_trace, rel=1e-10, abs=1e-12
-        )
+            fits.append(fit_all(samples, s, [model]))
+        (loss_a,), (trace_a,) = fits[0]
+        (loss_b,), (trace_b,) = fits[1]
+        assert loss_a == pytest.approx(loss_b, rel=1e-12)
+        assert trace_a == pytest.approx(trace_b, rel=1e-10, abs=1e-12)
 
     def test_monotone_loss_on_nested_models(self):
         x = rng.standard_normal((12, 8))
         samples = samples_from(x, uniform_grid(8))
         s = empirical_cov(samples)
         coll = build_collection(FOURIER, samples.grid, scheme="nested", d_max=5)
-        losses = [fit_model(samples, s, m).loss for m in coll]
+        losses, _ = fit_all(samples, s, coll)
+        assert losses.shape == (5,)
         for small, large in zip(losses, losses[1:]):
             assert large <= small + 1e-9
+
+
+def traces_of(samples, models):
+    return fit_all(samples, empirical_cov(samples), models)[1]
 
 
 class TestFourthMomentTrace:
     def test_hand_example(self):
         # n=2, x1=e1, x2=e2, full projector: (1/2)(1+1) - ||S||^2 = 1 - 1/2
         samples = samples_from([[1.0, 0.0], [0.0, 1.0]])
-        s = empirical_cov(samples)
-        model = full_rank_model(2)
-        assert fourth_moment_trace(samples, s, model) == pytest.approx(0.5, abs=1e-14)
+        assert traces_of(samples, [full_rank_model(2)])[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_identical_rows_give_zero(self):
         samples = samples_from([[1.0, 2.0, 3.0]] * 4)
-        s = empirical_cov(samples)
-        for d in (1, 2, 3):
-            model = make_model(FOURIER, range(d), samples.grid)
-            assert fourth_moment_trace(samples, s, model) == pytest.approx(0.0, abs=1e-9)
+        models = [make_model(FOURIER, range(d), samples.grid) for d in (1, 2, 3)]
+        np.testing.assert_allclose(traces_of(samples, models), 0.0, atol=1e-9)
 
     def test_matches_dense_oracle(self):
+        # one fit_all call per nested collection, so entry j must be model j's trace
         for p in (2, 3, 4):
             grid = uniform_grid(p)
+            coll = build_collection(FOURIER, grid, scheme="nested", d_max=p)
             for n in (5, 10):
                 for seed in range(20):
                     gen = np.random.default_rng((p, n, seed))
                     samples = samples_from(gen.standard_normal((n, p)), grid)
-                    s = empirical_cov(samples)
-                    model = make_model(FOURIER, range(int(gen.integers(1, p + 1))), grid)
-                    fast = fourth_moment_trace(samples, s, model)
+                    fast = traces_of(samples, coll)
                     phi = fourth_moment_cov_dense(samples)
-                    dense = float(np.sum(kron(model.projector, model.projector) * phi))
-                    assert fast == pytest.approx(dense, rel=1e-8, abs=1e-10)
+                    dense = [float(np.sum(kron(m.projector, m.projector) * phi)) for m in coll]
+                    np.testing.assert_allclose(fast, dense, rtol=1e-8, atol=1e-10)
 
     def test_nonnegative_and_bounded_by_total_trace(self):
         for _ in range(10):
             samples = samples_from(rng.standard_normal((6, 3)))
-            s = empirical_cov(samples)
             model = make_model(FOURIER, range(int(rng.integers(1, 4))), samples.grid)
-            value = fourth_moment_trace(samples, s, model)
+            (value,) = traces_of(samples, [model])
             total = float(np.trace(fourth_moment_cov_dense(samples)))
             assert -1e-9 <= value <= total + 1e-9
 

@@ -9,7 +9,6 @@ from covsel.oracle import (
     check_underestimation_prob,
     check_variance_factor_mean,
     gaussian_fourth_moment_dense,
-    min_fourth_moment_trace,
     oracle_model,
     true_fourth_moment_trace,
     true_risk,
@@ -166,27 +165,11 @@ class TestOracleModel:
 
 
 class TestMinFourthMomentTrace:
-    def test_single_full_rank_identity(self):
-        truth = TruthSpec(sigma=np.eye(2))
-        fam = BasisFamily("histogram", 0.0, 1.0, 1)
-        coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        values = [true_fourth_moment_trace(truth, m) for m in coll]
-        result = min_fourth_moment_trace(truth, coll)
-        assert result == min(values)
-        assert all(result <= v for v in values)
-
     def test_full_model_only(self):
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
         assert true_fourth_moment_trace(truth, coll.models[-1]) == pytest.approx(6.0)
-
-    def test_degenerate_sigma_warns(self):
-        truth = TruthSpec(sigma=np.zeros((2, 2)))
-        fam = BasisFamily("histogram", 0.0, 1.0, 1)
-        coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        with pytest.warns(UserWarning, match="positivity"):
-            assert min_fourth_moment_trace(truth, coll) == pytest.approx(0.0)
 
 
 class TestVarianceFactorMean:
@@ -270,23 +253,21 @@ class TestQuadraticFormTail:
 
 class TestKnownPenaltySelectionAgainstOracle:
     def test_known_mode_uses_true_factors(self):
-        # end-to-end: select with known factors equals hand-built criterion
+        # end-to-end: select on the true traces equals the hand-built
+        # known-factor criterion loss + (1 + theta) * factor * dim / n
         gen = np.random.default_rng(77)
         grid = uniform_grid(4)
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=3)
         truth = TruthSpec(sigma=np.eye(4))
-        factors = {m.indices: true_variance_factor(truth, m) for m in coll}
+        true_traces = [true_fourth_moment_trace(truth, m) for m in coll]
 
         from covsel.estimator import SampleSet, empirical_cov, fit_all
 
         samples = SampleSet(grid=grid, data=gen.standard_normal((25, 4)))
-        s = empirical_cov(samples)
-        fits = fit_all(samples, s, coll)
-        report = select(
-            fits, PenaltyConfig(1.0), samples.n, penalty_mode="known", variance_factors=factors
-        )
+        loss, _ = fit_all(samples, empirical_cov(samples), coll)
+        report = select(coll.models, loss, true_traces, PenaltyConfig(1.0), samples.n)
         crits = {
-            f.model.indices: f.loss + 2.0 * factors[f.model.indices] * f.model.dim / samples.n
-            for f in fits
+            m.indices: loss[j] + 2.0 * true_variance_factor(truth, m) * m.dim / samples.n
+            for j, m in enumerate(coll)
         }
         assert report.selected.indices == min(crits, key=crits.get)
