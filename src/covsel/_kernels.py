@@ -1,8 +1,17 @@
 """Batched numpy statistics for the Monte Carlo loops.
 
 Both kernels take a replication batch ``X`` of shape (reps, n, p) plus a
-stack of projectors (M, p, p) and write per-replication results into fresh
-arrays, so results do not depend on how replications are chunked.
+stack of M projectors (M, p, p) and write per-replication results into
+fresh arrays, so results do not depend on how replications are chunked.
+
+Every contraction over the n rows or over a p x p product goes through
+``np.matmul`` (BLAS); ``einsum`` is left only for row-wise and elementwise
+sums of squares. Per batch:
+
+* ``model_stats_batch`` costs O(M * reps * n * p^2): for each model one
+  X P product and one (X P)^T (X P) Gram matrix.
+* ``deviation_batch`` costs O(reps * n * p^2 + M * reps * p^3): one
+  X^T X, then two p x p products P S P per model.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ def model_stats_batch(X, projs):
         xp = X @ projs[m]
         rowp = np.einsum("rij,rij->ri", xp, xp)
         proj_norm4[:, m] = np.mean(rowp ** 2, axis=1)
-        c = np.einsum("rni,rnj->rij", xp, xp) / n
+        c = np.matmul(xp.transpose(0, 2, 1), xp) / n
         fit_sq[:, m] = np.einsum("rij,rij->r", c, c)
     return norm4, proj_norm4, fit_sq
 
@@ -48,12 +57,12 @@ def deviation_batch(X, projs, sigma):
     X = np.ascontiguousarray(X, dtype=np.float64)
     reps, n, p = X.shape
     m_count = projs.shape[0]
-    s_all = np.einsum("rni,rnj->rij", X, X) / n
+    s_all = np.matmul(X.transpose(0, 2, 1), X) / n
     err_sq = np.empty((reps, m_count))
     proj_dev_sq = np.empty((reps, m_count))
     for m in range(m_count):
         proj = projs[m]
-        a = np.einsum("ij,rjk,kl->ril", proj, s_all, proj)
+        a = proj @ s_all @ proj
         d1 = sigma[None, :, :] - a
         err_sq[:, m] = np.einsum("rij,rij->r", d1, d1)
         psp = proj @ sigma @ proj

@@ -41,11 +41,17 @@ def iter_chunks(reps, n, p, target_floats=4_000_000):
 
 
 def wilson_interval(successes, trials, z=1.959963984540054):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, as plain floats.
+
+    The lower bound at zero successes is exactly 0.0 and the upper bound at
+    `trials` successes exactly 1.0; `center -/+ half` only rounds near them.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * np.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, float(center - half))
+    hi = 1.0 if successes == trials else min(1.0, float(center + half))
+    return lo, hi

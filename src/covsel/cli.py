@@ -32,6 +32,10 @@ EXIT_DEGENERATE = 3
 
 FLOAT_FMT = "%.17g"
 
+# Bumped on any change to the bytes a given seed and config produce; the
+# SHA-256 table in tests/test_fingerprint.py is keyed by it.
+REPORT_VERSION = 1
+
 
 class ConfigError(Exception):
     pass
@@ -251,6 +255,7 @@ def cmd_select(args):
     dump_json(
         out_dir / "selection_report.json",
         {
+            "report_version": REPORT_VERSION,
             "config": {
                 "input": str(input_path),
                 "theta": theta,
@@ -329,7 +334,9 @@ def cmd_simulate(args):
     report = run_experiment(cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(out_dir / "experiment_report.json", report)
+    dump_json(
+        out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report}
+    )
 
     risk_rows = []
     freq_rows = []

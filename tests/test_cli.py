@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covsel.cli import KNOWN_KEYS, _load_ini, main, read_samples_csv, write_matrix_csv
+from covsel.cli import (
+    KNOWN_KEYS,
+    REPORT_VERSION,
+    _load_ini,
+    main,
+    read_samples_csv,
+    write_matrix_csv,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -131,6 +138,19 @@ class TestSelectCommand:
              "--theta", "-1.0"]
         )
         assert code == 2
+
+
+def test_reports_carry_report_version(tmp_path):
+    sel_out = tmp_path / "sel"
+    sim_out = tmp_path / "sim"
+    data = write_toy(tmp_path)
+    assert main(["select", "--config", str(select_config(tmp_path)),
+                 "--input", str(data), "--out", str(sel_out)]) == 0
+    assert main(["simulate", "--config", str(simulate_config(tmp_path)),
+                 "--out", str(sim_out)]) == 0
+    for path in (sel_out / "selection_report.json", sim_out / "experiment_report.json"):
+        version = json.loads(path.read_text())["report_version"]
+        assert type(version) is int and version == REPORT_VERSION
 
 
 class TestCsvRoundTrip:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from covsel import _kernels
+from covsel.dictionary import BasisFamily, build_collection
+from covsel.estimator import SampleSet, empirical_cov, fit_all
 from covsel.linalg import projector_from_design
+from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
 
 rng = np.random.default_rng(707)
 
@@ -68,3 +71,38 @@ def test_numpy_path_matches_direct(reps, n, p, m_count):
         _kernels.deviation_batch(X, projs, sigma), direct_deviation(X, projs, sigma)
     ):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def simulate_kernel_setup(reps):
+    """The simulate-kernel shape: p=32, n=200, 13 nested fourier models and
+    an Ornstein-Uhlenbeck truth."""
+    p, n = 32, 200
+    grid = uniform_grid(p)
+    family = BasisFamily("fourier", 0.0, 1.0, 12)
+    collection = build_collection(family, grid, scheme="nested", d_max=13)
+    projs = np.stack([m.projector for m in collection])
+    sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck", length_scale=0.5), grid)
+    X = rng.standard_normal((reps, n, p)) @ psd_factor(sigma).T
+    return X, projs, sigma, grid, collection
+
+
+def test_simulate_kernel_shape_matches_direct():
+    X, projs, sigma, _, _ = simulate_kernel_setup(reps=3)
+    for got, want in zip(
+        _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for got, want in zip(
+        _kernels.deviation_batch(X, projs, sigma), direct_deviation(X, projs, sigma)
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_single_replication_matches_fit_all():
+    """select's fit_all and simulate's kernel compute the same loss and trace."""
+    X, projs, _, grid, collection = simulate_kernel_setup(reps=1)
+    samples = SampleSet(grid=grid, data=X[0])
+    loss, trace = fit_all(samples, empirical_cov(samples), collection)
+    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, projs)
+    np.testing.assert_allclose(norm4[0] - fit_sq[0], loss, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(proj_norm4[0] - fit_sq[0], trace, rtol=1e-12, atol=0)

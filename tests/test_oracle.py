@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covsel._mc import wilson_interval
 from covsel.dictionary import BasisFamily, build_collection, make_model
 from covsel.linalg import frob_norm_sq, kron
 from covsel.oracle import (
@@ -222,6 +223,38 @@ class TestUnderestimationProb:
             check_underestimation_prob(truth, coll, n=10, alpha=0.5, reps=10)
         with pytest.raises(ValueError, match="alpha"):
             check_underestimation_prob(truth, coll, n=10, alpha=1.5, reps=200)
+
+    def test_zero_violations_lie_inside_interval(self):
+        truth, coll = self._setup()
+        out = check_underestimation_prob(truth, coll, n=10, alpha=0.999, reps=200, seed=3)
+        assert out["violations"] == 0
+        assert out["ci_low"] == 0.0
+        assert out["ci_low"] <= out["estimate"] <= out["ci_high"]
+
+
+class TestWilsonInterval:
+    @pytest.mark.parametrize("trials", [1, 7, 200, 2000, 100_000])
+    def test_edges_are_exact(self, trials):
+        lo, hi = wilson_interval(0, trials)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(trials, trials)
+        assert hi == 1.0 and 0.0 < lo < 1.0
+
+    @pytest.mark.parametrize("successes", [0, 1, 57, 199, 200])
+    def test_plain_floats_bracketing_the_estimate(self, successes):
+        lo, hi = wilson_interval(successes, 200)
+        assert type(lo) is float and type(hi) is float
+        assert 0.0 <= lo <= successes / 200 <= hi <= 1.0
+
+    def test_matches_textbook_value(self):
+        # 95% Wilson interval for 10 successes in 100 trials
+        lo, hi = wilson_interval(10, 100)
+        assert lo == pytest.approx(0.0552291, abs=1e-6)
+        assert hi == pytest.approx(0.1743657, abs=1e-6)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            wilson_interval(0, 0)
 
 
 class TestQuadraticFormTail:
