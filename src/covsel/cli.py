@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ FLOAT_FMT = "%.17g"
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -46,7 +47,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def read_samples_csv(path):
-    """Read a replication file: header row = grid values, body rows = x_i."""
+    """Read a replication file: header row = grid values, body rows = x_i.
+
+    Blank lines are skipped; every other line is a row of comma-separated
+    floats, and `#` is not a comment marker.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
@@ -54,15 +59,16 @@ def read_samples_csv(path):
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{path}: need a grid header plus at least 2 replications")
+    width = lines[0].count(",") + 1
+    if any(line.count(",") + 1 != width for line in lines):
+        raise ConfigError(f"{path}: rows must have exactly {width} columns")
     try:
-        grid = np.array([float(v) for v in lines[0].split(",")])
-        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        values = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",",
+                            comments=None, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric entry ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != grid.size:
-        raise ConfigError(f"{path}: rows must have exactly {grid.size} columns")
     try:
-        return SampleSet(grid=grid, data=data)
+        return SampleSet(grid=values[0], data=values[1:])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -210,6 +216,9 @@ def _kernel_spec(parser, family):
 # ---------------------------------------------------------------------------
 
 def cmd_select(args):
+    # imported here: hashlib loads OpenSSL (~3 ms), which simulate never needs
+    import hashlib
+
     parser = _load_ini(args.config, KNOWN_KEYS["select"])
     input_path = args.input or _get(parser, "data", "input", str, required=True)
     out_dir = Path(args.out or _get(parser, "output", "dir", str, default="."))
@@ -257,7 +266,10 @@ def cmd_select(args):
         {
             "report_version": REPORT_VERSION,
             "config": {
-                "input": str(input_path),
+                "input": {
+                    "name": Path(input_path).name,
+                    "sha256": hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+                },
                 "theta": theta,
                 "family": {
                     "kind": family.kind,

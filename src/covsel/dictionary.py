@@ -9,6 +9,7 @@ rank-deficient, and exactly-sparse projectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .linalg import RANK_RTOL, projector_from_design, require_finite
+from .linalg import RANK_RTOL, basis_from_design, projector_from_basis, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
 
@@ -96,38 +97,47 @@ def build_design(family, indices, grid):
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """An index set with its design matrix, projector, rank and dimension.
+    """An index set with an orthonormal basis of its design's column space,
+    its rank and dimension.
 
-    `dim` is the squared design rank: the dimension of the space of matrices
-    G Psi G^T with Psi symmetric.
+    `basis` is p x rank: the design's left singular vectors above the rank
+    cutoff. `projector` is basis basis^T, symmetrised; it is built on first
+    access and cached on the instance, so a model whose projector is never
+    read never holds a p x p array. `dim` is the squared design rank: the
+    dimension of the space of matrices G Psi G^T with Psi symmetric.
     """
 
     indices: tuple
-    design: np.ndarray
-    projector: np.ndarray
+    basis: np.ndarray
     rank: int
     dim: float
     grid: np.ndarray
+
+    @functools.cached_property
+    def projector(self):
+        return projector_from_basis(self.basis)
 
     def __repr__(self):
         return f"ModelSpec(indices={self.indices}, rank={self.rank}, dim={self.dim:g})"
 
 
-def make_model(family, indices, grid, rtol=RANK_RTOL):
-    """Build a ModelSpec; returns None when the design has numerical rank 0."""
-    grid = np.asarray(grid, dtype=float)
-    design = build_design(family, indices, grid)
-    proj, rank = projector_from_design(design, rtol=rtol)
+def _model_from_design(indices, design, grid, rtol):
+    basis, rank = basis_from_design(design, rtol=rtol)
     if rank == 0:
         return None
     return ModelSpec(
         indices=tuple(int(i) for i in indices),
-        design=design,
-        projector=proj,
+        basis=basis,
         rank=rank,
         dim=float(rank * rank),
         grid=grid,
     )
+
+
+def make_model(family, indices, grid, rtol=RANK_RTOL):
+    """Build a ModelSpec; returns None when the design has numerical rank 0."""
+    grid = np.asarray(grid, dtype=float)
+    return _model_from_design(indices, build_design(family, indices, grid), grid, rtol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +194,15 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     if len(index_sets) > max_models:
         raise ValueError(f"collection would contain {len(index_sets)} models (cap {max_models})")
 
+    # each basis function the collection uses is evaluated once; a model's
+    # design is a column selection from this table, equal to build_design's
+    used = sorted(set(itertools.chain.from_iterable(index_sets)))
+    table = build_design(family, used, grid)
+    column = {index: j for j, index in enumerate(used)}
     models = []
     for indices in index_sets:
-        model = make_model(family, indices, grid)
+        design = table[:, [column[i] for i in indices]]
+        model = _model_from_design(indices, design, grid, RANK_RTOL)
         if model is None:
             warnings.warn(f"dropping model {indices}: design has numerical rank 0")
             continue

@@ -71,15 +71,19 @@ def fit_all(samples, s, collection):
     """Empirical loss and fourth-moment trace of every model, as two arrays
     in collection order.
 
-    * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2, via the expansion
-      (1/n) sum_i ||x_i||^4 - ||P S P||^2, valid because P is an orthogonal
-      projector
-    * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T),
-      via (1/n) sum_i ||P x_i||^4 - ||P S P||^2, without forming any
-      p^2 x p^2 matrix
+    Each model is fitted in the coordinates W = X U of its orthonormal basis
+    U (p x r), so no projector is formed:
 
-    Cost O(n p^2) per model; the direct residual sum and the dense route in
-    :func:`fourth_moment_cov_dense` exist only as test oracles.
+    * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2, via the expansion
+      (1/n) sum_i ||x_i||^4 - ||P S P||^2, valid because P = U U^T is an
+      orthogonal projector, with ||P S P||^2 = ||U^T S U||^2
+    * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T),
+      via (1/n) sum_i ||P x_i||^4 - ||P S P||^2 with ||P x_i||^2 the squared
+      norm of row i of W, without forming any p^2 x p^2 matrix
+
+    Cost O(n p r + p^2 r) per model of rank r; the direct residual sum and
+    the dense route in :func:`fourth_moment_cov_dense` exist only as test
+    oracles.
     """
     row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
     const = float(np.mean(row_sq ** 2))
@@ -87,9 +91,10 @@ def fit_all(samples, s, collection):
     trace = np.empty(len(collection))
     for j, model in enumerate(collection):
         _check_grid(samples, model)
-        fit_sq = frob_norm_sq(project(s, model))
-        xp = samples.data @ model.projector
-        proj_sq = np.einsum("ij,ij->i", xp, xp)
+        u = model.basis
+        fit_sq = frob_norm_sq(u.T @ s @ u)
+        w = samples.data @ u
+        proj_sq = np.einsum("ij,ij->i", w, w)
         loss[j] = const - fit_sq
         trace[j] = float(np.mean(proj_sq ** 2)) - fit_sq
     return loss, trace

@@ -40,12 +40,12 @@ def frob_norm_sq(a):
     return float(np.sum(a * a))
 
 
-def projector_from_design(g, rtol=RANK_RTOL):
-    """Orthogonal projector onto the column space of the design matrix `g`.
+def basis_from_design(g, rtol=RANK_RTOL):
+    """Orthonormal basis of the column space of the design matrix `g`.
 
-    Built from the left singular vectors above the rank cutoff, which equals
-    g (g^T g)^+ g^T but is numerically stable for rank-deficient designs.
-    Returns (projector, rank); a zero design yields the zero projector.
+    The left singular vectors above the rank cutoff rtol * sigma_max.
+    Returns (basis, rank) with basis of shape p x rank; a zero design has
+    rank 0 and an empty basis.
     """
     g = require_finite(g, "design")
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
@@ -55,10 +55,24 @@ def projector_from_design(g, rtol=RANK_RTOL):
         r = 0
     else:
         r = int(np.sum(s > rtol * s[0]))
-    ur = u[:, :r]
+    return u[:, :r], r
+
+
+def projector_from_basis(ur):
+    """Orthogonal projector ur ur^T onto the span of orthonormal columns, symmetrised."""
     proj = ur @ ur.T
-    proj = 0.5 * (proj + proj.T)
-    return proj, r
+    return 0.5 * (proj + proj.T)
+
+
+def projector_from_design(g, rtol=RANK_RTOL):
+    """Orthogonal projector onto the column space of the design matrix `g`.
+
+    Built from the left singular vectors above the rank cutoff, which equals
+    g (g^T g)^+ g^T but is numerically stable for rank-deficient designs.
+    Returns (projector, rank); a zero design yields the zero projector.
+    """
+    ur, r = basis_from_design(g, rtol=rtol)
+    return projector_from_basis(ur), r
 
 
 def check_projector(proj, sym_tol=1e-12, idem_tol=1e-10):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from covsel import cli
 from covsel.cli import (
     KNOWN_KEYS,
     REPORT_VERSION,
@@ -116,6 +118,46 @@ class TestSelectCommand:
         )
         assert code == 2
 
+    def test_report_records_input_name_and_digest(self, tmp_path, monkeypatch):
+        # the same file named by a relative and by an absolute path gives the
+        # same report bytes
+        data = write_toy(tmp_path)
+        cfg = select_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["select", "--config", str(cfg), "--input", "./toy.csv",
+                     "--out", "rel"]) == 0
+        assert main(["select", "--config", str(cfg), "--input", str(data.resolve()),
+                     "--out", "abs"]) == 0
+        rel = (tmp_path / "rel" / "selection_report.json").read_bytes()
+        assert rel == (tmp_path / "abs" / "selection_report.json").read_bytes()
+        assert json.loads(rel)["config"]["input"] == {
+            "name": "toy.csv",
+            "sha256": hashlib.sha256(TOY_CSV.encode()).hexdigest(),
+        }
+
+    def test_only_selected_model_forms_projector(self, tmp_path, monkeypatch):
+        built = []
+        build_collection = cli.build_collection
+
+        def build_and_keep(*args, **kwargs):
+            built.append(build_collection(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_collection", build_and_keep)
+        gen = np.random.default_rng(5)
+        grid = (np.arange(12) + 0.5) / 12
+        path = tmp_path / "wide.csv"
+        write_matrix_csv(path, grid, gen.standard_normal((20, 12)))
+        cfg = tmp_path / "fourier.ini"
+        cfg.write_text("[basis]\nfamily = fourier\nmax_index = 9\nt_min = 0\nt_max = 1\n")
+        assert main(["select", "--config", str(cfg), "--input", str(path),
+                     "--out", str(tmp_path)]) == 0
+        (collection,) = built
+        assert len(collection) == 10
+        report = json.loads((tmp_path / "selection_report.json").read_text())
+        formed = [list(m.indices) for m in collection if "projector" in vars(m)]
+        assert formed == [report["selected"]]
+
     def test_seed_flag_rejected(self, tmp_path):
         data = write_toy(tmp_path)
         cfg = select_config(tmp_path)
@@ -163,6 +205,56 @@ class TestCsvRoundTrip:
         samples = read_samples_csv(path)
         np.testing.assert_allclose(samples.grid, grid, rtol=1e-15)
         np.testing.assert_allclose(samples.data, data, rtol=1e-15)
+
+    def test_parse_equals_per_cell_float(self, tmp_path):
+        # short and long digit strings, exponents, signs, padding and CRLF
+        rng = np.random.default_rng(1)
+        values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300, size=(6, 4))
+        cells = [["%.17g" % v for v in row] for row in values]
+        cells[1] = ["1", "-0", " 2.5 ", "+3e-2"]
+        cells[2] = ["%.3f" % v for v in values[2]]
+        lines = [",".join(row) for row in cells]
+        lines[0] = "0.1,0.2,0.3,0.4"
+        path = tmp_path / "cells.csv"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        expected = np.array([[float(v) for v in line.split(",")] for line in lines])
+        samples = read_samples_csv(path)
+        assert samples.grid.tobytes() == expected[0].tobytes()
+        assert samples.data.tobytes() == expected[1:].tobytes()
+
+    def test_blank_lines_skipped(self, tmp_path):
+        plain = read_samples_csv(write_toy(tmp_path))
+        spaced = read_samples_csv(
+            write_toy(tmp_path, "spaced.csv", "\n  \n0.25,0.75\n\n1,0\n\t\n0,1\n\n")
+        )
+        assert np.array_equal(plain.grid, spaced.grid)
+        assert np.array_equal(plain.data, spaced.data)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.25,0.75\n", "need a grid header plus at least 2 replications"),
+            ("0.25,0.75\n1,0\n", "need at least n = 2 replications"),
+            ("0.25,0.75\n#1,0\n1,0\n0,1\n", "non-numeric entry"),
+            ("0.25,0.75\n1,0 # note\n0,1\n", "non-numeric entry"),
+            ("0.25,bananas\n1,0\n0,1\n", "non-numeric entry"),
+            ("0.25,0.75\n1,\n0,1\n", "non-numeric entry"),
+            ("0.25,0.75\n1,0\n0,1,2\n", "rows must have exactly 2 columns"),
+            ("0.25,0.75\n1\n0,1\n", "rows must have exactly 2 columns"),
+            ("0.25,0.75\n1,nan\n0,1\n", "data contains non-finite entries"),
+            ("0.25,0.75\n1,0\n-inf,1\n", "data contains non-finite entries"),
+            ("0.25,inf\n1,0\n0,1\n", "grid contains non-finite entries"),
+        ],
+    )
+    def test_malformed_file_exits_2_with_one_line(self, tmp_path, capsys, body, message):
+        data = write_toy(tmp_path, body=body)
+        code = main(["select", "--config", str(select_config(tmp_path)), "--input", str(data),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 def simulate_config(tmp_path, reps=5, diagnostics="false"):

@@ -144,7 +144,7 @@ class TestBuildCollection:
         c1 = build_collection(fam, grid, scheme="nested", d_max=4)
         c2 = build_collection(fam, grid, scheme="nested", d_max=4)
         for m1, m2 in zip(c1, c2):
-            assert np.array_equal(m1.design, m2.design)
+            assert np.array_equal(m1.basis, m2.basis)
             assert np.array_equal(m1.projector, m2.projector)
 
     def test_degenerate_model_dropped_with_warning(self):

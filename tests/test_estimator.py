@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from covsel.dictionary import BasisFamily, build_collection, make_model
+from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
-from covsel.linalg import frob_norm_sq, kron
+from covsel.linalg import frob_norm_sq, kron, projector_from_design
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(303)
@@ -177,6 +177,84 @@ class TestFourthMomentTrace:
             (value,) = traces_of(samples, [model])
             total = float(np.trace(fourth_moment_cov_dense(samples)))
             assert -1e-9 <= value <= total + 1e-9
+
+
+def dense_fit_all(samples, s, collection):
+    """fit_all by the dense projector route: ||P S P||^2 and the rows of X P."""
+    row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
+    const = float(np.mean(row_sq ** 2))
+    loss, trace = [], []
+    for model in collection:
+        fit_sq = frob_norm_sq(project(s, model))
+        xp = samples.data @ model.projector
+        proj_sq = np.einsum("ij,ij->i", xp, xp)
+        loss.append(const - fit_sq)
+        trace.append(float(np.mean(proj_sq ** 2)) - fit_sq)
+    return np.array(loss), np.array(trace)
+
+
+def nyquist_fourier():
+    # on the p=16 midpoint grid, index 15 is cos(pi (j + 1/2)): a zero column
+    # up to rounding, so the last two nested models share one projector
+    grid = uniform_grid(16)
+    coll = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), grid, scheme="nested")
+    assert coll.models[-1].rank == coll.models[-2].rank == 15
+    return coll
+
+
+def rank_deficient_polynomial():
+    # ten Legendre polynomials on six points: every model past index 5 has rank 6
+    coll = build_collection(BasisFamily("polynomial", 0.0, 1.0, 9), uniform_grid(6),
+                            scheme="nested")
+    assert [m.rank for m in coll][-5:] == [6] * 5
+    return coll
+
+
+def histogram_with_empty_cells():
+    # eight cells, five points: three cells are empty, so their singleton
+    # models are dropped and pairs with one empty cell have rank 1
+    with pytest.warns(UserWarning, match="rank 0"):
+        coll = build_collection(BasisFamily("histogram", 0.0, 1.0, 7), uniform_grid(5),
+                                scheme="all_subsets", k=2)
+    assert any(m.rank < len(m.indices) for m in coll)
+    return coll
+
+
+COORDINATE_CASES = [nyquist_fourier, rank_deficient_polynomial, histogram_with_empty_cells]
+
+
+@pytest.mark.parametrize("make_collection", COORDINATE_CASES)
+class TestCoordinatePath:
+    def test_fit_all_matches_dense_projector_route(self, make_collection):
+        coll = make_collection()
+        gen = np.random.default_rng(len(coll))
+        samples = samples_from(gen.standard_normal((40, coll.grid.size)), coll.grid)
+        s = empirical_cov(samples)
+        loss, trace = fit_all(samples, s, coll)
+        dense_loss, dense_trace = dense_fit_all(samples, s, coll)
+        np.testing.assert_allclose(loss, dense_loss, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(trace, dense_trace, rtol=1e-13, atol=0)
+
+    def test_fit_all_forms_no_projector(self, make_collection):
+        coll = make_collection()
+        samples = samples_from(rng.standard_normal((5, coll.grid.size)), coll.grid)
+        fit_all(samples, empirical_cov(samples), coll)
+        assert not any("projector" in vars(m) for m in coll)
+
+    def test_lazy_projector_equals_projector_from_design(self, make_collection):
+        coll = make_collection()
+        for model in coll:
+            design = build_design(coll.family, model.indices, coll.grid)
+            expected, rank = projector_from_design(design)
+            assert rank == model.rank
+            assert np.array_equal(model.projector, expected)
+            assert model.projector is model.projector  # built once, then cached
+
+    def test_basis_is_orthonormal(self, make_collection):
+        for model in make_collection():
+            assert model.basis.shape == (model.grid.size, model.rank)
+            np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(model.rank),
+                                       atol=1e-13)
 
 
 class TestFourthMomentCovDense:

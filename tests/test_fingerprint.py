@@ -48,6 +48,31 @@ FINGERPRINTS = {
                 "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
         },
     },
+    # v2: select fits in basis coordinates (criterion values move in their
+    # last digits) and records its input by file name and SHA-256; every
+    # simulate CSV and sigma_hat.csv keep their v1 bytes
+    2: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "e1776f746f1f550fc4946038f075bcbe1e11c6d0c93a8b851b77ab31a0be68a2",
+            "simulate/risk_vs_n.csv":
+                "6d5330427e02202f05d6c1e1be6b130c14f796c81f37f17fb45f9ad2e1cb3139",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "9d9b83ced06e1b4c19fdd3c7565d81034764d0672ab69428bb0907c0b956a4b4",
+            "simulate/underestimation_prob.csv":
+                "efe4b9f94e84fa4b7c78322c9594ac244692f9cda8073d185118d02f0fe2989f",
+            "select/selection_report.json":
+                "1288bc3704dee208011c886edcfbd6833d315c293b2710ce63569c2ea08ec222",
+            "select/criterion_table.csv":
+                "4a5baa0a7d7d058039e6dcbc471524d93cc893cd0e845318f49d2341fdb85029",
+            "select/sigma_hat.csv":
+                "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
+        },
+    },
 }
 
 
@@ -76,21 +101,25 @@ def write_select_input(path):
 
 
 def run_examples(work):
-    """Run both example configs in `work`; return {run/file: sha256 hex}."""
+    """Run both example configs in `work`, select a second time on the input's
+    absolute path; return {run/file: sha256 hex}."""
     write_select_input(work / "data.csv")
     assert main(["select", "--config", str(CONFIGS / "select_example.ini"),
                  "--out", "select"]) == 0
+    assert main(["select", "--config", str(CONFIGS / "select_example.ini"),
+                 "--input", str((work / "data.csv").resolve()), "--out", "select-abs"]) == 0
     assert main(["simulate", "--config", str(CONFIGS / "simulate_example.ini"),
                  "--out", "simulate"]) == 0
     return {
         f"{run}/{name}": hashlib.sha256((work / run / name).read_bytes()).hexdigest()
-        for run, names in (("simulate", SIMULATE_FILES), ("select", SELECT_FILES))
+        for run, names in (("simulate", SIMULATE_FILES), ("select", SELECT_FILES),
+                           ("select-abs", SELECT_FILES))
         for name in names
     }
 
 
 def test_report_bytes_match_their_version(tmp_path, monkeypatch):
-    # the select report records its input path, so run from a fixed relative one
+    # the example configs name their input and output relative to the cwd
     monkeypatch.chdir(tmp_path)
     assert REPORT_VERSION in FINGERPRINTS, (
         f"report_version {REPORT_VERSION} has no fingerprint row"
@@ -101,6 +130,8 @@ def test_report_bytes_match_their_version(tmp_path, monkeypatch):
     if build != recorded:
         pytest.skip(f"fingerprints recorded on {recorded}; this build is {build}")
     got = run_examples(tmp_path)
+    moved = [name for name in SELECT_FILES if got[f"select-abs/{name}"] != got[f"select/{name}"]]
+    assert not moved, f"select output depends on how its input path is written: {moved}"
     changed = sorted(key for key, digest in entry["sha256"].items() if got[key] != digest)
     assert not changed, (
         f"output bytes changed at report_version {REPORT_VERSION}: {changed}; "

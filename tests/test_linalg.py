@@ -84,6 +84,22 @@ class TestProjector:
         linalg.check_projector(proj)  # symmetry 1e-12, idempotence 1e-10
         assert 0 <= rank <= min(p, k)
 
+    def test_is_projector_of_basis(self):
+        # rank-deficient designs included: the basis keeps only `rank` columns
+        for k in (1, 3, 6):
+            g = rng.standard_normal((5, 3)) @ rng.standard_normal((3, k))
+            basis, rank = linalg.basis_from_design(g)
+            assert rank == min(3, k)
+            assert basis.shape == (5, rank)
+            np.testing.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-13)
+            proj, proj_rank = linalg.projector_from_design(g)
+            assert proj_rank == rank
+            assert np.array_equal(proj, linalg.projector_from_basis(basis))
+
+    def test_zero_design_has_empty_basis(self):
+        basis, rank = linalg.basis_from_design(np.zeros((3, 2)))
+        assert basis.shape == (3, 0) and rank == 0
+
     def test_check_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
             linalg.check_projector(np.array([[0.5, 0.0], [0.0, 0.5]]))

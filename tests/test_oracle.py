@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covsel._mc import wilson_interval
-from covsel.dictionary import BasisFamily, build_collection, make_model
+from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.linalg import frob_norm_sq, kron
 from covsel.oracle import (
     TruthSpec,
@@ -128,7 +128,8 @@ class TestOracleModel:
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=4)
         target = coll.models[2]
         psi = np.diag([2.0, 1.0, 0.5])
-        sigma = target.design @ psi @ target.design.T
+        design = build_design(FOURIER, target.indices, grid)
+        sigma = design @ psi @ design.T
         truth = TruthSpec(sigma=sigma)
         best, table = oracle_model(truth, coll, n=10 ** 9)
         biases = {rec.model.indices: rec.bias_sq for rec in table}
