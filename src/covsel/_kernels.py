@@ -11,7 +11,7 @@ sums of squares. Per batch:
 * ``model_stats_batch`` costs O(M * reps * n * p^2): for each model one
   X P product and one (X P)^T (X P) Gram matrix.
 * ``deviation_batch`` costs O(reps * n * p^2 + M * reps * p^3): one
-  X^T X, then two p x p products P S P per model.
+  X^T X, then the two p x p products of P S P per model.
 """
 
 from __future__ import annotations
@@ -46,26 +46,18 @@ def model_stats_batch(X, projs):
 
 
 def deviation_batch(X, projs, sigma):
-    """Per-replication squared deviations of the projected sample covariance.
+    """Per-replication squared loss of the projected sample covariance.
 
-    Returns (err_sq, proj_dev_sq) where, with S = (1/n) X^T X and per-model
-    A = P S P:
-
-    * err_sq[r, m]      = ||sigma - A||^2          (loss against the truth)
-    * proj_dev_sq[r, m] = ||A - P sigma P||^2      (in-model deviation)
+    Returns err_sq with err_sq[r, m] = ||sigma - P S P||^2, where
+    S = (1/n) X^T X and P is model m's projector.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     reps, n, p = X.shape
     m_count = projs.shape[0]
     s_all = np.matmul(X.transpose(0, 2, 1), X) / n
     err_sq = np.empty((reps, m_count))
-    proj_dev_sq = np.empty((reps, m_count))
     for m in range(m_count):
         proj = projs[m]
-        a = proj @ s_all @ proj
-        d1 = sigma[None, :, :] - a
-        err_sq[:, m] = np.einsum("rij,rij->r", d1, d1)
-        psp = proj @ sigma @ proj
-        d2 = a - psp[None, :, :]
-        proj_dev_sq[:, m] = np.einsum("rij,rij->r", d2, d2)
-    return err_sq, proj_dev_sq
+        d = sigma[None, :, :] - proj @ s_all @ proj
+        err_sq[:, m] = np.einsum("rij,rij->r", d, d)
+    return err_sq

@@ -21,7 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg, oracle
-from .dictionary import BasisFamily, DegenerateCollectionError, build_collection, make_model
+from .dictionary import (
+    BasisFamily,
+    DegenerateCollectionError,
+    build_collection,
+    collection_index_sets,
+    make_model,
+)
 from .estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
 from .selection import PenaltyConfig, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
@@ -33,9 +39,13 @@ EXIT_DEGENERATE = 3
 
 FLOAT_FMT = "%.17g"
 
+# `simulate` writes one row per replication here, and only here, when
+# keep_replications is on; experiment_report.json names the file
+REPLICATIONS_FILE = "replications.csv"
+
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 class ConfigError(Exception):
@@ -81,18 +91,25 @@ def write_matrix_csv(path, header_values, matrix):
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
-def write_table_csv(path, columns, rows):
+def write_table_csv(path, table):
+    """CSV of a table given as {column name: values}, all columns one length.
+
+    Floats are written in FLOAT_FMT and every other value through str; an
+    array column is read with tolist(), which gives plain Python values.
+    """
+    cells = []
+    for values in table.values():
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        cells.append([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                if isinstance(value, float):
-                    cells.append(FLOAT_FMT % value)
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(table) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _columns(names, rows):
+    """{name: column} of row tuples whose fields are in `names` order."""
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
 
 
 def dump_json(path, payload):
@@ -234,6 +251,7 @@ def cmd_select(args):
     family = _basis_family(parser, default_domain)
     coll_args = _collection_args(parser)
     try:
+        collection_index_sets(family, **coll_args)
         cfg = PenaltyConfig(theta=theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -245,21 +263,13 @@ def cmd_select(args):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
-    table_rows = [
-        {
-            "model": ";".join(str(i) for i in row["indices"]),
-            "dim": row["dim"],
-            "loss": row["loss"],
-            "variance_factor": row["variance_factor"],
-            "penalty": row["penalty"],
-            "criterion": row["criterion"],
-        }
-        for row in report.rows
-    ]
     write_table_csv(
         out_dir / "criterion_table.csv",
-        ["model", "dim", "loss", "variance_factor", "penalty", "criterion"],
-        table_rows,
+        {
+            "model": [";".join(str(i) for i in row["indices"]) for row in report.rows],
+            **{key: [row[key] for row in report.rows]
+               for key in ("dim", "loss", "variance_factor", "penalty", "criterion")},
+        },
     )
     dump_json(
         out_dir / "selection_report.json",
@@ -309,7 +319,10 @@ def cmd_simulate(args):
     t_max = _get(parser, "basis", "t_max", float, default=1.0)
     if not t_min < t_max:
         raise ConfigError("[basis] requires t_min < t_max")
-    grid = uniform_grid(p, t_min, t_max)
+    try:
+        grid = uniform_grid(p, t_min, t_max)
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] {exc}") from exc
     family = _basis_family(parser, (t_min, t_max))
     coll_args = _collection_args(parser)
     kernel = _kernel_spec(parser, family)
@@ -343,103 +356,56 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    report = run_experiment(cfg)
+    report, replications = run_experiment(cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(
-        out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report}
-    )
+    payload = {"report_version": REPORT_VERSION, **report}
+    if replications is not None:
+        payload["replications_file"] = REPLICATIONS_FILE
+    dump_json(out_dir / "experiment_report.json", payload)
 
     risk_rows = []
     freq_rows = []
     vf_rows = []
     under_rows = []
-    rep_rows = []
     for run in report["runs"]:
-        risk_rows.append(
-            {
-                "n": run["n"],
-                "oracle_risk": run["oracle"]["risk"],
-                "risk_mean": run["data_driven"]["risk_mean"],
-                "risk_se": run["data_driven"]["risk_se"],
-                "risk_ratio": run["data_driven"]["risk_ratio"],
-                "known_risk_mean": run["known_penalty"]["risk_mean"],
-                "known_risk_ratio": run["known_penalty"]["risk_ratio"],
-            }
-        )
+        n, dd, kn = run["n"], run["data_driven"], run["known_penalty"]
+        risk_rows.append((n, run["oracle"]["risk"], dd["risk_mean"], dd["risk_se"],
+                          dd["risk_ratio"], kn["risk_mean"], kn["risk_ratio"]))
         for mode in ("data_driven", "known_penalty"):
             for model, freq in sorted(run[mode]["selection_freq"].items()):
-                freq_rows.append(
-                    {"n": run["n"], "mode": mode, "model": model, "frequency": freq}
-                )
-        for rec in run.get("replications", ()):
-            rep_rows.append(
-                {
-                    "n": run["n"],
-                    "rep": rec["rep"],
-                    "selected": ";".join(str(i) for i in rec["selected"]),
-                    "dim": rec["dim"],
-                    "err_sq": rec["err_sq"],
-                    "selected_known": ";".join(str(i) for i in rec["selected_known"]),
-                    "err_sq_known": rec["err_sq_known"],
-                }
-            )
+                freq_rows.append((n, mode, model, freq))
         if "diagnostics" in run:
             for rec in run["diagnostics"]["variance_factor_mean"]:
-                vf_rows.append(
-                    {
-                        "n": run["n"],
-                        "model": ";".join(str(i) for i in rec["indices"]),
-                        "dim": rec["dim"],
-                        "mean": rec["mean"],
-                        "target": rec["target"],
-                        "se": rec["se"],
-                        "z": rec["z"],
-                        "flagged": rec["flagged"],
-                    }
-                )
+                vf_rows.append((n, ";".join(str(i) for i in rec["indices"]), rec["dim"],
+                                rec["mean"], rec["target"], rec["se"], rec["z"],
+                                rec["flagged"]))
             rec = run["diagnostics"]["underestimation_prob"]
-            under_rows.append(
-                {
-                    "n": run["n"],
-                    "alpha": rec["alpha"],
-                    "estimate": rec["estimate"],
-                    "ci_low": rec["ci_low"],
-                    "ci_high": rec["ci_high"],
-                    "violations": rec["violations"],
-                    "reps": rec["reps"],
-                }
-            )
+            under_rows.append((n, rec["alpha"], rec["estimate"], rec["ci_low"],
+                               rec["ci_high"], rec["violations"], rec["reps"]))
 
     write_table_csv(
         out_dir / "risk_vs_n.csv",
-        ["n", "oracle_risk", "risk_mean", "risk_se", "risk_ratio",
-         "known_risk_mean", "known_risk_ratio"],
-        risk_rows,
+        _columns(("n", "oracle_risk", "risk_mean", "risk_se", "risk_ratio",
+                  "known_risk_mean", "known_risk_ratio"), risk_rows),
     )
     write_table_csv(
         out_dir / "selection_frequencies.csv",
-        ["n", "mode", "model", "frequency"],
-        freq_rows,
+        _columns(("n", "mode", "model", "frequency"), freq_rows),
     )
     if vf_rows:
         write_table_csv(
             out_dir / "variance_factor_mean.csv",
-            ["n", "model", "dim", "mean", "target", "se", "z", "flagged"],
-            vf_rows,
+            _columns(("n", "model", "dim", "mean", "target", "se", "z", "flagged"), vf_rows),
         )
     if under_rows:
         write_table_csv(
             out_dir / "underestimation_prob.csv",
-            ["n", "alpha", "estimate", "ci_low", "ci_high", "violations", "reps"],
-            under_rows,
+            _columns(("n", "alpha", "estimate", "ci_low", "ci_high", "violations", "reps"),
+                     under_rows),
         )
-    if rep_rows:
-        write_table_csv(
-            out_dir / "replications.csv",
-            ["n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"],
-            rep_rows,
-        )
+    if replications is not None:
+        write_table_csv(out_dir / REPLICATIONS_FILE, replications)
     print(f"experiment reports written to {out_dir}")
     return EXIT_OK
 

@@ -153,26 +153,15 @@ class ModelCollection:
         return iter(self.models)
 
 
-def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):
-    """Build a finite model collection over `family` on `grid`.
+def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=10_000):
+    """Index sets of the collection that `build_collection` builds from these
+    arguments, in its order.
 
-    Parameters
-    ----------
-    scheme : "nested" or "all_subsets"
-        nested yields {0}, {0,1}, ..., {0..d_max-1}; all_subsets yields every
-        nonempty subset of 0..max_index of size <= k (k small by default so
-        the collection stays small).
-    d_max : int, nested scheme depth; defaults to max_index + 1.
-    k : int, all_subsets size cap.
-
-    Candidate models whose design is numerically rank 0 are dropped with a
-    warning; an empty resulting collection is an error.
+    nested yields {0}, {0,1}, ..., {0..d_max-1} (d_max defaults to
+    max_index + 1); all_subsets yields every nonempty subset of
+    0..max_index of size <= k. Raises ValueError for an unknown scheme, a
+    depth or size cap `family` cannot meet, or more than `max_models` sets.
     """
-    grid = require_finite(np.asarray(grid, dtype=float), "grid")
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-d array")
-    _check_in_domain(family, grid)
-
     if scheme == "nested":
         if d_max is None:
             d_max = family.max_index + 1
@@ -190,9 +179,24 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
         ]
     else:
         raise ValueError(f"unknown collection scheme {scheme!r}")
-
     if len(index_sets) > max_models:
         raise ValueError(f"collection would contain {len(index_sets)} models (cap {max_models})")
+    return index_sets
+
+
+def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):
+    """Build a finite model collection over `family` on `grid`, with the
+    index sets of :func:`collection_index_sets` (keep k small for
+    all_subsets so the collection stays small).
+
+    Candidate models whose design is numerically rank 0 are dropped with a
+    warning; an empty resulting collection is an error.
+    """
+    grid = require_finite(np.asarray(grid, dtype=float), "grid")
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("grid must be a nonempty 1-d array")
+    _check_in_domain(family, grid)
+    index_sets = collection_index_sets(family, scheme, d_max, k, max_models)
 
     # each basis function the collection uses is evaluated once; a model's
     # design is a column selection from this table, equal to build_design's

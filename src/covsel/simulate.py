@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, oracle
 from ._mc import draw_batch, iter_chunks
-from .dictionary import BasisFamily, build_collection, build_design
+from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
 from .estimator import SampleSet
 from .linalg import psd_factor, require_finite
 from .selection import at_minimum, tie_break_key
@@ -48,6 +48,11 @@ class KernelSpec:
             if self.family is None or self.indices is None:
                 raise ValueError("finite_rank kernel needs family and indices")
             k = len(self.indices)
+            if k == 0:
+                raise ValueError("finite_rank kernel needs at least one index")
+            top = self.family.max_index
+            if any(not 0 <= i <= top for i in self.indices):
+                raise ValueError(f"indices must lie in 0..{top} (the family's max_index)")
             psi = np.eye(k) if self.psi is None else np.asarray(self.psi, dtype=float)
             if psi.shape != (k, k):
                 raise ValueError(f"psi must be {k} x {k}")
@@ -128,6 +133,15 @@ class ExperimentConfig:
             if any(v < 2 for v in ns):
                 raise ValueError("every n in n_grid must be >= 2")
             object.__setattr__(self, "n_grid", ns)
+        if self.diagnostics:
+            if self.diagnostics_reps < oracle.MIN_DIAGNOSTICS_REPS:
+                raise ValueError(
+                    f"diagnostics_reps must be >= {oracle.MIN_DIAGNOSTICS_REPS}"
+                )
+            if not 0.0 < self.alpha < 1.0:
+                raise ValueError("alpha must lie in (0, 1)")
+        # fails here, before any sampling, for a collection the family cannot give
+        collection_index_sets(self.family, self.scheme, self.d_max, self.k)
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
 
 
@@ -158,7 +172,7 @@ def _run_block(truth, models, cfg, n, seed_key):
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed_key, start, stop)
         norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, projs)
-        err_sq, _ = _kernels.deviation_batch(x, projs, truth.sigma)
+        err_sq = _kernels.deviation_batch(x, projs, truth.sigma)
         loss = norm4[:, None] - fit_sq
         crit_dd = loss + (1.0 + cfg.theta) * (proj_norm4 - fit_sq) / n
         crit_kn = loss + (1.0 + cfg.theta) * true_traces[None, :] / n
@@ -173,21 +187,19 @@ def _run_block(truth, models, cfg, n, seed_key):
     return sel_dd, err_dd, dims[sel_dd], sel_kn, err_kn, dims[sel_kn]
 
 
-def _mode_summary(models, sel, err, sel_dims, oracle_risk, reps):
+def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
     mean_err = float(err.mean())
     se = float(err.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    freq = {}
-    for j, model in enumerate(models):
-        count = int(np.sum(sel == j))
-        if count:
-            freq[";".join(str(i) for i in model.indices)] = count / reps
+    counts = np.bincount(sel, minlength=len(labels)).tolist()
     return {
         "risk_mean": mean_err,
         "risk_se": se,
         "risk_ratio": mean_err / oracle_risk if oracle_risk > 0 else float("inf"),
         "risk_ratio_se": se / oracle_risk if oracle_risk > 0 else 0.0,
         "mean_selected_dim": float(sel_dims.mean()),
-        "selection_freq": freq,
+        "selection_freq": {
+            label: count / reps for label, count in zip(labels, counts) if count
+        },
     }
 
 
@@ -196,8 +208,12 @@ def run_experiment(cfg):
     risk-optimal model; repeat over cfg.reps replications (and over
     cfg.n_grid when present).
 
-    Returns a JSON-ready report dict embedding the resolved configuration.
-    Identical configs give identical reports.
+    Returns (report, replications). The report is a JSON-ready dict
+    embedding the resolved configuration and holds no per-replication data.
+    `replications` is None unless cfg.keep_replications; then it maps each
+    column of one row per replication (n, rep, selected, dim, err_sq,
+    selected_known, err_sq_known) to an array over every n in turn, with
+    models labelled "i;j". Identical configs give identical results.
     """
     sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
     truth = oracle.TruthSpec(sigma=sigma, gaussian=True)
@@ -205,8 +221,10 @@ def run_experiment(cfg):
         cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max, k=cfg.k
     )
     models = sorted(collection.models, key=tie_break_key)
+    labels = np.array([";".join(str(i) for i in m.indices) for m in models], dtype=object)
 
     runs = []
+    blocks = []
     n_values = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     for i_n, n in enumerate(n_values):
         best_model, table = oracle.oracle_model(truth, collection, n)
@@ -233,22 +251,19 @@ def run_experiment(cfg):
                 }
                 for rec in table
             ],
-            "data_driven": _mode_summary(models, sel_dd, err_dd, dim_dd, oracle_risk, cfg.reps),
-            "known_penalty": _mode_summary(models, sel_kn, err_kn, dim_kn, oracle_risk, cfg.reps),
+            "data_driven": _mode_summary(labels, sel_dd, err_dd, dim_dd, oracle_risk, cfg.reps),
+            "known_penalty": _mode_summary(labels, sel_kn, err_kn, dim_kn, oracle_risk, cfg.reps),
         }
         if cfg.keep_replications:
-            run["replications"] = [
-                {
-                    "rep": rep,
-                    "selected": list(models[sel_dd[rep]].indices),
-                    "dim": float(dim_dd[rep]),
-                    "err_sq": float(err_dd[rep]),
-                    "selected_known": list(models[sel_kn[rep]].indices),
-                    "dim_known": float(dim_kn[rep]),
-                    "err_sq_known": float(err_kn[rep]),
-                }
-                for rep in range(cfg.reps)
-            ]
+            blocks.append({
+                "n": np.full(cfg.reps, int(n)),
+                "rep": np.arange(cfg.reps),
+                "selected": labels[sel_dd],
+                "dim": dim_dd,
+                "err_sq": err_dd,
+                "selected_known": labels[sel_kn],
+                "err_sq_known": err_kn,
+            })
         if cfg.diagnostics:
             run["diagnostics"] = {
                 "variance_factor_mean": oracle.check_variance_factor_mean(
@@ -260,7 +275,10 @@ def run_experiment(cfg):
             }
         runs.append(run)
 
-    return {
+    replications = None
+    if blocks:
+        replications = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    report = {
         "config": _describe_config(cfg),
         "collection": [
             {"indices": list(m.indices), "rank": m.rank, "dim": m.dim} for m in models
@@ -268,6 +286,7 @@ def run_experiment(cfg):
         "sigma": sigma.tolist(),
         "runs": runs,
     }
+    return report, replications
 
 
 def _describe_config(cfg):

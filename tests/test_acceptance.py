@@ -99,7 +99,7 @@ def _mc_risk_z_scores(truth, collection, n, reps, seed):
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        err_sq, _ = _kernels.deviation_batch(x, projs, truth.sigma)
+        err_sq = _kernels.deviation_batch(x, projs, truth.sigma)
         chunks.append(err_sq)
     err_sq = np.concatenate(chunks, axis=0)
     z_scores = []
@@ -197,7 +197,7 @@ def test_criterion_6_selection_tracks_oracle_risk():
         reps=500,
         seed=61,
     )
-    report = run_experiment(cfg)
+    report, _ = run_experiment(cfg)
     run = report["runs"][0]
     ratio = run["data_driven"]["risk_ratio"]
     # the factor 4 is a harness bound standing in for a nonconstructive

@@ -13,6 +13,7 @@ from covsel.cli import (
     main,
     read_samples_csv,
     write_matrix_csv,
+    write_table_csv,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -222,6 +223,32 @@ class TestCsvRoundTrip:
         assert samples.grid.tobytes() == expected[0].tobytes()
         assert samples.data.tobytes() == expected[1:].tobytes()
 
+    def test_table_columns_equal_per_cell_format(self, tmp_path):
+        # int, float, bool and str columns, as arrays and as lists, against the
+        # per-cell rule on each element: FLOAT_FMT for floats, str otherwise
+        rng = np.random.default_rng(3)
+        floats = rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, size=5)
+        floats[:3] = [0.1, 4.0, -0.0]
+        table = {
+            "i": np.arange(5) - 2,
+            "x": floats,
+            "b": np.array([True, False, True, True, False]),
+            "s": np.array(["0", "0;1", "2", "a b", ""], dtype=object),
+            "mixed": [1, 2.5, True, "z", np.float64(1 / 3)],
+            "ints": [0, 10, -3, 7, 2 ** 40],
+        }
+        expected = ",".join(table) + "\n"
+        for r in range(5):
+            cells = []
+            for values in table.values():
+                v = values[r]
+                cells.append(cli.FLOAT_FMT % v if isinstance(v, float) else str(v))
+            expected += ",".join(cells) + "\n"
+        write_table_csv(tmp_path / "t.csv", table)
+        assert (tmp_path / "t.csv").read_text() == expected
+        assert "\n-2,0.10000000000000001,True,0,1,0\n" in expected
+        assert ",4,False,0;1,2.5,10\n" in expected
+
     def test_blank_lines_skipped(self, tmp_path):
         plain = read_samples_csv(write_toy(tmp_path))
         spaced = read_samples_csv(
@@ -329,6 +356,79 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "replications.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + one row per replication
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_replications_written_once(self, tmp_path, keep):
+        cfg = tmp_path / "keep.ini"
+        cfg.write_text(
+            "[basis]\nfamily = fourier\nmax_index = 4\n"
+            "[collection]\nscheme = nested\nd_max = 3\n"
+            "[kernel]\nkind = ornstein_uhlenbeck\n"
+            "[experiment]\np = 4\nreps = 30\nseed = 5\nn_grid = 10,20\n"
+            f"keep_replications = {str(keep).lower()}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "experiment_report.json").read_text())
+        assert all(set(run) == {"n", "oracle", "risk_table", "data_driven", "known_penalty"}
+                   for run in report["runs"])
+        if not keep:
+            assert "replications_file" not in report
+            assert not (out / "replications.csv").exists()
+            return
+        assert report["replications_file"] == "replications.csv"
+        lines = (out / "replications.csv").read_text().splitlines()
+        assert lines[0] == "n,rep,selected,dim,err_sq,selected_known,err_sq_known"
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 60
+        for run in report["runs"]:
+            mine = [r for r in rows if int(r["n"]) == run["n"]]
+            assert [int(r["rep"]) for r in mine] == list(range(30))
+            for mode, sel, err in (("data_driven", "selected", "err_sq"),
+                                   ("known_penalty", "selected_known", "err_sq_known")):
+                counts = {}
+                for r in mine:
+                    counts[r[sel]] = counts.get(r[sel], 0) + 1
+                assert {k: c / 30 for k, c in counts.items()} == run[mode]["selection_freq"]
+                mean = np.mean([float(r[err]) for r in mine])
+                assert mean == pytest.approx(run[mode]["risk_mean"], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("simulate", "[collection]\nd_max = 99\n", "nested scheme needs 1 <= d_max <= 5"),
+            ("simulate", "[experiment]\ndiagnostics = true\ndiagnostics_reps = 50\n",
+             "diagnostics_reps must be >= 100"),
+            ("simulate", "[experiment]\ndiagnostics = true\nalpha = 2\n",
+             "alpha must lie in (0, 1)"),
+            ("simulate", "[kernel]\nkind = finite_rank\nindices = 0,1,99\n",
+             "indices must lie in 0..4"),
+            ("simulate", "[experiment]\np = 0\n", "p must be >= 1"),
+            ("select", "[collection]\nd_max = 99\n", "nested scheme needs 1 <= d_max <= 5"),
+        ],
+    )
+    def test_bad_config_exits_2_before_sampling(
+        self, tmp_path, capsys, monkeypatch, command, body, message
+    ):
+        import covsel.oracle
+        import covsel.simulate
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(covsel.simulate, "draw_batch", no_sampling)
+        monkeypatch.setattr(covsel.oracle, "draw_batch", no_sampling)
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[basis]\nfamily = fourier\nmax_index = 4\nt_min = 0\nt_max = 1\n"
+                       + body)
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "select":
+            args += ["--input", str(write_toy(tmp_path))]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"

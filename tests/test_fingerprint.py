@@ -6,6 +6,7 @@ bytes are reproducible only for one numpy and BLAS build, so the test skips
 on any other build rather than report a false change.
 """
 
+import configparser
 import hashlib
 from pathlib import Path
 
@@ -73,6 +74,34 @@ FINGERPRINTS = {
                 "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
         },
     },
+    # v3: per-replication rows live only in replications.csv, and the report
+    # names that file when keep_replications is on. Both example reports
+    # differ from v2 only in report_version; every CSV keeps its v2 bytes,
+    # and simulate-keep/replications.csv equals the v2 code's bytes
+    3: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "b1ba9cac79a9c56e06782ce87779470aa561c53c7bd5dd0538304c3f70b20e04",
+            "simulate/risk_vs_n.csv":
+                "6d5330427e02202f05d6c1e1be6b130c14f796c81f37f17fb45f9ad2e1cb3139",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "9d9b83ced06e1b4c19fdd3c7565d81034764d0672ab69428bb0907c0b956a4b4",
+            "simulate/underestimation_prob.csv":
+                "efe4b9f94e84fa4b7c78322c9594ac244692f9cda8073d185118d02f0fe2989f",
+            "simulate-keep/replications.csv":
+                "6d0d0a23134d33babd7f383b77a67cb76747f3ec532802410a841c5fa52ca7dc",
+            "select/selection_report.json":
+                "86cf59cb7a7919c14baa8b1246a115c83aa7bfedff5a30777bb7df89ac35d900",
+            "select/criterion_table.csv":
+                "4a5baa0a7d7d058039e6dcbc471524d93cc893cd0e845318f49d2341fdb85029",
+            "select/sigma_hat.csv":
+                "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
+        },
+    },
 }
 
 
@@ -100,20 +129,33 @@ def write_select_input(path):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+def write_keep_config(path):
+    """The simulate example with keep_replications = true."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIGS / "simulate_example.ini")
+    parser.set("experiment", "keep_replications", "true")
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
 def run_examples(work):
     """Run both example configs in `work`, select a second time on the input's
-    absolute path; return {run/file: sha256 hex}."""
+    absolute path and simulate a second time keeping every replication;
+    return {run/file: sha256 hex}."""
     write_select_input(work / "data.csv")
+    write_keep_config(work / "simulate_keep.ini")
     assert main(["select", "--config", str(CONFIGS / "select_example.ini"),
                  "--out", "select"]) == 0
     assert main(["select", "--config", str(CONFIGS / "select_example.ini"),
                  "--input", str((work / "data.csv").resolve()), "--out", "select-abs"]) == 0
     assert main(["simulate", "--config", str(CONFIGS / "simulate_example.ini"),
                  "--out", "simulate"]) == 0
+    assert main(["simulate", "--config", "simulate_keep.ini", "--out", "simulate-keep"]) == 0
     return {
         f"{run}/{name}": hashlib.sha256((work / run / name).read_bytes()).hexdigest()
         for run, names in (("simulate", SIMULATE_FILES), ("select", SELECT_FILES),
-                           ("select-abs", SELECT_FILES))
+                           ("select-abs", SELECT_FILES),
+                           ("simulate-keep", ("replications.csv",)))
         for name in names
     }
 

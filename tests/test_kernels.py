@@ -1,5 +1,5 @@
-"""The batched numpy kernels must agree with a direct per-replication
-computation."""
+"""The batched numpy kernels, and the tail check's in-model deviation, must
+agree with a direct per-replication computation."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from covsel import _kernels
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all
 from covsel.linalg import projector_from_design
+from covsel.oracle import _in_model_deviation_sq
 from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
 
 rng = np.random.default_rng(707)
@@ -67,10 +68,13 @@ def test_numpy_path_matches_direct(reps, n, p, m_count):
         _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
     ):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    for got, want in zip(
-        _kernels.deviation_batch(X, projs, sigma), direct_deviation(X, projs, sigma)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+    err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
+    np.testing.assert_allclose(
+        _kernels.deviation_batch(X, projs, sigma), err_sq, rtol=1e-10, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        _in_model_deviation_sq(X, projs, sigma), proj_dev_sq, rtol=1e-10, atol=1e-12
+    )
 
 
 def simulate_kernel_setup(reps):
@@ -92,10 +96,13 @@ def test_simulate_kernel_shape_matches_direct():
         _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
     ):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    for got, want in zip(
-        _kernels.deviation_batch(X, projs, sigma), direct_deviation(X, projs, sigma)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
+    np.testing.assert_allclose(
+        _kernels.deviation_batch(X, projs, sigma), err_sq, rtol=1e-12, atol=0
+    )
+    np.testing.assert_allclose(
+        _in_model_deviation_sq(X, projs, sigma), proj_dev_sq, rtol=1e-12, atol=0
+    )
 
 
 def test_single_replication_matches_fit_all():

@@ -113,19 +113,19 @@ def small_config(**overrides):
 class TestRunExperiment:
     def test_single_model_single_rep(self):
         cfg = small_config(reps=1, d_max=1)
-        report = run_experiment(cfg)
+        report, _ = run_experiment(cfg)
         run = report["runs"][0]
         assert run["data_driven"]["selection_freq"] == {"0": 1.0}
         assert run["data_driven"]["risk_se"] == 0.0
         assert run["data_driven"]["risk_mean"] > 0.0
 
     def test_identical_configs_identical_reports(self):
-        r1 = run_experiment(small_config())
-        r2 = run_experiment(small_config())
+        r1, _ = run_experiment(small_config())
+        r2, _ = run_experiment(small_config())
         assert r1 == r2
 
     def test_risk_ratio_reported_finite(self):
-        report = run_experiment(small_config())
+        report, _ = run_experiment(small_config())
         run = report["runs"][0]
         assert np.isfinite(run["data_driven"]["risk_ratio"])
         assert run["data_driven"]["risk_ratio"] > 0.0
@@ -141,7 +141,7 @@ class TestRunExperiment:
             reps=400,
             seed=62,
         )
-        run = run_experiment(cfg)["runs"][0]
+        run = run_experiment(cfg)[0]["runs"][0]
         for mode in ("data_driven", "known_penalty"):
             ratio = run[mode]["risk_ratio"]
             se = run[mode]["risk_ratio_se"]
@@ -149,7 +149,7 @@ class TestRunExperiment:
 
     def test_n_grid_rows_and_oracle_monotone(self):
         cfg = small_config(n_grid=(20, 50, 100), reps=10)
-        report = run_experiment(cfg)
+        report, _ = run_experiment(cfg)
         assert [run["n"] for run in report["runs"]] == [20, 50, 100]
         oracle_risks = [run["oracle"]["risk"] for run in report["runs"]]
         assert all(b <= a + 1e-15 for a, b in zip(oracle_risks, oracle_risks[1:]))
@@ -159,36 +159,51 @@ class TestRunExperiment:
         import covsel.oracle as oracle
         import covsel.simulate as sim
 
-        cfg = small_config(reps=64, diagnostics=True, diagnostics_reps=200)
-        whole = run_experiment(cfg)
-        # 2_000 floats is 16 replications of 30 x 4 per chunk, against one
-        # chunk at the default size
+        cfg = small_config(
+            reps=64, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200,
+            keep_replications=True,
+        )
+        whole, whole_reps = run_experiment(cfg)
+        # 2_000 floats is 16 replications of 30 x 4 (10 of 50 x 4) per chunk,
+        # against one chunk at the default size
         def small_chunks(reps, n, p):
             return mc.iter_chunks(reps, n, p, target_floats=2_000)
 
         monkeypatch.setattr(sim, "iter_chunks", small_chunks)
         monkeypatch.setattr(oracle, "iter_chunks", small_chunks)
-        assert run_experiment(cfg) == whole
+        report, reps = run_experiment(cfg)
+        assert report == whole
+        assert list(reps) == list(whole_reps)
+        for key, column in reps.items():
+            assert np.array_equal(column, whole_reps[key]), key
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
-        report = run_experiment(cfg)
+        report, _ = run_experiment(cfg)
         diag = report["runs"][0]["diagnostics"]
         assert "variance_factor_mean" in diag
         assert "underestimation_prob" in diag
         assert 0.0 <= diag["underestimation_prob"]["estimate"] <= 1.0
 
     def test_per_replication_records_when_requested(self):
-        report = run_experiment(small_config(reps=12, keep_replications=True))
-        recs = report["runs"][0]["replications"]
-        assert len(recs) == 12
-        assert [r["rep"] for r in recs] == list(range(12))
+        report, reps = run_experiment(small_config(reps=12, keep_replications=True))
+        assert "replications" not in report["runs"][0]
+        assert list(reps) == [
+            "n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"
+        ]
+        assert all(len(column) == 12 for column in reps.values())
+        assert reps["rep"].tolist() == list(range(12))
+        assert reps["n"].tolist() == [30] * 12
         freq = report["runs"][0]["data_driven"]["selection_freq"]
         recomputed = {}
-        for rec in recs:
-            key = ";".join(str(i) for i in rec["selected"])
+        for key in reps["selected"]:
             recomputed[key] = recomputed.get(key, 0) + 1 / 12
         assert {k: pytest.approx(v) for k, v in recomputed.items()} == freq
+        dims = {";".join(str(i) for i in m["indices"]): m["dim"] for m in report["collection"]}
+        assert reps["dim"].tolist() == [dims[key] for key in reps["selected"]]
+
+    def test_replications_none_unless_requested(self):
+        assert run_experiment(small_config(reps=3))[1] is None
 
     def test_modal_selection_hits_true_model(self):
         # representable truth: the most frequently selected model has zero bias
@@ -205,7 +220,7 @@ class TestRunExperiment:
             reps=60,
             seed=13,
         )
-        report = run_experiment(cfg)
+        report, _ = run_experiment(cfg)
         run = report["runs"][0]
         freq = run["data_driven"]["selection_freq"]
         modal = max(freq, key=freq.get)
