@@ -36,7 +36,7 @@ from .oracle import (
     true_risk,
     true_variance_factor,
 )
-from .selection import PenaltyConfig, SelectionReport, select
+from .selection import SelectionReport, select
 from .simulate import (
     ExperimentConfig,
     KernelSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "KernelSpec",
     "ModelCollection",
     "ModelSpec",
-    "PenaltyConfig",
     "RiskRecord",
     "SampleSet",
     "SelectionReport",

@@ -16,6 +16,7 @@ import configparser
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,12 @@ from .dictionary import (
     BasisFamily,
     DegenerateCollectionError,
     build_collection,
+    check_in_domain,
     collection_index_sets,
     make_model,
 )
 from .estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
-from .selection import PenaltyConfig, select
+from .selection import check_theta, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
 EXIT_OK = 0
@@ -122,24 +124,59 @@ def dump_json(path, payload):
 # configuration
 # ---------------------------------------------------------------------------
 
-# Every INI section and key each command knows; anything else is an error.
-_SHARED_KEYS = {
-    "basis": {"family", "max_index", "t_min", "t_max"},
-    "collection": {"scheme", "d_max", "k"},
-    "output": {"dir"},
+def _bool(raw):
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _list_of(cast):
+    """Parser of a comma- or semicolon-separated list of `cast` values."""
+    return lambda raw: tuple(cast(v) for v in raw.replace(";", ",").split(",") if v.strip())
+
+
+# CONFIG_KEYS[command][section][key] = (parse, default) for every INI key a
+# command accepts; a default of None means unset. Range and cross-field checks
+# live in the constructors the values go to, not here.
+_BASIS = {"family": (str, "fourier"), "max_index": (int, 7),
+          "t_min": (float, None), "t_max": (float, None)}
+_SHARED = {
+    "collection": {"scheme": (str, "nested"), "d_max": (int, None), "k": (int, 2)},
+    "output": {"dir": (str, ".")},
 }
-KNOWN_KEYS = {
-    "select": {**_SHARED_KEYS, "data": {"input"}, "selection": {"theta"}},
+CONFIG_KEYS = {
+    "select": {
+        **_SHARED,
+        # t_min / t_max default to the data grid's range
+        "basis": _BASIS,
+        "data": {"input": (str, None)},
+        "selection": {"theta": (float, 1.0)},
+    },
     "simulate": {
-        **_SHARED_KEYS,
-        "kernel": {"kind", "indices", "psi_diag", "length_scale"},
-        "experiment": {"p", "n", "n_grid", "reps", "seed", "theta", "alpha",
-                       "diagnostics", "diagnostics_reps", "keep_replications"},
+        **_SHARED,
+        "basis": {**_BASIS, "t_min": (float, 0.0), "t_max": (float, 1.0)},
+        "kernel": {"kind": (str, "ornstein_uhlenbeck"), "length_scale": (float, None),
+                   "indices": (_list_of(int), None), "psi_diag": (_list_of(float), None)},
+        "experiment": {
+            "p": (int, 8), "n": (int, 100), "n_grid": (_list_of(int), None),
+            "reps": (int, 100), "seed": (int, 0), "theta": (float, 1.0),
+            "alpha": (float, 0.5), "diagnostics": (_bool, False),
+            "diagnostics_reps": (int, 1000), "keep_replications": (_bool, False),
+        },
     },
 }
 
 
-def _load_ini(path, known):
+def load_config(path, schema):
+    """{section: {key: value}} for every key of `schema`: parsed from the INI
+    file at `path` where the file sets it, else the schema's default.
+
+    A missing or unparseable file, a [DEFAULT] section, an unknown section or
+    key, and a value its parser rejects are ConfigErrors.
+    """
     parser = configparser.ConfigParser()
     if path is not None:
         if not Path(path).exists():
@@ -151,81 +188,26 @@ def _load_ini(path, known):
     if parser.defaults():
         raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     for section in parser.sections():
-        if section not in known:
+        if section not in schema:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(parser.options(section)) - known[section])
+        unknown = sorted(set(parser.options(section)) - set(schema[section]))
         if unknown:
             raise ConfigError(f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
-    return parser
-
-
-def _get(parser, section, key, cast, default=None, required=False):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    if required:
-        raise ConfigError(f"missing required config key [{section}] {key}")
-    return default
-
-
-def _bool(raw):
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _int_list(raw):
-    return tuple(int(v) for v in raw.replace(";", ",").split(",") if v.strip())
-
-
-def _float_list(raw):
-    return tuple(float(v) for v in raw.replace(";", ",").split(",") if v.strip())
-
-
-def _basis_family(parser, default_domain):
-    kind = _get(parser, "basis", "family", str, default="fourier")
-    max_index = _get(parser, "basis", "max_index", int, default=7)
-    t_min = _get(parser, "basis", "t_min", float, default=default_domain[0])
-    t_max = _get(parser, "basis", "t_max", float, default=default_domain[1])
-    try:
-        return BasisFamily(kind=kind, t_min=t_min, t_max=t_max, max_index=max_index)
-    except ValueError as exc:
-        raise ConfigError(f"[basis] {exc}") from exc
-
-
-def _collection_args(parser):
-    scheme = _get(parser, "collection", "scheme", str, default="nested")
-    if scheme not in ("nested", "all_subsets"):
-        raise ConfigError(f"[collection] unknown scheme {scheme!r}")
-    return {
-        "scheme": scheme,
-        "d_max": _get(parser, "collection", "d_max", int, default=None),
-        "k": _get(parser, "collection", "k", int, default=2),
-    }
-
-
-def _kernel_spec(parser, family):
-    kind = _get(parser, "kernel", "kind", str, default="ornstein_uhlenbeck")
-    try:
-        if kind == "finite_rank":
-            indices = _get(parser, "kernel", "indices", _int_list, required=True)
-            psi_diag = _get(parser, "kernel", "psi_diag", _float_list, default=None)
-            psi = np.diag(psi_diag) if psi_diag is not None else None
-            if psi is not None and len(psi_diag) != len(indices):
-                raise ConfigError("[kernel] psi_diag length must match indices")
-            return KernelSpec(kind=kind, family=family, indices=indices, psi=psi)
-        return KernelSpec(
-            kind=kind,
-            length_scale=_get(parser, "kernel", "length_scale", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[kernel] {exc}") from exc
+    config = {}
+    for section, keys in schema.items():
+        config[section] = values = {}
+        for key, (parse, default) in keys.items():
+            if not parser.has_option(section, key):
+                values[key] = default
+                continue
+            try:
+                raw = parser.get(section, key)
+                values[key] = parse(raw)
+            except configparser.Error as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +218,32 @@ def cmd_select(args):
     # imported here: hashlib loads OpenSSL (~3 ms), which simulate never needs
     import hashlib
 
-    parser = _load_ini(args.config, KNOWN_KEYS["select"])
-    input_path = args.input or _get(parser, "data", "input", str, required=True)
-    out_dir = Path(args.out or _get(parser, "output", "dir", str, default="."))
-    theta = args.theta if args.theta is not None else _get(
-        parser, "selection", "theta", float, default=1.0
-    )
+    config = load_config(args.config, CONFIG_KEYS["select"])
+    basis, coll_args = config["basis"], config["collection"]
+    input_path = args.input or config["data"]["input"]
+    if input_path is None:
+        raise ConfigError("missing required config key [data] input")
+    out_dir = Path(args.out or config["output"]["dir"])
+    theta = args.theta if args.theta is not None else config["selection"]["theta"]
 
     samples = read_samples_csv(input_path)
     grid = samples.grid
-    default_domain = (float(grid.min()), float(grid.max()))
-    if grid.size < 2 and not parser.has_option("basis", "t_min"):
+    if grid.size < 2 and basis["t_min"] is None:
         raise ConfigError("single-point grids need an explicit [basis] t_min / t_max")
-    family = _basis_family(parser, default_domain)
-    coll_args = _collection_args(parser)
+    t_min = float(grid.min()) if basis["t_min"] is None else basis["t_min"]
+    t_max = float(grid.max()) if basis["t_max"] is None else basis["t_max"]
     try:
+        family = BasisFamily(basis["family"], t_min, t_max, basis["max_index"])
+        check_in_domain(family, grid)
         collection_index_sets(family, **coll_args)
-        cfg = PenaltyConfig(theta=theta)
+        check_theta(theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     collection = build_collection(family, grid, **coll_args)
     s = empirical_cov(samples)
     loss, trace = fit_all(samples, s, collection)
-    report = select(collection.models, loss, trace, cfg, samples.n)
+    report = select(collection.models, loss, trace, theta, samples.n)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
@@ -281,12 +265,7 @@ def cmd_select(args):
                     "sha256": hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
                 },
                 "theta": theta,
-                "family": {
-                    "kind": family.kind,
-                    "t_min": family.t_min,
-                    "t_max": family.t_max,
-                    "max_index": family.max_index,
-                },
+                "family": asdict(family),
                 "collection": coll_args,
             },
             "n": samples.n,
@@ -311,47 +290,24 @@ def cmd_select(args):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args):
-    parser = _load_ini(args.config, KNOWN_KEYS["simulate"])
-    out_dir = Path(args.out or _get(parser, "output", "dir", str, default="."))
-
-    p = _get(parser, "experiment", "p", int, default=8)
-    t_min = _get(parser, "basis", "t_min", float, default=0.0)
-    t_max = _get(parser, "basis", "t_max", float, default=1.0)
-    if not t_min < t_max:
-        raise ConfigError("[basis] requires t_min < t_max")
+    config = load_config(args.config, CONFIG_KEYS["simulate"])
+    basis, kernel, experiment = config["basis"], config["kernel"], config["experiment"]
+    out_dir = Path(args.out or config["output"]["dir"])
+    if args.theta is not None:
+        experiment["theta"] = args.theta
+    if args.seed is not None:
+        experiment["seed"] = args.seed
+    psi_diag = kernel.pop("psi_diag")
     try:
-        grid = uniform_grid(p, t_min, t_max)
-    except ValueError as exc:
-        raise ConfigError(f"[experiment] {exc}") from exc
-    family = _basis_family(parser, (t_min, t_max))
-    coll_args = _collection_args(parser)
-    kernel = _kernel_spec(parser, family)
-
-    theta = args.theta if args.theta is not None else _get(
-        parser, "experiment", "theta", float, default=1.0
-    )
-    seed = args.seed if args.seed is not None else _get(
-        parser, "experiment", "seed", int, default=0
-    )
-    try:
+        family = BasisFamily(basis["family"], basis["t_min"], basis["t_max"],
+                             basis["max_index"])
         cfg = ExperimentConfig(
-            kernel=kernel,
+            kernel=KernelSpec(family=family,
+                              psi=None if psi_diag is None else np.diag(psi_diag), **kernel),
             family=family,
-            grid=grid,
-            n=_get(parser, "experiment", "n", int, default=100),
-            theta=theta,
-            scheme=coll_args["scheme"],
-            d_max=coll_args["d_max"],
-            k=coll_args["k"],
-            reps=_get(parser, "experiment", "reps", int, default=100),
-            seed=seed,
-            n_grid=_get(parser, "experiment", "n_grid", _int_list, default=None),
-            alpha=_get(parser, "experiment", "alpha", float, default=0.5),
-            diagnostics=_get(parser, "experiment", "diagnostics", _bool, default=False),
-            diagnostics_reps=_get(parser, "experiment", "diagnostics_reps", int, default=1000),
-            keep_replications=_get(
-                parser, "experiment", "keep_replications", _bool, default=False
-            ),
+            grid=uniform_grid(experiment.pop("p"), family.t_min, family.t_max),
+            **config["collection"],
+            **experiment,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -39,13 +39,14 @@ class BasisFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {FAMILY_KINDS}")
-        if not self.t_min < self.t_max:
-            raise ValueError("domain requires t_min < t_max")
+        if not -np.inf < self.t_min < self.t_max < np.inf:
+            raise ValueError("domain requires finite t_min < t_max")
         if self.max_index < 0:
             raise ValueError("max_index must be >= 0")
 
 
-def _check_in_domain(family, t):
+def check_in_domain(family, t):
+    """`t` as a finite float array; ValueError for points outside the domain."""
     t = require_finite(np.asarray(t, dtype=float), "evaluation point")
     lo, hi = family.t_min, family.t_max
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
@@ -62,7 +63,7 @@ def eval_basis(family, index, t):
     """
     if index < 0 or index > family.max_index:
         raise ValueError(f"basis index {index} out of range 0..{family.max_index}")
-    t = _check_in_domain(family, t)
+    t = check_in_domain(family, t)
     u = (t - family.t_min) / (family.t_max - family.t_min)
 
     if family.kind == "fourier":
@@ -195,7 +196,7 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     grid = require_finite(np.asarray(grid, dtype=float), "grid")
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d array")
-    _check_in_domain(family, grid)
+    check_in_domain(family, grid)
     index_sets = collection_index_sets(family, scheme, d_max, k, max_models)
 
     # each basis function the collection uses is evaluated once; a model's

@@ -16,15 +16,10 @@ import numpy as np
 TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Penalty multiplier: the penalty is (1 + theta) times the variance term."""
-
-    theta: float = 1.0
-
-    def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("theta must be strictly positive")
+def check_theta(theta):
+    """Raise ValueError unless the penalty multiplier's theta is finite and > 0."""
+    if not 0 < theta < np.inf:
+        raise ValueError("theta must be strictly positive and finite")
 
 
 def tie_break_key(model):
@@ -59,7 +54,7 @@ class SelectionReport:
     ties: tuple = field(default=())
 
 
-def select(models, loss, trace, cfg, n):
+def select(models, loss, trace, theta, n):
     """Pick the criterion-minimising model.
 
     Parameters
@@ -67,7 +62,7 @@ def select(models, loss, trace, cfg, n):
     models : sequence of ModelSpec
     loss, trace : per-model empirical loss and fourth-moment trace, in the
         order of `models` (as returned by `estimator.fit_all`)
-    cfg : PenaltyConfig
+    theta : the penalty is (1 + theta) * trace / n; finite and > 0
     n : number of replications behind the fits
 
     Ties (criteria within TIE_RTOL relative) break toward the smaller dim,
@@ -82,10 +77,11 @@ def select(models, loss, trace, cfg, n):
         raise ValueError("models, loss and trace must have the same length")
     if n < 2:
         raise ValueError("need n >= 2")
+    check_theta(theta)
 
     rows = []
     for model, model_loss, model_trace in zip(models, loss, trace):
-        pen = (1.0 + cfg.theta) * model_trace / n
+        pen = (1.0 + theta) * model_trace / n
         rows.append(
             {
                 "indices": model.indices,

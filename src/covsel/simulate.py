@@ -9,7 +9,7 @@ aggregation happens in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ._mc import draw_batch, iter_chunks
 from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
 from .estimator import SampleSet
 from .linalg import psd_factor, require_finite
-from .selection import at_minimum, tie_break_key
+from .selection import at_minimum, check_theta, tie_break_key
 
 KERNEL_KINDS = ("brownian", "ornstein_uhlenbeck", "finite_rank")
 
@@ -28,13 +28,16 @@ class KernelSpec:
     """A named covariance kernel.
 
     * brownian: cov(s, t) = min(s, t)
-    * ornstein_uhlenbeck: cov(s, t) = exp(-|s - t| / length_scale)
+    * ornstein_uhlenbeck: cov(s, t) = exp(-|s - t| / length_scale), default 1
     * finite_rank: sigma = G Psi G^T for the design G of (family, indices)
-      and a user-chosen symmetric PSD Psi
+      and a user-chosen symmetric PSD Psi, default the identity
+
+    Setting a parameter the kind never reads is an error; `family` is read
+    by finite_rank only.
     """
 
     kind: str
-    length_scale: float = 1.0
+    length_scale: float = None
     family: BasisFamily = None
     indices: tuple = None
     psi: np.ndarray = field(default=None, repr=False)
@@ -42,8 +45,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.kind == "ornstein_uhlenbeck" and not self.length_scale > 0:
-            raise ValueError("length_scale must be > 0")
+        if self.kind != "ornstein_uhlenbeck" and self.length_scale is not None:
+            raise ValueError("length_scale is read only by kind = ornstein_uhlenbeck")
+        if self.kind != "finite_rank" and (self.indices is not None or self.psi is not None):
+            raise ValueError("indices and psi are read only by kind = finite_rank")
+        if self.kind == "ornstein_uhlenbeck":
+            if self.length_scale is None:
+                object.__setattr__(self, "length_scale", 1.0)
+            if not self.length_scale > 0:
+                raise ValueError("length_scale must be > 0")
         if self.kind == "finite_rank":
             if self.family is None or self.indices is None:
                 raise ValueError("finite_rank kernel needs family and indices")
@@ -126,8 +136,7 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if not self.theta > 0:
-            raise ValueError("theta must be > 0")
+        check_theta(self.theta)
         if self.n_grid is not None:
             ns = tuple(int(v) for v in self.n_grid)
             if any(v < 2 for v in ns):
@@ -290,38 +299,13 @@ def run_experiment(cfg):
 
 
 def _describe_config(cfg):
+    """The resolved config: every ExperimentConfig field, with the kernel
+    reduced to the parameters its kind reads."""
     kernel = {"kind": cfg.kernel.kind}
     if cfg.kernel.kind == "ornstein_uhlenbeck":
         kernel["length_scale"] = cfg.kernel.length_scale
     if cfg.kernel.kind == "finite_rank":
-        kernel["indices"] = list(cfg.kernel.indices)
-        kernel["psi"] = cfg.kernel.psi.tolist()
-        kernel["family"] = {
-            "kind": cfg.kernel.family.kind,
-            "t_min": cfg.kernel.family.t_min,
-            "t_max": cfg.kernel.family.t_max,
-            "max_index": cfg.kernel.family.max_index,
-        }
-    out = {
-        "kernel": kernel,
-        "family": {
-            "kind": cfg.family.kind,
-            "t_min": cfg.family.t_min,
-            "t_max": cfg.family.t_max,
-            "max_index": cfg.family.max_index,
-        },
-        "grid": cfg.grid.tolist(),
-        "n": cfg.n,
-        "theta": cfg.theta,
-        "scheme": cfg.scheme,
-        "d_max": cfg.d_max,
-        "k": cfg.k,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "n_grid": list(cfg.n_grid) if cfg.n_grid is not None else None,
-        "alpha": cfg.alpha,
-        "diagnostics": cfg.diagnostics,
-        "diagnostics_reps": cfg.diagnostics_reps,
-        "keep_replications": cfg.keep_replications,
-    }
-    return out
+        kernel.update(indices=cfg.kernel.indices, psi=cfg.kernel.psi.tolist(),
+                      family=asdict(cfg.kernel.family))
+    return {**{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+            "kernel": kernel, "family": asdict(cfg.family), "grid": cfg.grid.tolist()}

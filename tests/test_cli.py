@@ -7,9 +7,9 @@ import pytest
 
 from covsel import cli
 from covsel.cli import (
-    KNOWN_KEYS,
+    CONFIG_KEYS,
     REPORT_VERSION,
-    _load_ini,
+    load_config,
     main,
     read_samples_csv,
     write_matrix_csv,
@@ -404,7 +404,22 @@ class TestSimulateCommand:
             ("simulate", "[kernel]\nkind = finite_rank\nindices = 0,1,99\n",
              "indices must lie in 0..4"),
             ("simulate", "[experiment]\np = 0\n", "p must be >= 1"),
+            ("simulate", "[kernel]\nkind = finite_rank\n", "needs family and indices"),
+            ("simulate", "[kernel]\nkind = brownian\nlength_scale = -1\n",
+             "length_scale is read only by kind = ornstein_uhlenbeck"),
+            ("simulate", "[kernel]\nkind = ornstein_uhlenbeck\nindices = 0,1\n",
+             "indices and psi are read only by kind = finite_rank"),
+            ("simulate", "[kernel]\nkind = brownian\npsi_diag = 1,2\n",
+             "indices and psi are read only by kind = finite_rank"),
+            ("simulate", "[experiment]\nreps = 5%\n", "[experiment] reps"),
+            ("simulate", "t_max = inf\n", "domain requires finite t_min < t_max"),
+            ("simulate", "[experiment]\ntheta = inf\n", "theta must be strictly positive"),
+            ("select", "[selection]\ntheta = inf\n", "theta must be strictly positive"),
             ("select", "[collection]\nd_max = 99\n", "nested scheme needs 1 <= d_max <= 5"),
+            # the toy grid is 0.25,0.75; these lines extend the [basis] section
+            ("select", "t_min = 0.5\nt_max = 1.0\n", "outside domain [0.5, 1.0]"),
+            ("select", "t_min = 0.5\n", "outside domain [0.5, 0.75]"),
+            ("select", "t_max = 0.5\n", "outside domain [0.25, 0.5]"),
         ],
     )
     def test_bad_config_exits_2_before_sampling(
@@ -419,8 +434,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(covsel.simulate, "draw_batch", no_sampling)
         monkeypatch.setattr(covsel.oracle, "draw_batch", no_sampling)
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[basis]\nfamily = fourier\nmax_index = 4\nt_min = 0\nt_max = 1\n"
-                       + body)
+        cfg.write_text("[basis]\nfamily = fourier\nmax_index = 4\n" + body)
         args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
         if command == "select":
             args += ["--input", str(write_toy(tmp_path))]
@@ -457,7 +471,76 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize("command", ["select", "simulate"])
 def test_shipped_config_keys_known(command):
-    _load_ini(CONFIGS / f"{command}_example.ini", KNOWN_KEYS[command])
+    load_config(CONFIGS / f"{command}_example.ini", CONFIG_KEYS[command])
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        (command, section, key, "nonesuch" if parse is str else "@@")
+        for command, sections in CONFIG_KEYS.items()
+        for section, keys in sections.items()
+        for key, (parse, _) in keys.items()
+        if parse is not str or key in ("family", "scheme", "kind")
+    ],
+)
+def test_every_bad_value_exits_2_with_one_line(tmp_path, capsys, command, section, key, value):
+    # typed keys reject a value their parser cannot read; named choices
+    # reject an unknown name
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "select":
+        args += ["--input", str(write_toy(tmp_path))]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert (f"[{section}] {key} = '@@'" if value == "@@" else "'nonesuch'") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        (
+            "",
+            {
+                "alpha": 0.5, "d_max": None, "diagnostics": False, "diagnostics_reps": 1000,
+                "family": {"kind": "fourier", "max_index": 7, "t_max": 1.0, "t_min": 0.0},
+                "grid": [0.0625, 0.1875, 0.3125, 0.4375, 0.5625, 0.6875, 0.8125, 0.9375],
+                "k": 2, "keep_replications": False,
+                "kernel": {"kind": "ornstein_uhlenbeck", "length_scale": 1.0},
+                "n": 100, "n_grid": None, "reps": 100, "scheme": "nested", "seed": 0,
+                "theta": 1.0,
+            },
+        ),
+        (
+            "[basis]\nfamily = polynomial\nmax_index = 3\n"
+            "[kernel]\nkind = finite_rank\nindices = 0,2\npsi_diag = 2.0,0.5\n"
+            "[experiment]\np = 4\nn_grid = 20,40\nreps = 10\nseed = 7\n",
+            {
+                "alpha": 0.5, "d_max": None, "diagnostics": False, "diagnostics_reps": 1000,
+                "family": {"kind": "polynomial", "max_index": 3, "t_max": 1.0, "t_min": 0.0},
+                "grid": [0.125, 0.375, 0.625, 0.875],
+                "k": 2, "keep_replications": False,
+                "kernel": {
+                    "family": {"kind": "polynomial", "max_index": 3, "t_max": 1.0,
+                               "t_min": 0.0},
+                    "indices": [0, 2], "kind": "finite_rank",
+                    "psi": [[2.0, 0.0], [0.0, 0.5]],
+                },
+                "n": 100, "n_grid": [20, 40], "reps": 10, "scheme": "nested", "seed": 7,
+                "theta": 1.0,
+            },
+        ),
+    ],
+)
+def test_simulate_echoes_resolved_config(tmp_path, body, expected):
+    cfg = tmp_path / "sim.ini"
+    cfg.write_text(body)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "experiment_report.json").read_text())
+    assert report["config"] == expected
 
 
 class TestValidateCommand:

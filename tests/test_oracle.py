@@ -15,7 +15,7 @@ from covsel.oracle import (
     true_risk,
     true_variance_factor,
 )
-from covsel.selection import PenaltyConfig, select
+from covsel.selection import select
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(606)
@@ -299,7 +299,7 @@ class TestKnownPenaltySelectionAgainstOracle:
 
         samples = SampleSet(grid=grid, data=gen.standard_normal((25, 4)))
         loss, _ = fit_all(samples, empirical_cov(samples), coll)
-        report = select(coll.models, loss, true_traces, PenaltyConfig(1.0), samples.n)
+        report = select(coll.models, loss, true_traces, 1.0, samples.n)
         crits = {
             m.indices: loss[j] + 2.0 * true_variance_factor(truth, m) * m.dim / samples.n
             for j, m in enumerate(coll)

@@ -3,7 +3,7 @@ import pytest
 
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all
-from covsel.selection import TIE_RTOL, PenaltyConfig, at_minimum, select
+from covsel.selection import TIE_RTOL, at_minimum, select
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(404)
@@ -22,24 +22,25 @@ def fitted_collection(data, family=FOURIER, **kwargs):
     return (samples, coll.models, *fit_all(samples, s, coll))
 
 
-class TestPenaltyConfig:
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError, match="positive"):
-            PenaltyConfig(theta=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            PenaltyConfig(theta=-0.5)
-
-
 class TestPenaltyValues:
+    def test_rejects_nonpositive_theta(self):
+        _, models, loss, trace = fitted_collection(
+            [[1.0, 0.0], [0.0, 1.0]], family=HIST, scheme="nested", d_max=2
+        )
+        with pytest.raises(ValueError, match="positive"):
+            select(models, loss, trace, 0.0, n=2)
+        with pytest.raises(ValueError, match="positive"):
+            select(models, loss, trace, -0.5, n=2)
+
     def test_data_driven_worked_example(self):
         # theta=1, projected trace 0.5, n=2 -> penalty (1+1) * 0.5 / 2 = 0.5
         _, models, loss, trace = fitted_collection(
             [[1.0, 0.0], [0.0, 1.0]], family=HIST, scheme="nested", d_max=2
         )
         assert trace[-1] == pytest.approx(0.5, abs=1e-14)
-        pen = select(models, loss, trace, PenaltyConfig(theta=1.0), n=2).rows[-1]["penalty"]
+        pen = select(models, loss, trace, 1.0, n=2).rows[-1]["penalty"]
         assert pen == pytest.approx(0.5, abs=1e-14)
-        pen4 = select(models, loss, trace, PenaltyConfig(theta=1.0), n=4).rows[-1]["penalty"]
+        pen4 = select(models, loss, trace, 1.0, n=4).rows[-1]["penalty"]
         assert pen4 == pytest.approx(pen / 2, abs=1e-14)
 
     def test_zero_trace_gives_zero_penalty(self):
@@ -47,7 +48,7 @@ class TestPenaltyValues:
             [[1.0, 1.0]] * 3, family=HIST, scheme="nested", d_max=1
         )
         for theta in (0.5, 1.0, 10.0):
-            report = select(models, loss, trace, PenaltyConfig(theta), n=3)
+            report = select(models, loss, trace, theta, n=3)
             assert report.rows[0]["penalty"] == pytest.approx(0.0, abs=1e-12)
 
     def test_known_worked_example(self):
@@ -58,7 +59,7 @@ class TestPenaltyValues:
         assert model.dim == 4.0
 
         def penalty(factor, theta):
-            report = select([model], [0.0], [factor * model.dim], PenaltyConfig(theta), n=100)
+            report = select([model], [0.0], [factor * model.dim], theta, n=100)
             return report.rows[0]["penalty"]
 
         pen = penalty(1.5, theta=1.0)
@@ -93,7 +94,7 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((5, 4)), scheme="nested", d_max=1
         )
-        report = select(models, loss, trace, PenaltyConfig(1.0), samples.n)
+        report = select(models, loss, trace, 1.0, samples.n)
         assert report.selected is models[0]
 
     def test_tie_breaks_to_smaller_dim(self):
@@ -102,7 +103,7 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             data, family=BasisFamily("histogram", 0.0, 1.0, 1), scheme="nested", d_max=2
         )
-        report = select(models, loss, trace, PenaltyConfig(1.0), samples.n)
+        report = select(models, loss, trace, 1.0, samples.n)
         crits = [row["criterion"] for row in report.rows]
         assert crits[0] == pytest.approx(crits[1], rel=1e-14)
         assert report.selected.indices == (0,)
@@ -120,7 +121,7 @@ class TestSelect:
                 BasisFamily("histogram", 0.0, 1.0, 3), grid, scheme="all_subsets", k=1
             )
         loss, trace = fit_all(samples, s, coll)
-        report = select(coll.models, loss, trace, PenaltyConfig(1.0), samples.n)
+        report = select(coll.models, loss, trace, 1.0, samples.n)
         assert report.selected.indices == (0,)
         assert set(report.ties) == {(0,), (2,)}
 
@@ -128,14 +129,14 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((20, 8)), scheme="nested", d_max=5
         )
-        report = select(models, loss, trace, PenaltyConfig(theta=1e6), samples.n)
+        report = select(models, loss, trace, 1e6, samples.n)
         assert report.selected is models[int(np.argmin(trace))]
 
     def test_criterion_rows_decompose(self):
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((10, 4)), scheme="nested", d_max=4
         )
-        report = select(models, loss, trace, PenaltyConfig(0.7), samples.n)
+        report = select(models, loss, trace, 0.7, samples.n)
         for row, model_loss in zip(report.rows, loss):
             assert row["loss"] == model_loss
             assert row["criterion"] == pytest.approx(
@@ -146,8 +147,8 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((10, 6)), scheme="nested", d_max=4
         )
-        report_fwd = select(models, loss, trace, PenaltyConfig(1.0), samples.n)
-        report_rev = select(models[::-1], loss[::-1], trace[::-1], PenaltyConfig(1.0), samples.n)
+        report_fwd = select(models, loss, trace, 1.0, samples.n)
+        report_rev = select(models[::-1], loss[::-1], trace[::-1], 1.0, samples.n)
         assert report_fwd.selected is report_rev.selected
         assert report_fwd.ties == report_rev.ties
 
@@ -155,7 +156,7 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((10, 6)), scheme="nested", d_max=4
         )
-        report = select(models, loss, trace, PenaltyConfig(1.0), samples.n)
+        report = select(models, loss, trace, 1.0, samples.n)
         factors = [t / m.dim for m, t in zip(models, trace)]
         assert report.max_variance_factor == max(factors)
 
@@ -164,21 +165,21 @@ class TestSelect:
         samples, models, loss, trace = fitted_collection(
             rng.standard_normal((8, 8)), scheme="nested", d_max=5
         )
-        free = select(models, loss, np.zeros_like(trace), PenaltyConfig(1.0), samples.n)
+        free = select(models, loss, np.zeros_like(trace), 1.0, samples.n)
         assert free.selected.dim == max(m.dim for m in models)
-        penalised = select(models, loss, trace, PenaltyConfig(theta=50.0), samples.n)
+        penalised = select(models, loss, trace, 50.0, samples.n)
         assert penalised.selected.dim < free.selected.dim
 
     def test_empty_fits(self):
         with pytest.raises(ValueError, match="no models"):
-            select([], [], [], PenaltyConfig(1.0), 5)
+            select([], [], [], 1.0, 5)
 
     def test_length_mismatch(self):
         _, models, loss, trace = fitted_collection(
             rng.standard_normal((6, 4)), scheme="nested", d_max=3
         )
         with pytest.raises(ValueError, match="same length"):
-            select(models, loss[:-1], trace, PenaltyConfig(1.0), 6)
+            select(models, loss[:-1], trace, 1.0, 6)
 
     def test_selected_dim_monotone_in_theta(self):
         # on nested collections the selected dim never grows as theta grows
@@ -189,6 +190,6 @@ class TestSelect:
             )
             dims = []
             for theta in np.linspace(0.01, 20.0, 25):
-                report = select(models, loss, trace, PenaltyConfig(theta), samples.n)
+                report = select(models, loss, trace, theta, samples.n)
                 dims.append(report.selected.dim)
             assert all(b <= a for a, b in zip(dims, dims[1:]))
