@@ -247,14 +247,9 @@ def cmd_select(args):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
-    write_table_csv(
-        out_dir / "criterion_table.csv",
-        {
-            "model": [";".join(str(i) for i in row["indices"]) for row in report.rows],
-            **{key: [row[key] for row in report.rows]
-               for key in ("dim", "loss", "variance_factor", "penalty", "criterion")},
-        },
-    )
+    labels = [";".join(str(i) for i in m.indices) for m in collection.models]
+    write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
+    columns = {key: values.tolist() for key, values in report.table.items()}
     dump_json(
         out_dir / "selection_report.json",
         {
@@ -276,7 +271,8 @@ def cmd_select(args):
             "ties": [list(t) for t in report.ties],
             "max_variance_factor": report.max_variance_factor,
             "criterion_table": [
-                {**row, "indices": list(row["indices"])} for row in report.rows
+                {"indices": list(m.indices), **{key: values[j] for key, values in columns.items()}}
+                for j, m in enumerate(collection.models)
             ],
         },
     )

@@ -20,7 +20,7 @@ from .linalg import (
     psd_factor,
     require_finite,
 )
-from .selection import at_minimum, tie_break_key
+from .selection import decide
 
 # fewest replications the Monte Carlo diagnostics accept
 MIN_DIAGNOSTICS_REPS = 100
@@ -149,10 +149,8 @@ def oracle_model(truth, collection, n):
     table = risk_table(truth, collection, n)
     if not table:
         raise ValueError("empty collection")
-    mask = at_minimum([rec.risk for rec in table])
-    tied = [rec for rec, is_tied in zip(table, mask) if is_tied]
-    tied.sort(key=lambda rec: tie_break_key(rec.model))
-    return tied[0].model, table
+    pick, _ = decide([rec.risk for rec in table], [rec.model for rec in table])
+    return table[pick].model, table
 
 
 def _batched_variance_factors(truth, collection, n, reps, seed):

@@ -27,29 +27,37 @@ def tie_break_key(model):
     return (model.dim, model.indices)
 
 
-def at_minimum(criteria):
-    """Mask of the entries tied at the minimum along the last axis.
+def decide(criteria, models):
+    """The one decision rule: the criterion-minimising model per row.
 
-    An entry is tied when it lies within TIE_RTOL * max(1, |best|) of the
-    minimum `best`. This is the one decision rule: `select`, the Monte Carlo
-    loop and the oracle all take the argmin through it.
+    `criteria` holds the models of `models` on its last axis, in any order,
+    and any leading shape. An entry is tied when it lies within
+    TIE_RTOL * max(1, |best|) of its row's minimum `best`; among the tied
+    models the first by `tie_break_key` wins. `select`, the Monte Carlo loop
+    and the oracle all take their argmin here.
+
+    Returns (pick, tied): the winner's index along the last axis, with the
+    leading shape, and the boolean tie mask, with the shape of `criteria`.
     """
     criteria = np.asarray(criteria, dtype=float)
     best = criteria.min(axis=-1, keepdims=True)
-    return criteria <= best + TIE_RTOL * np.maximum(1.0, np.abs(best))
+    tied = criteria <= best + TIE_RTOL * np.maximum(1.0, np.abs(best))
+    order = np.array(sorted(range(len(models)), key=lambda j: tie_break_key(models[j])))
+    return order[np.argmax(tied[..., order], axis=-1)], tied
 
 
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
     """Outcome of penalised selection over a fitted collection.
 
-    `rows` holds one record per model: indices, dim, loss, variance_factor,
-    penalty, criterion. `selected` attains the minimal criterion under the
-    documented tie-break; `ties` lists every index set at the minimum.
+    `table` maps dim, loss, variance_factor, penalty and criterion to
+    arrays over the models, in the order they were given. `selected` attains
+    the minimal criterion under the documented tie-break; `ties` lists every
+    index set at the minimum, in tie-break order.
     """
 
     selected: object
-    rows: tuple
+    table: dict
     max_variance_factor: float
     ties: tuple = field(default=())
 
@@ -69,8 +77,8 @@ def select(models, loss, trace, theta, n):
     then the lexicographically smallest index set, so the result does not
     depend on the order of `models`.
     """
-    loss = np.asarray(loss, dtype=float).tolist()
-    trace = np.asarray(trace, dtype=float).tolist()
+    loss = np.array(loss, dtype=float)
+    trace = np.asarray(trace, dtype=float)
     if not models:
         raise ValueError("no models to select from")
     if not len(models) == len(loss) == len(trace):
@@ -79,25 +87,20 @@ def select(models, loss, trace, theta, n):
         raise ValueError("need n >= 2")
     check_theta(theta)
 
-    rows = []
-    for model, model_loss, model_trace in zip(models, loss, trace):
-        pen = (1.0 + theta) * model_trace / n
-        rows.append(
-            {
-                "indices": model.indices,
-                "dim": model.dim,
-                "loss": model_loss,
-                "variance_factor": model_trace / model.dim,
-                "penalty": pen,
-                "criterion": model_loss + pen,
-            }
-        )
-
-    mask = at_minimum([row["criterion"] for row in rows])
-    tied = sorted((model for model, is_tied in zip(models, mask) if is_tied), key=tie_break_key)
+    dim = np.array([model.dim for model in models])
+    penalty = (1.0 + theta) * trace / n
+    table = {
+        "dim": dim,
+        "loss": loss,
+        "variance_factor": trace / dim,
+        "penalty": penalty,
+        "criterion": loss + penalty,
+    }
+    pick, tied = decide(table["criterion"], models)
     return SelectionReport(
-        selected=tied[0],
-        rows=tuple(rows),
-        max_variance_factor=max(row["variance_factor"] for row in rows),
-        ties=tuple(model.indices for model in tied),
+        selected=models[pick],
+        table=table,
+        max_variance_factor=float(table["variance_factor"].max()),
+        ties=tuple(model.indices for model in sorted(
+            (model for model, is_tied in zip(models, tied) if is_tied), key=tie_break_key)),
     )

@@ -17,8 +17,8 @@ from . import _kernels, oracle
 from ._mc import draw_batch, iter_chunks
 from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
 from .estimator import SampleSet
-from .linalg import psd_factor, require_finite
-from .selection import at_minimum, check_theta, tie_break_key
+from .linalg import frob_norm_sq, psd_factor, require_finite
+from .selection import check_theta, decide, tie_break_key
 
 KERNEL_KINDS = ("brownian", "ornstein_uhlenbeck", "finite_rank")
 
@@ -152,6 +152,9 @@ class ExperimentConfig:
         # fails here, before any sampling, for a collection the family cannot give
         collection_index_sets(self.family, self.scheme, self.d_max, self.k)
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        # a zero truth gives every model risk 0, so no risk ratio exists
+        if not frob_norm_sq(kernel_to_sigma(self.kernel, self.grid)) > 0:
+            raise ValueError("the kernel's covariance is zero on the grid")
 
 
 def uniform_grid(p, t_min=0.0, t_max=1.0):
@@ -162,38 +165,27 @@ def uniform_grid(p, t_min=0.0, t_max=1.0):
 
 
 def _run_block(truth, models, cfg, n, seed_key):
-    """Monte Carlo block for one sample size; models pre-sorted for tie-breaks.
+    """Monte Carlo block for one sample size.
 
-    Returns per-replication arrays (selected index, selected squared error,
-    selected dim) for the data-driven and the known-factor penalties.
+    Returns (selected, err_sq), each of shape (2, reps): the selected model's
+    index and squared error per replication, row 0 under the data-driven
+    penalty and row 1 under the known-factor penalty.
     """
-    reps = cfg.reps
     projs = np.stack([m.projector for m in models])
-    dims = np.array([m.dim for m in models])
     true_traces = np.array([oracle.true_fourth_moment_trace(truth, m) for m in models])
     factor = psd_factor(truth.sigma)
 
-    sel_dd = np.empty(reps, dtype=np.int64)
-    err_dd = np.empty(reps)
-    sel_kn = np.empty(reps, dtype=np.int64)
-    err_kn = np.empty(reps)
-
-    for start, stop in iter_chunks(reps, n, truth.p):
+    selected = np.empty((2, cfg.reps), dtype=np.int64)
+    err = np.empty((2, cfg.reps))
+    for start, stop in iter_chunks(cfg.reps, n, truth.p):
         x = draw_batch(factor, n, seed_key, start, stop)
         norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, projs)
         err_sq = _kernels.deviation_batch(x, projs, truth.sigma)
-        loss = norm4[:, None] - fit_sq
-        crit_dd = loss + (1.0 + cfg.theta) * (proj_norm4 - fit_sq) / n
-        crit_kn = loss + (1.0 + cfg.theta) * true_traces[None, :] / n
-        # the first tied column wins because models are in tie-break order
-        pick_dd = np.argmax(at_minimum(crit_dd), axis=1)
-        pick_kn = np.argmax(at_minimum(crit_kn), axis=1)
-        rows = np.arange(stop - start)
-        sel_dd[start:stop] = pick_dd
-        err_dd[start:stop] = err_sq[rows, pick_dd]
-        sel_kn[start:stop] = pick_kn
-        err_kn[start:stop] = err_sq[rows, pick_kn]
-    return sel_dd, err_dd, dims[sel_dd], sel_kn, err_kn, dims[sel_kn]
+        traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(true_traces, fit_sq.shape)])
+        pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
+        selected[:, start:stop] = pick
+        err[:, start:stop] = err_sq[np.arange(stop - start), pick]
+    return selected, err
 
 
 def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
@@ -203,8 +195,8 @@ def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
     return {
         "risk_mean": mean_err,
         "risk_se": se,
-        "risk_ratio": mean_err / oracle_risk if oracle_risk > 0 else float("inf"),
-        "risk_ratio_se": se / oracle_risk if oracle_risk > 0 else 0.0,
+        "risk_ratio": mean_err / oracle_risk,
+        "risk_ratio_se": se / oracle_risk,
         "mean_selected_dim": float(sel_dims.mean()),
         "selection_freq": {
             label: count / reps for label, count in zip(labels, counts) if count
@@ -231,6 +223,7 @@ def run_experiment(cfg):
     )
     models = sorted(collection.models, key=tie_break_key)
     labels = np.array([";".join(str(i) for i in m.indices) for m in models], dtype=object)
+    dims = np.array([m.dim for m in models])
 
     runs = []
     blocks = []
@@ -239,9 +232,8 @@ def run_experiment(cfg):
         best_model, table = oracle.oracle_model(truth, collection, n)
         oracle_risk = min(rec.risk for rec in table)
 
-        sel_dd, err_dd, dim_dd, sel_kn, err_kn, dim_kn = _run_block(
-            truth, models, cfg, n, (cfg.seed, i_n)
-        )
+        selected, err = _run_block(truth, models, cfg, n, (cfg.seed, i_n))
+        sel_dims = dims[selected]
 
         run = {
             "n": int(n),
@@ -260,18 +252,18 @@ def run_experiment(cfg):
                 }
                 for rec in table
             ],
-            "data_driven": _mode_summary(labels, sel_dd, err_dd, dim_dd, oracle_risk, cfg.reps),
-            "known_penalty": _mode_summary(labels, sel_kn, err_kn, dim_kn, oracle_risk, cfg.reps),
+            **{mode: _mode_summary(labels, selected[i], err[i], sel_dims[i], oracle_risk, cfg.reps)
+               for i, mode in enumerate(("data_driven", "known_penalty"))},
         }
         if cfg.keep_replications:
             blocks.append({
                 "n": np.full(cfg.reps, int(n)),
                 "rep": np.arange(cfg.reps),
-                "selected": labels[sel_dd],
-                "dim": dim_dd,
-                "err_sq": err_dd,
-                "selected_known": labels[sel_kn],
-                "err_sq_known": err_kn,
+                "selected": labels[selected[0]],
+                "dim": sel_dims[0],
+                "err_sq": err[0],
+                "selected_known": labels[selected[1]],
+                "err_sq_known": err[1],
             })
         if cfg.diagnostics:
             run["diagnostics"] = {

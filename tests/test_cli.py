@@ -414,6 +414,11 @@ class TestSimulateCommand:
             ("simulate", "[experiment]\nreps = 5%\n", "[experiment] reps"),
             ("simulate", "t_max = inf\n", "domain requires finite t_min < t_max"),
             ("simulate", "[experiment]\ntheta = inf\n", "theta must be strictly positive"),
+            # every model would have risk 0, so no risk ratio exists
+            ("simulate", "[kernel]\nkind = finite_rank\nindices = 0\npsi_diag = 0\n",
+             "covariance is zero on the grid"),
+            # min(s, t) on a grid with negative points is not a covariance
+            ("simulate", "t_min = -1\n[kernel]\nkind = brownian\n", "non-PSD covariance"),
             ("select", "[selection]\ntheta = inf\n", "theta must be strictly positive"),
             ("select", "[collection]\nd_max = 99\n", "nested scheme needs 1 <= d_max <= 5"),
             # the toy grid is 0.25,0.75; these lines extend the [basis] section

@@ -1,9 +1,13 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all
-from covsel.selection import TIE_RTOL, at_minimum, select
+from covsel.selection import TIE_RTOL, decide, select, tie_break_key
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(404)
@@ -38,9 +42,9 @@ class TestPenaltyValues:
             [[1.0, 0.0], [0.0, 1.0]], family=HIST, scheme="nested", d_max=2
         )
         assert trace[-1] == pytest.approx(0.5, abs=1e-14)
-        pen = select(models, loss, trace, 1.0, n=2).rows[-1]["penalty"]
+        pen = select(models, loss, trace, 1.0, n=2).table["penalty"][-1]
         assert pen == pytest.approx(0.5, abs=1e-14)
-        pen4 = select(models, loss, trace, 1.0, n=4).rows[-1]["penalty"]
+        pen4 = select(models, loss, trace, 1.0, n=4).table["penalty"][-1]
         assert pen4 == pytest.approx(pen / 2, abs=1e-14)
 
     def test_zero_trace_gives_zero_penalty(self):
@@ -49,7 +53,7 @@ class TestPenaltyValues:
         )
         for theta in (0.5, 1.0, 10.0):
             report = select(models, loss, trace, theta, n=3)
-            assert report.rows[0]["penalty"] == pytest.approx(0.0, abs=1e-12)
+            assert report.table["penalty"][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_known_worked_example(self):
         # the known-factor penalty is select on the true traces factor * dim:
@@ -60,7 +64,7 @@ class TestPenaltyValues:
 
         def penalty(factor, theta):
             report = select([model], [0.0], [factor * model.dim], theta, n=100)
-            return report.rows[0]["penalty"]
+            return report.table["penalty"][0]
 
         pen = penalty(1.5, theta=1.0)
         assert pen == pytest.approx(0.12, abs=1e-15)
@@ -68,12 +72,23 @@ class TestPenaltyValues:
         assert penalty(1.5, theta=3.0) == pytest.approx(2 * pen, rel=1e-12)
 
 
-class TestAtMinimum:
+# decide reads only what tie_break_key reads
+Model = namedtuple("Model", "dim indices")
+
+
+def singletons(m):
+    """m models of equal dim, so ties break toward the smaller index."""
+    return [Model(1.0, (j,)) for j in range(m)]
+
+
+class TestDecide:
     def test_one_dimensional(self):
         best = 2.0
         tol = TIE_RTOL * best
         crits = [3.0, best, best, best + 0.5 * tol, best + 2.0 * tol]
-        assert at_minimum(crits).tolist() == [False, True, True, True, False]
+        pick, tied = decide(crits, singletons(5))
+        assert tied.tolist() == [False, True, True, True, False]
+        assert pick == 1
 
     def test_rows_are_independent(self):
         # below 1 the tolerance is floored at TIE_RTOL; above, it scales with |best|
@@ -82,11 +97,50 @@ class TestAtMinimum:
             [1e3 * (1 + 2.0 * TIE_RTOL), 1e3, 1e3 * (1 + 0.5 * TIE_RTOL)],
             [5.0, 1.0, 1.0],
         ])
-        assert at_minimum(crits).tolist() == [
+        pick, tied = decide(crits, singletons(3))
+        assert tied.tolist() == [
             [True, True, False],
             [False, True, True],
             [False, True, True],
         ]
+        assert pick.tolist() == [0, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_brute_force_in_any_model_order(self, data):
+        index_sets = data.draw(st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)
+            .map(lambda v: tuple(sorted(v))),
+            min_size=1, max_size=6, unique=True,
+        ))
+        m = len(index_sets)
+        dims = data.draw(st.lists(st.sampled_from([1.0, 4.0, 9.0]), min_size=m, max_size=m))
+        models = [Model(d, idx) for d, idx in zip(dims, index_sets)]
+        k = data.draw(st.integers(1, 3))
+        # exact ties from a small integer set, plus offsets either side of the tolerance
+        levels = data.draw(st.lists(st.integers(0, 3), min_size=2 * k * m, max_size=2 * k * m))
+        nudges = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]),
+                                    min_size=2 * k * m, max_size=2 * k * m))
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 3.0, 1e8]))
+        crits = (np.array(levels) * scale * (1 + np.array(nudges) * TIE_RTOL)).reshape(2, k, m)
+
+        pick, tied = decide(crits, models)
+        assert pick.shape == (2, k) and tied.shape == crits.shape
+        for a in range(2):
+            for b in range(k):
+                row = crits[a, b]
+                row_pick, row_tied = decide(row, models)
+                assert row_pick == pick[a, b]
+                assert np.array_equal(row_tied, tied[a, b])
+                best = min(row.tolist())
+                brute = [j for j, c in enumerate(row.tolist())
+                         if c <= best + TIE_RTOL * max(1.0, abs(best))]
+                assert row_tied.tolist() == [j in brute for j in range(m)]
+                assert pick[a, b] == min(brute, key=lambda j: tie_break_key(models[j]))
+
+        perm = data.draw(st.permutations(range(m)))
+        perm_pick, _ = decide(crits[..., perm], [models[j] for j in perm])
+        assert np.array_equal(np.asarray(perm)[perm_pick], pick)
 
 
 class TestSelect:
@@ -104,7 +158,7 @@ class TestSelect:
             data, family=BasisFamily("histogram", 0.0, 1.0, 1), scheme="nested", d_max=2
         )
         report = select(models, loss, trace, 1.0, samples.n)
-        crits = [row["criterion"] for row in report.rows]
+        crits = report.table["criterion"]
         assert crits[0] == pytest.approx(crits[1], rel=1e-14)
         assert report.selected.indices == (0,)
         assert set(report.ties) == {(0,), (0, 1)}
@@ -137,10 +191,11 @@ class TestSelect:
             rng.standard_normal((10, 4)), scheme="nested", d_max=4
         )
         report = select(models, loss, trace, 0.7, samples.n)
-        for row, model_loss in zip(report.rows, loss):
-            assert row["loss"] == model_loss
-            assert row["criterion"] == pytest.approx(
-                row["loss"] + row["penalty"], rel=1e-12, abs=1e-12
+        table = report.table
+        for j, model_loss in enumerate(loss):
+            assert table["loss"][j] == model_loss
+            assert table["criterion"][j] == pytest.approx(
+                table["loss"][j] + table["penalty"][j], rel=1e-12, abs=1e-12
             )
 
     def test_model_order_invariance(self):

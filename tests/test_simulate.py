@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from covsel.dictionary import BasisFamily
+from covsel._mc import draw_batch
+from covsel.dictionary import BasisFamily, build_collection
+from covsel.estimator import SampleSet, empirical_cov, fit_all
+from covsel.oracle import TruthSpec, true_fourth_moment_trace
+from covsel.selection import select
 from covsel.simulate import (
     ExperimentConfig,
     KernelSpec,
@@ -229,6 +233,33 @@ class TestRunExperiment:
             for rec in run["risk_table"]
         }
         assert biases[modal] < 1e-10
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_grid=(10, 25)),
+        dict(family=BasisFamily("histogram", 0.0, 1.0, 3), kernel=KernelSpec("brownian"),
+             scheme="all_subsets", k=2, n=10),
+    ])
+    def test_monte_carlo_picks_equal_select(self, overrides):
+        # each replication, redrawn from its seed key, is handed to `select`
+        # with the empirical traces and with the true ones
+        cfg = small_config(reps=25, keep_replications=True, **overrides)
+        _, reps = run_experiment(cfg)
+        sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
+        truth = TruthSpec(sigma=sigma)
+        models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
+                                  k=cfg.k).models
+        true_traces = [true_fourth_moment_trace(truth, m) for m in models]
+        for i_n, n in enumerate(cfg.n_grid or (cfg.n,)):
+            x = draw_batch(psd_factor(sigma), n, (cfg.seed, i_n), 0, cfg.reps)
+            mine = reps["n"] == n
+            for r, (selected, selected_known) in enumerate(
+                zip(reps["selected"][mine], reps["selected_known"][mine])
+            ):
+                samples = SampleSet(grid=cfg.grid, data=x[r])
+                loss, trace = fit_all(samples, empirical_cov(samples), models)
+                for traces, label in ((trace, selected), (true_traces, selected_known)):
+                    pick = select(models, loss, traces, cfg.theta, n).selected
+                    assert ";".join(str(i) for i in pick.indices) == label
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="reps"):
