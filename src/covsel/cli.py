@@ -47,7 +47,7 @@ REPLICATIONS_FILE = "replications.csv"
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 
 class ConfigError(Exception):

@@ -20,7 +20,7 @@ from .linalg import (
     psd_factor,
     require_finite,
 )
-from .selection import decide
+from .selection import TIE_RTOL, decide
 
 # fewest replications the Monte Carlo diagnostics accept
 MIN_DIAGNOSTICS_REPS = 100
@@ -87,16 +87,30 @@ def true_fourth_moment_trace(truth, model):
     """Tr((P kron P) F) for the true fourth-moment covariance F.
 
     Gaussian truths use the Kronecker-free closed form
-    (Tr(P sigma))^2 + ||P sigma P||^2; otherwise the dense `phi_dense` route
-    is used (small p only).
+    (Tr(P sigma))^2 + ||P sigma P||^2 = tr(G)^2 + ||G||^2 with
+    G = U^T sigma U for the model's basis U; otherwise the dense
+    `phi_dense` route is used (small p only).
     """
-    proj = model.projector
     if truth.gaussian:
-        ps = proj @ truth.sigma
-        return float(np.trace(ps) ** 2 + frob_norm_sq(proj @ truth.sigma @ proj))
+        u = model.basis
+        g = u.T @ truth.sigma @ u
+        return float(np.trace(g) ** 2 + frob_norm_sq(g))
     if truth.phi_dense is not None:
+        proj = model.projector
         return float(np.sum(kron(proj, proj) * truth.phi_dense))
     raise ValueError("truth is neither Gaussian nor equipped with phi_dense")
+
+
+def bias_sq(truth, model):
+    """Squared bias ||sigma - P sigma P||^2 of a model with basis U.
+
+    Computed as ||R||^2 + ||R U||^2 with R = sigma - U (U^T sigma) = (I - P) sigma:
+    the two orthogonal parts (I - P) sigma and P sigma (I - P) of the bias.
+    A sum of squares, so never negative.
+    """
+    u = model.basis
+    resid = truth.sigma - u @ (u.T @ truth.sigma)
+    return frob_norm_sq(resid) + frob_norm_sq(resid @ u)
 
 
 def true_variance_factor(truth, model):
@@ -122,18 +136,10 @@ def true_risk(truth, model, n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    proj = model.projector
-    psp = proj @ truth.sigma @ proj
-    bias_sq = frob_norm_sq(truth.sigma - psp)
+    bias = bias_sq(truth, model)
     trace = true_fourth_moment_trace(truth, model)
-    variance_term = trace / n
-    return RiskRecord(
-        model=model,
-        bias_sq=bias_sq,
-        variance_term=variance_term,
-        risk=bias_sq + variance_term,
-        variance_factor=trace / model.dim,
-    )
+    return RiskRecord(model=model, bias_sq=bias, variance_term=trace / n,
+                      risk=bias + trace / n, variance_factor=trace / model.dim)
 
 
 def risk_table(truth, collection, n):
@@ -154,18 +160,26 @@ def oracle_model(truth, collection, n):
 
 
 def _batched_variance_factors(truth, collection, n, reps, seed):
-    """Per-replication plug-in variance factors, shape (reps, n_models)."""
+    """Plug-in variance factors per replication, shape (reps, n_models), and
+    the true factors per model.
+
+    A true trace at most TIE_RTOL times (tr sigma)^2 + ||sigma||^2, the full
+    space's trace and so a bound on every model's, is rounding of an exact
+    zero: the truth does not reach that model, and its true factor is 0.
+    """
     if not truth.gaussian:
         raise ValueError("Monte Carlo checks need a Gaussian truth to sample from")
     factor = psd_factor(truth.sigma)
-    projs = np.stack([model.projector for model in collection])
+    bases = _kernels.stack_bases(collection)
     dims = np.array([model.dim for model in collection])
+    traces = np.array([true_fourth_moment_trace(truth, model) for model in collection])
+    floor = TIE_RTOL * (np.trace(truth.sigma) ** 2 + frob_norm_sq(truth.sigma))
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, projs)
+        _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, bases)
         chunks.append((proj_norm4 - fit_sq) / dims[None, :])
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate(chunks, axis=0), np.where(traces <= floor, 0.0, traces) / dims
 
 
 def check_variance_factor_mean(truth, collection, n, reps, seed=0):
@@ -173,32 +187,25 @@ def check_variance_factor_mean(truth, collection, n, reps, seed=0):
     (n-1)/n times the true factor (and hence never overshoots it).
 
     Returns one record per model with the estimated mean, the exact target,
-    the standard error, and a z-score; |z| > 4 marks a hard failure.
+    the standard error, and a z-score; |z| > 4 marks a hard failure. A model
+    the truth does not reach has target 0 and z = 0.
     """
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
-    values = _batched_variance_factors(truth, collection, n, reps, seed)
+    values, true_factors = _batched_variance_factors(truth, collection, n, reps, seed)
     records = []
     for j, model in enumerate(collection):
-        target = (n - 1) / n * true_variance_factor(truth, model)
+        target = (n - 1) / n * true_factors[j]
         mean = float(values[:, j].mean())
         se = float(values[:, j].std(ddof=1) / np.sqrt(reps))
         diff = mean - target
-        if se > 0:
-            z = diff / se
+        if target == 0.0 or diff == 0.0:
+            z = 0.0
         else:
-            z = 0.0 if diff == 0.0 else np.inf
-        records.append(
-            {
-                "indices": model.indices,
-                "dim": model.dim,
-                "mean": mean,
-                "target": target,
-                "se": se,
-                "z": float(z),
-                "flagged": bool(abs(z) > 4.0),
-            }
-        )
+            z = diff / se if se > 0 else np.inf
+        records.append({"indices": model.indices, "dim": model.dim, "mean": mean,
+                        "target": target, "se": se, "z": float(z),
+                        "flagged": bool(abs(z) > 4.0)})
     return records
 
 
@@ -206,15 +213,16 @@ def check_underestimation_prob(truth, collection, n, alpha, reps, seed=0):
     """Estimate the probability that any model's plug-in variance factor
     falls below (1 - alpha) times its true value.
 
+    Models the truth does not reach never undershoot and are left out.
     Returns the point estimate with a 95% Wilson confidence interval.
     """
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    values = _batched_variance_factors(truth, collection, n, reps, seed)
-    targets = np.array([(1.0 - alpha) * true_variance_factor(truth, m) for m in collection])
-    bad = np.any(values < targets[None, :], axis=1)
+    values, true_factors = _batched_variance_factors(truth, collection, n, reps, seed)
+    reached = true_factors > 0.0
+    bad = np.any(values[:, reached] < (1.0 - alpha) * true_factors[reached], axis=1)
     count = int(bad.sum())
     lo, hi = wilson_interval(count, reps)
     return {
@@ -226,19 +234,6 @@ def check_underestimation_prob(truth, collection, n, alpha, reps, seed=0):
         "alpha": alpha,
         "n": n,
     }
-
-
-def _in_model_deviation_sq(X, projs, sigma):
-    """||P S P - P sigma P||^2 per replication and model, S = (1/n) X^T X;
-    X is (reps, n, p) and projs (M, p, p), as for the statistics kernels."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    reps, n, _ = X.shape
-    s_all = np.matmul(X.transpose(0, 2, 1), X) / n
-    out = np.empty((reps, projs.shape[0]))
-    for m, proj in enumerate(projs):
-        d = proj @ s_all @ proj - (proj @ sigma @ proj)[None, :, :]
-        out[:, m] = np.einsum("rij,rij->r", d, d)
-    return out
 
 
 def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
@@ -260,30 +255,22 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
         raise ValueError("x_grid must be nonempty and nonnegative")
 
     factor = psd_factor(truth.sigma)
-    projs = model.projector[None, :, :]
+    bases = _kernels.stack_bases([model])
     quad = np.empty(reps)
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        quad[start:stop] = n * _in_model_deviation_sq(x, projs, truth.sigma)[:, 0]
+        quad[start:stop] = n * _kernels.deviation_batch(x, bases, truth.sigma)[:, 0]
 
     vf = true_variance_factor(truth, model)
     dim = model.dim
     rows = []
     for x in x_grid:
         threshold = vf * (dim + 2.0 * np.sqrt(dim * x) + x)
-        rows.append(
-            {
-                "x": float(x),
-                "threshold": float(threshold),
-                "exceedance": float(np.mean(quad >= threshold)),
-            }
-        )
+        rows.append({"x": float(x), "threshold": float(threshold),
+                     "exceedance": float(np.mean(quad >= threshold))})
 
     anchor = next((row for row in rows if row["exceedance"] > 0 and row["x"] > 0), None)
-    if anchor is None:
-        c = 0.0
-    else:
-        c = anchor["exceedance"] * anchor["x"] ** (beta / 2.0)
+    c = 0.0 if anchor is None else anchor["exceedance"] * anchor["x"] ** (beta / 2.0)
     decay_ok = True
     for row in rows:
         bound = c * row["x"] ** (-beta / 2.0) if row["x"] > 0 else np.inf

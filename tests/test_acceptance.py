@@ -19,6 +19,7 @@ from covsel.estimator import SampleSet, empirical_cov, fit_all, fourth_moment_co
 from covsel.linalg import frob_norm_sq, kron, projector_from_design
 from covsel.oracle import (
     TruthSpec,
+    bias_sq,
     check_quadratic_form_tail,
     check_underestimation_prob,
     check_variance_factor_mean,
@@ -94,13 +95,13 @@ def test_criterion_2_gaussian_closed_form():
 
 
 def _mc_risk_z_scores(truth, collection, n, reps, seed):
-    projs = np.stack([m.projector for m in collection])
+    bases = _kernels.stack_bases(collection)
+    bias = np.array([bias_sq(truth, m) for m in collection])
     factor = psd_factor(truth.sigma)
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        err_sq = _kernels.deviation_batch(x, projs, truth.sigma)
-        chunks.append(err_sq)
+        chunks.append(bias + _kernels.deviation_batch(x, bases, truth.sigma))
     err_sq = np.concatenate(chunks, axis=0)
     z_scores = []
     for j, rec in enumerate(risk_table(truth, collection, n)):

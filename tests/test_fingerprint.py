@@ -1,13 +1,22 @@
-"""Byte fingerprints of the shipped example runs, keyed by report_version.
+"""Byte fingerprints and golden outputs of the shipped example runs, keyed
+by report_version.
 
 A change to the bytes a given seed and config produce must bump
-`cli.REPORT_VERSION` and add a row here; otherwise this test fails. The
-bytes are reproducible only for one numpy and BLAS build, so the test skips
-on any other build rather than report a false change.
+`cli.REPORT_VERSION`, add a row here and commit the example outputs under
+tests/golden/v<REPORT_VERSION>/ (`python tests/test_fingerprint.py` writes
+them); otherwise these tests fail. The bytes are reproducible only for one
+numpy and BLAS build, so the digest test skips on any other build rather
+than report a false change. The golden test runs on every build: it compares
+what the runs decide and count exactly and every other float to within
+GOLDEN_RTOL relative.
 """
 
 import configparser
+import csv
 import hashlib
+import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +25,7 @@ import pytest
 from covsel.cli import REPORT_VERSION, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SIMULATE_FILES = (
     "experiment_report.json",
@@ -25,6 +35,17 @@ SIMULATE_FILES = (
     "underestimation_prob.csv",
 )
 SELECT_FILES = ("selection_report.json", "criterion_table.csv", "sigma_hat.csv")
+GOLDEN_FILES = {"simulate": SIMULATE_FILES, "select": SELECT_FILES}
+
+# JSON keys and CSV columns compared exactly: selections, ties, models,
+# counts and what is derived from counts alone, and the echo of the inputs.
+# Every other float is compared to GOLDEN_RTOL relative.
+EXACT_FIELDS = frozenset({
+    "config", "grid", "input", "n", "p", "collection", "indices", "rank", "dim",
+    "model", "mode", "selected", "selected_dim", "ties", "selection_freq",
+    "frequency", "mean_selected_dim", "flagged", "violations", "reps", "estimate", "alpha",
+})
+GOLDEN_RTOL = 1e-12
 
 FINGERPRINTS = {
     1: {
@@ -102,6 +123,36 @@ FINGERPRINTS = {
                 "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
         },
     },
+    # v4: simulate and the oracle work in basis coordinates and the loss is
+    # bias_sq + in-model deviation; risk, diagnostic and replication floats
+    # move in their last digits (at most 1.9e-13 relative, on z). The select
+    # report differs from v3 only in report_version; criterion_table.csv,
+    # sigma_hat.csv, selection_frequencies.csv and underestimation_prob.csv
+    # keep their v3 bytes
+    4: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "06a6c4d326e99f018c89ce3b8b7f5f5e42997a52f87348929f6293e2cba9100a",
+            "simulate/risk_vs_n.csv":
+                "ee4e20ebb7feef8958a470338b9d028ad1b83ec8e3fad4c1ac2d1e482b24ec55",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "5b1be36de91647e071171b803954e6cfddaf6c341e71dbbf064cf7cdd8017064",
+            "simulate/underestimation_prob.csv":
+                "efe4b9f94e84fa4b7c78322c9594ac244692f9cda8073d185118d02f0fe2989f",
+            "simulate-keep/replications.csv":
+                "a861ed997a90ff15976499678d7102906a7e493422d587b9a9a117f364c224cf",
+            "select/selection_report.json":
+                "257b6c50901711946e1ecc6c7f3304ff55a10726b51266b5606c0741c1e9e3ff",
+            "select/criterion_table.csv":
+                "4a5baa0a7d7d058039e6dcbc471524d93cc893cd0e845318f49d2341fdb85029",
+            "select/sigma_hat.csv":
+                "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
+        },
+    },
 }
 
 
@@ -160,9 +211,24 @@ def run_examples(work):
     }
 
 
-def test_report_bytes_match_their_version(tmp_path, monkeypatch):
+def run_examples_in(work):
     # the example configs name their input and output relative to the cwd
-    monkeypatch.chdir(tmp_path)
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        return run_examples(work)
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def examples(tmp_path_factory):
+    """(work dir, digests) of one run_examples in a fresh directory."""
+    work = tmp_path_factory.mktemp("examples")
+    return work, run_examples_in(work)
+
+
+def test_report_bytes_match_their_version(examples):
     assert REPORT_VERSION in FINGERPRINTS, (
         f"report_version {REPORT_VERSION} has no fingerprint row"
     )
@@ -171,7 +237,7 @@ def test_report_bytes_match_their_version(tmp_path, monkeypatch):
     recorded = {key: entry[key] for key in build}
     if build != recorded:
         pytest.skip(f"fingerprints recorded on {recorded}; this build is {build}")
-    got = run_examples(tmp_path)
+    _, got = examples
     moved = [name for name in SELECT_FILES if got[f"select-abs/{name}"] != got[f"select/{name}"]]
     assert not moved, f"select output depends on how its input path is written: {moved}"
     changed = sorted(key for key, digest in entry["sha256"].items() if got[key] != digest)
@@ -179,3 +245,67 @@ def test_report_bytes_match_their_version(tmp_path, monkeypatch):
         f"output bytes changed at report_version {REPORT_VERSION}: {changed}; "
         "bump cli.REPORT_VERSION and add a fingerprint row"
     )
+
+
+def assert_matches(got, want, where, exact=False):
+    """`got` equals the golden `want`: exactly under EXACT_FIELDS and for
+    every non-float, to GOLDEN_RTOL relative for every other float."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}", exact or key in EXACT_FIELDS)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]", exact)
+    elif isinstance(want, float) and not exact:
+        assert isinstance(got, float), where
+        assert abs(got - want) <= GOLDEN_RTOL * max(abs(got), abs(want)), (
+            f"{where}: {got!r} differs from the golden {want!r} by more than {GOLDEN_RTOL:g}"
+        )
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != golden {want!r}"
+
+
+def read_csv(path):
+    """{"header": [...], column: [cells]} with each cell a float where it
+    parses as one (header cells stay strings)."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return {"header": header,
+            **{name: [cell(row[j]) for row in rows] for j, name in enumerate(header)}}
+
+
+def read_output(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text(encoding="utf-8"))
+    return read_csv(path)
+
+
+def test_outputs_match_golden(examples):
+    golden = GOLDEN / f"v{REPORT_VERSION}"
+    assert golden.is_dir(), f"report_version {REPORT_VERSION} has no {golden}"
+    work, _ = examples
+    for run, names in GOLDEN_FILES.items():
+        for name in names:
+            assert_matches(read_output(work / run / name), read_output(golden / run / name),
+                           f"{run}/{name}")
+
+
+if __name__ == "__main__":
+    # write tests/golden/v<REPORT_VERSION>/ from a fresh run of the examples
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_examples_in(Path(tmp))
+        for run, names in GOLDEN_FILES.items():
+            target = GOLDEN / f"v{REPORT_VERSION}" / run
+            target.mkdir(parents=True, exist_ok=True)
+            for name in names:
+                shutil.copyfile(Path(tmp) / run / name, target / name)

@@ -1,5 +1,8 @@
-"""The batched numpy kernels, and the tail check's in-model deviation, must
-agree with a direct per-replication computation."""
+"""The batched numpy kernels, fed stacked model bases, must agree with a
+direct per-replication computation on dense projectors, and the Monte Carlo
+loss bias_sq + deviation_batch must agree with the direct loss."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,20 +10,24 @@ import pytest
 from covsel import _kernels
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all
-from covsel.linalg import projector_from_design
-from covsel.oracle import _in_model_deviation_sq
+from covsel.linalg import basis_from_design, frob_norm_sq
+from covsel.oracle import TruthSpec, bias_sq
 from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
 
 rng = np.random.default_rng(707)
 
 
-def random_projs(p, count):
-    projs = []
+def random_models(p, count):
+    """Models of random rank 1..p, each holding only an orthonormal basis."""
+    models = []
     for _ in range(count):
-        g = rng.standard_normal((p, int(rng.integers(1, p + 1))))
-        proj, _ = projector_from_design(g)
-        projs.append(proj)
-    return np.stack(projs)
+        basis, rank = basis_from_design(rng.standard_normal((p, int(rng.integers(1, p + 1)))))
+        models.append(SimpleNamespace(basis=basis, rank=rank))
+    return models
+
+
+def projectors(models):
+    return np.stack([m.basis @ m.basis.T for m in models])
 
 
 def direct_model_stats(X, projs):
@@ -42,6 +49,7 @@ def direct_model_stats(X, projs):
 
 
 def direct_deviation(X, projs, sigma):
+    """(||sigma - P S P||^2, ||P S P - P sigma P||^2) per replication and model."""
     reps, n, p = X.shape
     m_count = projs.shape[0]
     err_sq = np.empty((reps, m_count))
@@ -56,25 +64,38 @@ def direct_deviation(X, projs, sigma):
     return err_sq, proj_dev_sq
 
 
+def assert_kernels_match_direct(X, models, sigma, rtol, atol):
+    bases = _kernels.stack_bases(models)
+    projs = projectors(models)
+    for got, want in zip(_kernels.model_stats_batch(X, bases), direct_model_stats(X, projs)):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+    err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
+    dev_sq = _kernels.deviation_batch(X, bases, sigma)
+    np.testing.assert_allclose(dev_sq, proj_dev_sq, rtol=rtol, atol=atol)
+    truth = TruthSpec(sigma=sigma)
+    bias = np.array([bias_sq(truth, m) for m in models])
+    np.testing.assert_allclose(bias + dev_sq, err_sq, rtol=rtol, atol=atol)
+
+
 CASES = [(7, 4, 2, 2), (5, 10, 3, 4), (3, 6, 5, 3)]
 
 
 @pytest.mark.parametrize("reps,n,p,m_count", CASES)
 def test_numpy_path_matches_direct(reps, n, p, m_count):
     X = rng.standard_normal((reps, n, p))
-    projs = random_projs(p, m_count)
-    sigma = np.eye(p)
-    for got, want in zip(
-        _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-    err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
-    np.testing.assert_allclose(
-        _kernels.deviation_batch(X, projs, sigma), err_sq, rtol=1e-10, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        _in_model_deviation_sq(X, projs, sigma), proj_dev_sq, rtol=1e-10, atol=1e-12
-    )
+    a = rng.standard_normal((p, p))
+    for sigma in (np.eye(p), a @ a.T):
+        assert_kernels_match_direct(X, random_models(p, m_count), sigma, rtol=1e-10, atol=1e-12)
+
+
+def test_stack_bases_pads_with_zero_columns():
+    models = random_models(5, 6)
+    bases = _kernels.stack_bases(models)
+    r_max = max(m.rank for m in models)
+    assert bases.shape == (6, 5, r_max)
+    for m, model in enumerate(models):
+        assert np.array_equal(bases[m, :, :model.rank], model.basis)
+        assert not bases[m, :, model.rank:].any()
 
 
 def simulate_kernel_setup(reps):
@@ -84,32 +105,61 @@ def simulate_kernel_setup(reps):
     grid = uniform_grid(p)
     family = BasisFamily("fourier", 0.0, 1.0, 12)
     collection = build_collection(family, grid, scheme="nested", d_max=13)
-    projs = np.stack([m.projector for m in collection])
     sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck", length_scale=0.5), grid)
     X = rng.standard_normal((reps, n, p)) @ psd_factor(sigma).T
-    return X, projs, sigma, grid, collection
+    return X, sigma, grid, collection
 
 
 def test_simulate_kernel_shape_matches_direct():
-    X, projs, sigma, _, _ = simulate_kernel_setup(reps=3)
-    for got, want in zip(
-        _kernels.model_stats_batch(X, projs), direct_model_stats(X, projs)
-    ):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
-    np.testing.assert_allclose(
-        _kernels.deviation_batch(X, projs, sigma), err_sq, rtol=1e-12, atol=0
-    )
-    np.testing.assert_allclose(
-        _in_model_deviation_sq(X, projs, sigma), proj_dev_sq, rtol=1e-12, atol=0
-    )
+    X, sigma, _, collection = simulate_kernel_setup(reps=3)
+    assert_kernels_match_direct(X, collection.models, sigma, rtol=1e-12, atol=0)
 
 
 def test_single_replication_matches_fit_all():
     """select's fit_all and simulate's kernel compute the same loss and trace."""
-    X, projs, _, grid, collection = simulate_kernel_setup(reps=1)
+    X, _, grid, collection = simulate_kernel_setup(reps=1)
     samples = SampleSet(grid=grid, data=X[0])
     loss, trace = fit_all(samples, empirical_cov(samples), collection)
-    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, projs)
+    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, _kernels.stack_bases(collection))
     np.testing.assert_allclose(norm4[0] - fit_sq[0], loss, rtol=1e-12, atol=0)
     np.testing.assert_allclose(proj_norm4[0] - fit_sq[0], trace, rtol=1e-12, atol=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 on this platform")
+def test_loss_split_matches_extended_precision_loss():
+    """At n = 5000 the loss ||sigma - P S P||^2 of a model that contains the
+    truth is far below ||sigma||^2; bias_sq + deviation_batch, which never
+    subtracts ||sigma||^2-sized terms, stays within 1e-13 of the loss itself
+    against a long-double direct computation. bias_sq is a sum of squares:
+    never negative, and at rounding level for every model containing the
+    truth."""
+    p, n, reps = 8, 5000, 3
+    grid = uniform_grid(p)
+    family = BasisFamily("fourier", 0.0, 1.0, 7)
+    kernel = KernelSpec("finite_rank", family=family, indices=(0, 1, 2),
+                        psi=np.diag([2.0, 1.0, 0.5]))
+    sigma = kernel_to_sigma(kernel, grid)
+    truth = TruthSpec(sigma=sigma)
+    collection = build_collection(family, grid, scheme="nested", d_max=8)
+    X = np.random.default_rng(5000).standard_normal((reps, n, p)) @ psd_factor(sigma).T
+
+    bias = np.array([bias_sq(truth, m) for m in collection])
+    loss = bias + _kernels.deviation_batch(X, _kernels.stack_bases(collection), sigma)
+
+    xl = X.astype(np.longdouble)
+    sl = np.matmul(xl.transpose(0, 2, 1), xl) / n
+    exact = np.empty((reps, len(collection)), dtype=np.longdouble)
+    for m, model in enumerate(collection):
+        u = model.basis.astype(np.longdouble)
+        proj = u @ u.T
+        d = sigma.astype(np.longdouble) - proj @ sl @ proj
+        exact[:, m] = np.sum(d * d, axis=(1, 2))
+
+    contains = np.array([set(kernel.indices) <= set(m.indices) for m in collection])
+    assert contains.any() and (np.max(exact[:, contains]) < 1e-2 * frob_norm_sq(sigma))
+    rel = np.abs(loss - exact) / exact
+    assert float(rel.max()) <= 1e-13
+    assert np.all(bias >= 0.0)
+    assert np.all(bias[contains] <= 1e-28 * frob_norm_sq(sigma))
+    assert np.all(bias[~contains] > 1e-3 * frob_norm_sq(sigma))

@@ -16,7 +16,7 @@ from covsel.oracle import (
     true_variance_factor,
 )
 from covsel.selection import select
-from covsel.simulate import uniform_grid
+from covsel.simulate import KernelSpec, kernel_to_sigma, uniform_grid
 
 rng = np.random.default_rng(606)
 
@@ -231,6 +231,37 @@ class TestUnderestimationProb:
         assert out["violations"] == 0
         assert out["ci_low"] == 0.0
         assert out["ci_low"] <= out["estimate"] <= out["ci_high"]
+
+
+class TestModelsTheTruthDoesNotReach:
+    """A truth spanned by the constant function, against the four one-function
+    fourier models on an 8-point midpoint grid: models 1-3 are orthogonal to
+    the truth, so their true traces are rounding of an exact zero and their
+    plug-in factors are rounding noise that can never undershoot."""
+
+    def _setup(self):
+        grid = uniform_grid(8)
+        family = BasisFamily("fourier", 0.0, 1.0, 3)
+        kernel = KernelSpec("finite_rank", family=family, indices=(0,))
+        truth = TruthSpec(sigma=kernel_to_sigma(kernel, grid))
+        return truth, build_collection(family, grid, scheme="all_subsets", k=1)
+
+    def test_unreached_models_are_not_flagged(self):
+        truth, coll = self._setup()
+        records = check_variance_factor_mean(truth, coll, n=20, reps=200, seed=(1, 0, 1))
+        assert [rec["indices"] for rec in records] == [(0,), (1,), (2,), (3,)]
+        assert records[0]["target"] > 100.0 and not records[0]["flagged"]
+        for rec in records[1:]:
+            assert rec["target"] == 0.0 and rec["z"] == 0.0 and not rec["flagged"]
+
+    def test_unreached_models_are_left_out_of_the_event(self):
+        truth, coll = self._setup()
+        out = check_underestimation_prob(truth, coll, n=20, alpha=0.5, reps=200, seed=(1, 0, 2))
+        reached = check_underestimation_prob(
+            truth, coll.models[:1], n=20, alpha=0.5, reps=200, seed=(1, 0, 2)
+        )
+        assert out == reached
+        assert out["violations"] < 200
 
 
 class TestWilsonInterval:
