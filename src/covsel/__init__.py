@@ -20,21 +20,17 @@ from .estimator import (
     SampleSet,
     empirical_cov,
     fit_all,
-    fourth_moment_cov_dense,
     project,
 )
 from .oracle import (
     RiskRecord,
     TruthSpec,
-    check_quadratic_form_tail,
     check_underestimation_prob,
     check_variance_factor_mean,
-    gaussian_fourth_moment_dense,
     oracle_model,
     risk_table,
     true_fourth_moment_trace,
     true_risk,
-    true_variance_factor,
 )
 from .selection import SelectionReport, select
 from .simulate import (
@@ -43,7 +39,6 @@ from .simulate import (
     kernel_to_sigma,
     psd_factor,
     run_experiment,
-    sample_paths,
     uniform_grid,
 )
 
@@ -62,14 +57,11 @@ __all__ = [
     "TruthSpec",
     "build_collection",
     "build_design",
-    "check_quadratic_form_tail",
     "check_underestimation_prob",
     "check_variance_factor_mean",
     "empirical_cov",
     "eval_basis",
     "fit_all",
-    "fourth_moment_cov_dense",
-    "gaussian_fourth_moment_dense",
     "kernel_to_sigma",
     "make_model",
     "oracle_model",
@@ -77,10 +69,8 @@ __all__ = [
     "psd_factor",
     "risk_table",
     "run_experiment",
-    "sample_paths",
     "select",
     "true_fourth_moment_trace",
     "true_risk",
-    "true_variance_factor",
     "uniform_grid",
 ]

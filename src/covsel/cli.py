@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import sys
@@ -21,16 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg, oracle
 from .dictionary import (
     BasisFamily,
     DegenerateCollectionError,
     build_collection,
     check_in_domain,
     collection_index_sets,
-    make_model,
 )
-from .estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
+from .estimator import SampleSet, empirical_cov, fit_all, project
 from .selection import check_theta, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
@@ -49,6 +48,9 @@ REPLICATIONS_FILE = "replications.csv"
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
 REPORT_VERSION = 4
 
+# `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
+VALIDATE_SEED = 20240901
+
 
 class ConfigError(Exception):
     pass
@@ -58,6 +60,18 @@ class ConfigError(Exception):
 # CSV and JSON plumbing
 # ---------------------------------------------------------------------------
 
+def _read_file(path, what, read):
+    """read(fh) on the UTF-8 text file at `path`; a missing, unreadable or
+    non-UTF-8 file is a ConfigError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def read_samples_csv(path):
     """Read a replication file: header row = grid values, body rows = x_i.
 
@@ -65,10 +79,8 @@ def read_samples_csv(path):
     floats, and `#` is not a comment marker.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = _read_file(path, "input file",
+                       lambda fh: [line.strip() for line in fh if line.strip()])
     if len(lines) < 2:
         raise ConfigError(f"{path}: need a grid header plus at least 2 replications")
     width = lines[0].count(",") + 1
@@ -179,10 +191,8 @@ def load_config(path, schema):
     """
     parser = configparser.ConfigParser()
     if path is not None:
-        if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path)
+            _read_file(path, "config file", parser.read_file)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if parser.defaults():
@@ -366,144 +376,18 @@ def cmd_simulate(args):
 # validate
 # ---------------------------------------------------------------------------
 
-def _random_projector(rng, p):
-    g = rng.standard_normal((p, rng.integers(1, p + 1)))
-    proj, _ = linalg.projector_from_design(g)
-    return proj
-
-
-def _check_vec_kron(rng):
-    for _ in range(50):
-        p = int(rng.integers(2, 4))
-        a, b, x = (rng.standard_normal((p, p)) for _ in range(3))
-        lhs = linalg.kron(a, b) @ linalg.vec(x)
-        rhs = linalg.vec(b @ x @ a.T)
-        if np.max(np.abs(lhs - rhs)) > 1e-12 * max(1.0, np.max(np.abs(rhs))):
-            return False, "identity (A kron B) vec X = vec(B X A^T) violated"
-    return True, ""
-
-
-def _check_kron_trace(rng):
-    for _ in range(50):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        lhs = np.trace(linalg.kron(a, b))
-        rhs = np.trace(a) * np.trace(b)
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-            return False, "Tr(A kron B) != Tr A Tr B"
-    return True, ""
-
-
-def _check_commutation(rng):
-    for p in (1, 2, 3, 4):
-        k = linalg.commutation_matrix(p)
-        if np.max(np.abs(k @ k - np.eye(p * p))) > 0:
-            return False, f"K^2 != I at p={p}"
-        for _ in range(10):
-            a = rng.standard_normal((p, p))
-            if np.max(np.abs(k @ linalg.vec(a) - linalg.vec(a.T))) > 0:
-                return False, f"K vec(A) != vec(A^T) at p={p}"
-    return True, ""
-
-
-def _check_projectors(rng):
-    for _ in range(100):
-        p = int(rng.integers(1, 5))
-        proj = _random_projector(rng, p)
-        try:
-            linalg.check_projector(proj)
-        except ValueError as exc:
-            return False, str(exc)
-    return True, ""
-
-
-def _check_trace_range(rng):
-    for _ in range(50):
-        p = int(rng.integers(2, 5))
-        proj = _random_projector(rng, p)
-        a = rng.standard_normal((p * p, p * p))
-        psi = a @ a.T
-        val = float(np.sum(linalg.kron(proj, proj) * psi))
-        if val < -1e-9 or val > np.trace(psi) + 1e-9:
-            return False, f"projected trace {val} outside [0, Tr]"
-    return True, ""
-
-
-def _check_kron_free_trace(rng):
-    family = BasisFamily(kind="fourier", t_min=0.0, t_max=1.0, max_index=6)
-    for p in (2, 3, 4):
-        grid = uniform_grid(p)
-        for n in (5, 10):
-            for trial in range(17):
-                x = rng.standard_normal((n, p))
-                samples = SampleSet(grid=grid, data=x)
-                s = empirical_cov(samples)
-                model = make_model(family, range(int(rng.integers(1, p + 1))), grid)
-                _, (fast,) = fit_all(samples, s, [model])
-                phi = fourth_moment_cov_dense(samples)
-                dense = float(
-                    np.sum(linalg.kron(model.projector, model.projector) * phi)
-                )
-                if abs(fast - dense) > 1e-8 * max(1.0, abs(dense)):
-                    return False, f"kron-free {fast} vs dense {dense}"
-    return True, ""
-
-
-def _check_gaussian_closed_form(rng, sign=1.0):
-    for trial in range(100):
-        p = int(rng.integers(2, 5))
-        a = rng.standard_normal((p, p))
-        sigma = a @ a.T
-        proj = _random_projector(rng, p)
-        closed = float(
-            np.trace(proj @ sigma) ** 2
-            + sign * linalg.frob_norm_sq(proj @ sigma @ proj)
-        )
-        phi = oracle.gaussian_fourth_moment_dense(sigma)
-        dense = float(np.sum(linalg.kron(proj, proj) * phi))
-        if abs(closed - dense) > 1e-10 * max(1.0, abs(dense)):
-            return False, f"closed form {closed} vs dense {dense}"
-    return True, ""
-
-
-def _check_loss_expansion(rng):
-    family = BasisFamily(kind="fourier", t_min=0.0, t_max=1.0, max_index=4)
-    for trial in range(30):
-        p = int(rng.integers(2, 5))
-        n = int(rng.integers(3, 9))
-        grid = uniform_grid(p)
-        samples = SampleSet(grid=grid, data=rng.standard_normal((n, p)))
-        s = empirical_cov(samples)
-        model = make_model(family, range(int(rng.integers(1, p + 1))), grid)
-        (loss,), _ = fit_all(samples, s, [model])
-        shat = project(s, model)
-        direct = np.mean([linalg.frob_norm_sq(np.outer(x, x) - shat) for x in samples.data])
-        if abs(loss - direct) > 1e-9 * max(1.0, abs(direct)):
-            return False, f"expanded loss {loss} vs direct {direct}"
-    return True, ""
-
-
 def cmd_validate(args):
-    rng = np.random.default_rng(20240901)
-    sign = -1.0 if args.inject_fault == "gaussian-closed-form-sign" else 1.0
-    checks = [
-        ("vec-kron identity", lambda: _check_vec_kron(rng)),
-        ("kron trace factorisation", lambda: _check_kron_trace(rng)),
-        ("commutation defining property", lambda: _check_commutation(rng)),
-        ("projector symmetry and idempotence", lambda: _check_projectors(rng)),
-        ("projected trace range for PSD matrices", lambda: _check_trace_range(rng)),
-        ("kron-free fourth-moment trace vs dense", lambda: _check_kron_free_trace(rng)),
-        ("gaussian fourth-moment closed form vs dense",
-         lambda: _check_gaussian_closed_form(rng, sign=sign)),
-        ("expanded loss vs direct residual sum", lambda: _check_loss_expansion(rng)),
-    ]
+    # imported here: select and simulate never load the brute-force references
+    from . import _reference
+
     all_ok = True
-    for name, runner in checks:
-        ok, detail = runner()
+    for i, (name, check) in enumerate(_reference.CHECKS):
+        if (args.inject_fault == "gaussian-closed-form-sign"
+                and check is _reference.check_gaussian_closed_form):
+            check = functools.partial(check, sign=-1.0)
+        ok, detail = check((VALIDATE_SEED, i))
         all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail and not ok else ""
-        print(f"{status} {name}{suffix}")
+        print(f"PASS {name}" if ok else f"FAIL {name} ({detail})")
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 

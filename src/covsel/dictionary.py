@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -163,26 +164,26 @@ def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=1
     0..max_index of size <= k. Raises ValueError for an unknown scheme, a
     depth or size cap `family` cannot meet, or more than `max_models` sets.
     """
+    pool = family.max_index + 1
     if scheme == "nested":
         if d_max is None:
-            d_max = family.max_index + 1
-        if d_max < 1 or d_max > family.max_index + 1:
-            raise ValueError(f"nested scheme needs 1 <= d_max <= {family.max_index + 1}")
-        index_sets = [tuple(range(d)) for d in range(1, d_max + 1)]
+            d_max = pool
+        if d_max < 1 or d_max > pool:
+            raise ValueError(f"nested scheme needs 1 <= d_max <= {pool}")
+        count = d_max
     elif scheme == "all_subsets":
         if k < 1:
             raise ValueError("all_subsets scheme needs k >= 1")
-        pool = range(family.max_index + 1)
-        index_sets = [
-            combo
-            for size in range(1, k + 1)
-            for combo in itertools.combinations(pool, size)
-        ]
+        sizes = range(1, min(k, pool) + 1)
+        count = sum(math.comb(pool, size) for size in sizes)
     else:
         raise ValueError(f"unknown collection scheme {scheme!r}")
-    if len(index_sets) > max_models:
-        raise ValueError(f"collection would contain {len(index_sets)} models (cap {max_models})")
-    return index_sets
+    # counted before any set is built, so an oversized request costs nothing
+    if count > max_models:
+        raise ValueError(f"collection would contain {count} models (cap {max_models})")
+    if scheme == "nested":
+        return [tuple(range(d)) for d in range(1, d_max + 1)]
+    return [c for size in sizes for c in itertools.combinations(range(pool), size)]
 
 
 def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_SIZE_GUARD, frob_norm_sq, require_finite
+from .linalg import frob_norm_sq, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +82,7 @@ def fit_all(samples, s, collection):
       norm of row i of W, without forming any p^2 x p^2 matrix
 
     Cost O(n p r + p^2 r) per model of rank r; the direct residual sum and
-    the dense route in :func:`fourth_moment_cov_dense` exist only as test
-    oracles.
+    the dense route are checked in `covsel._reference`.
     """
     row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
     const = float(np.mean(row_sq ** 2))
@@ -98,18 +97,3 @@ def fit_all(samples, s, collection):
         loss[j] = const - fit_sq
         trace[j] = float(np.mean(proj_sq ** 2)) - fit_sq
     return loss, trace
-
-
-def fourth_moment_cov_dense(samples, size_guard=DEFAULT_SIZE_GUARD):
-    """Dense p^2 x p^2 empirical covariance of vec(x x^T). Test/diagnostic only.
-
-    Returns (1/n) sum_i y_i y_i^T - m m^T with y_i = vec(x_i x_i^T) and m the
-    mean of the y_i; symmetric and non-negative definite.
-    """
-    p = samples.p
-    if p ** 4 > size_guard:
-        raise ValueError(f"dense fourth-moment covariance needs {p ** 4} entries (guard {size_guard})")
-    y = np.stack([np.outer(x, x).ravel(order="F") for x in samples.data])
-    mean = y.mean(axis=0)
-    phi = y.T @ y / samples.n - np.outer(mean, mean)
-    return 0.5 * (phi + phi.T)

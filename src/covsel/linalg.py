@@ -1,10 +1,8 @@
-"""Dense linear-algebra primitives: vec, the squared Frobenius norm,
-orthogonal projectors, PSD factors, and brute-force Kronecker/commutation
-constructions.
+"""Dense linear-algebra primitives: the squared Frobenius norm, orthogonal
+projectors, the one PSD check and PSD factors.
 
-The Kronecker and commutation builders are small-scale test oracles only and
-carry an explicit size guard; production code never materialises p**2 x p**2
-matrices.
+The brute-force Kronecker and commutation constructions live in
+`covsel._reference`; the pipeline never materialises p**2 x p**2 matrices.
 """
 
 from __future__ import annotations
@@ -14,8 +12,9 @@ import numpy as np
 # Singular values below RANK_RTOL * sigma_max count as zero everywhere.
 RANK_RTOL = 1e-10
 
-# Maximum number of entries a dense Kronecker-style construction may allocate.
-DEFAULT_SIZE_GUARD = 1_000_000
+# An eigenvalue down to -PSD_RTOL * max |eigenvalue|, or an asymmetry up to
+# PSD_RTOL * max |entry|, is rounding; both are relative, with no floor.
+PSD_RTOL = 1e-10
 
 
 def require_finite(a, name="array"):
@@ -24,14 +23,6 @@ def require_finite(a, name="array"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def vec(a):
-    """Stack the columns of a p x q matrix into a vector of length p*q."""
-    a = require_finite(a, "matrix")
-    if a.ndim != 2:
-        raise ValueError("vec expects a 2-d array")
-    return a.ravel(order="F")
 
 
 def frob_norm_sq(a):
@@ -75,63 +66,29 @@ def projector_from_design(g, rtol=RANK_RTOL):
     return projector_from_basis(ur), r
 
 
-def check_projector(proj, sym_tol=1e-12, idem_tol=1e-10):
-    """Validate the projector invariants; raises ValueError on failure."""
-    proj = np.asarray(proj, dtype=float)
-    sym_err = np.max(np.abs(proj - proj.T)) if proj.size else 0.0
-    if sym_err > sym_tol:
-        raise ValueError(f"projector not symmetric: max |P - P^T| = {sym_err:.3e}")
-    idem_err = np.max(np.abs(proj @ proj - proj)) if proj.size else 0.0
-    if idem_err > idem_tol:
-        raise ValueError(f"projector not idempotent: max |P^2 - P| = {idem_err:.3e}")
-    return proj
+def psd_eigh(a, name="matrix"):
+    """Eigenvalues and eigenvectors of `a`, which must be a finite square
+    matrix, symmetric up to PSD_RTOL * max |a| and non-negative definite: an
+    eigenvalue below -PSD_RTOL * max |eigenvalue| raises LinAlgError (a
+    ValueError). The decomposition is of the symmetrised (a + a^T) / 2.
+    """
+    a = require_finite(a, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if a.size and np.max(np.abs(a - a.T)) > PSD_RTOL * np.max(np.abs(a)):
+        raise ValueError(f"{name} must be symmetric")
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (a + a.T))
+    if eigvals.size and eigvals.min() < -PSD_RTOL * np.abs(eigvals).max():
+        raise np.linalg.LinAlgError(
+            f"{name} must be non-negative definite (min eigenvalue {eigvals.min():.3e})")
+    return eigvals, eigvecs
 
 
-def psd_factor(sigma, rtol=1e-10):
+def psd_factor(sigma):
     """Symmetric factor L with L L^T = sigma, via the eigendecomposition.
 
-    Eigenvalues in [-rtol * scale, 0) are clipped to zero, so rank-deficient
-    and zero matrices factor cleanly; anything lower raises LinAlgError.
+    Eigenvalues that :func:`psd_eigh` accepts as rounding are clipped to zero,
+    so rank-deficient and zero matrices factor cleanly.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    scale = max(1.0, float(np.abs(eigvals).max())) if eigvals.size else 1.0
-    if eigvals.size and eigvals.min() < -rtol * scale:
-        raise np.linalg.LinAlgError(
-            f"matrix is not non-negative definite (min eigenvalue {eigvals.min():.3e})"
-        )
+    eigvals, eigvecs = psd_eigh(sigma)
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-
-
-def kron(a, b, size_guard=DEFAULT_SIZE_GUARD):
-    """Dense Kronecker product, guarded against oversized outputs.
-
-    Exists for tests and small-p diagnostics; satisfies
-    (a kron b) vec(X) = vec(b X a^T).
-    """
-    a = require_finite(a, "first factor")
-    b = require_finite(b, "second factor")
-    out_entries = a.size * b.size
-    if out_entries > size_guard:
-        raise ValueError(
-            f"kron output would have {out_entries} entries "
-            f"(guard is {size_guard})"
-        )
-    return np.kron(a, b)
-
-
-def commutation_matrix(p, size_guard=DEFAULT_SIZE_GUARD):
-    """Permutation matrix K with K vec(A) = vec(A^T) for all p x p A."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p ** 4 > size_guard:
-        raise ValueError(
-            f"commutation matrix would have {p ** 4} entries "
-            f"(guard is {size_guard})"
-        )
-    k = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            # vec(A)[i + j p] = A[i, j]; vec(A^T)[i + j p] = A[j, i]
-            k[i + j * p, j + i * p] = 1.0
-    return k

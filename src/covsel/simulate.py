@@ -1,6 +1,5 @@
-"""Gaussian process sampling on a grid from named covariance kernels, and the
-Monte Carlo experiment driver tying estimation, selection, and the oracle
-together.
+"""Named covariance kernels on a grid, and the Monte Carlo experiment driver
+tying Gaussian sampling, estimation, selection, and the oracle together.
 
 Replication r of an experiment draws from a generator keyed by the
 experiment seed and r, so reports are identical for any chunking;
@@ -16,8 +15,7 @@ import numpy as np
 from . import _kernels, oracle
 from ._mc import draw_batch, iter_chunks
 from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
-from .estimator import SampleSet
-from .linalg import frob_norm_sq, psd_factor, require_finite
+from .linalg import frob_norm_sq, psd_eigh, psd_factor, require_finite
 from .selection import check_theta, decide, tie_break_key
 
 KERNEL_KINDS = ("brownian", "ornstein_uhlenbeck", "finite_rank")
@@ -66,10 +64,7 @@ class KernelSpec:
             psi = np.eye(k) if self.psi is None else np.asarray(self.psi, dtype=float)
             if psi.shape != (k, k):
                 raise ValueError(f"psi must be {k} x {k}")
-            if np.max(np.abs(psi - psi.T)) > 1e-10 * max(1.0, np.max(np.abs(psi))):
-                raise ValueError("psi must be symmetric")
-            if np.linalg.eigvalsh(psi).min() < -1e-10 * max(1.0, np.max(np.abs(psi))):
-                raise ValueError("psi must be non-negative definite")
+            psd_eigh(psi, "psi")
             object.__setattr__(self, "psi", psi)
             object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
 
@@ -85,30 +80,8 @@ def kernel_to_sigma(kernel, grid):
         design = build_design(kernel.family, kernel.indices, grid)
         sigma = design @ kernel.psi @ design.T
     sigma = 0.5 * (sigma + sigma.T)
-    eigs = np.linalg.eigvalsh(sigma)
-    if eigs.size and eigs.min() < -1e-10 * max(1.0, abs(eigs).max()):
-        raise ValueError(f"kernel produced a non-PSD covariance (min eigenvalue {eigs.min():.3e})")
+    psd_eigh(sigma, "the kernel's covariance on the grid")
     return sigma
-
-
-def sample_paths(sigma, n, seed, grid=None):
-    """Draw n independent centred Gaussian paths with covariance sigma.
-
-    Uses the symmetric eigenfactorisation; if that reports a non-PSD input,
-    one retry happens with diagonal jitter 1e-12 * trace / p, and failure
-    after the jitter raises. Deterministic given the seed.
-    """
-    sigma = require_finite(np.asarray(sigma, dtype=float), "sigma")
-    p = sigma.shape[0]
-    if grid is None:
-        grid = np.arange(p, dtype=float)
-    try:
-        factor = psd_factor(sigma)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(sigma) / p
-        factor = psd_factor(sigma + jitter * np.eye(p))
-    z = np.random.default_rng(seed).standard_normal((n, p))
-    return SampleSet(grid=np.asarray(grid, dtype=float), data=z @ factor.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +112,8 @@ class ExperimentConfig:
         check_theta(self.theta)
         if self.n_grid is not None:
             ns = tuple(int(v) for v in self.n_grid)
+            if not ns:
+                raise ValueError("n_grid must list at least one n")
             if any(v < 2 for v in ns):
                 raise ValueError("every n in n_grid must be >= 2")
             object.__setattr__(self, "n_grid", ns)
@@ -218,7 +193,7 @@ def run_experiment(cfg):
     models labelled "i;j". Identical configs give identical results.
     """
     sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
-    truth = oracle.TruthSpec(sigma=sigma, gaussian=True)
+    truth = oracle.TruthSpec(sigma=sigma)
     collection = build_collection(
         cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max, k=cfg.k
     )

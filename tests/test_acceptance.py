@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with `pytest -s` to see them as they happen).
 
-Every tolerance is pinned here; Monte Carlo criteria run on fixed seeds so
-the suite is deterministic.
+Every tolerance is pinned here or, for criteria 1, 2 and 7, in the
+`covsel._reference` checks they share with `covsel validate`; Monte Carlo
+criteria run on fixed seeds so the suite is deterministic.
 """
 
 import json
@@ -12,20 +13,25 @@ import numpy as np
 import pytest
 
 from covsel import _kernels
-from covsel._mc import draw_batch, iter_chunks
+from covsel._mc import draw_batch, iter_chunks, rep_rng
+from covsel._reference import (
+    check_gaussian_closed_form,
+    check_kron_free_trace,
+    check_projector,
+    check_projectors,
+    check_quadratic_form_tail,
+    check_trace_range,
+    true_variance_factor,
+)
 from covsel.cli import main
 from covsel.dictionary import BasisFamily, build_collection, make_model
-from covsel.estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
-from covsel.linalg import frob_norm_sq, kron, projector_from_design
+from covsel.estimator import SampleSet, empirical_cov, project
 from covsel.oracle import (
     TruthSpec,
     bias_sq,
-    check_quadratic_form_tail,
     check_underestimation_prob,
     check_variance_factor_mean,
-    gaussian_fourth_moment_dense,
     risk_table,
-    true_variance_factor,
 )
 from covsel.simulate import (
     ExperimentConfig,
@@ -49,48 +55,28 @@ def report_line(name, ok, started, budget, detail=""):
 
 
 def test_criterion_1_kron_free_trace_equals_dense():
+    # the check `covsel validate` runs, on 100 cases per (p, n): case c of
+    # (p, n) draws from rep_rng((1, p, n), c)
     started = time.time()
-    worst = 0.0
-    for p in (2, 3, 4):
-        grid = uniform_grid(p)
-        for n in (5, 10):
-            for seed in range(100):
-                gen = np.random.default_rng((1, p, n, seed))
-                samples = SampleSet(grid=grid, data=gen.standard_normal((n, p)))
-                s = empirical_cov(samples)
-                model = make_model(FOURIER, range(int(gen.integers(1, p + 1))), grid)
-                _, (fast,) = fit_all(samples, s, [model])
-                phi = fourth_moment_cov_dense(samples)
-                dense = float(np.sum(kron(model.projector, model.projector) * phi))
-                worst = max(worst, abs(fast - dense) / max(1.0, abs(dense)))
+    ok, detail = check_kron_free_trace((1,), cases=100)
     report_line(
         "criterion 1: kron-free fourth-moment trace vs dense oracle",
-        worst < 1e-8,
+        ok,
         started,
         budget=10.0,
-        detail=f"worst rel err {worst:.2e}",
+        detail=detail,
     )
 
 
 def test_criterion_2_gaussian_closed_form():
     started = time.time()
-    worst = 0.0
-    gen = np.random.default_rng(2)
-    for trial in range(100):
-        p = int(gen.integers(2, 5))
-        a = gen.standard_normal((p, p))
-        sigma = a @ a.T
-        proj, _ = projector_from_design(gen.standard_normal((p, int(gen.integers(1, p + 1)))))
-        closed = float(np.trace(proj @ sigma) ** 2 + frob_norm_sq(proj @ sigma @ proj))
-        phi = gaussian_fourth_moment_dense(sigma)
-        dense = float(np.sum(kron(proj, proj) * phi))
-        worst = max(worst, abs(closed - dense) / max(1.0, abs(dense)))
+    ok, detail = check_gaussian_closed_form((2,), cases=100)
     report_line(
         "criterion 2: gaussian fourth-moment closed form vs dense oracle",
-        worst < 1e-10,
+        ok,
         started,
         budget=10.0,
-        detail=f"worst rel err {worst:.2e}",
+        detail=detail,
     )
 
 
@@ -214,21 +200,20 @@ def test_criterion_6_selection_tracks_oracle_risk():
 
 def test_criterion_7_structural_invariants():
     started = time.time()
-    gen = np.random.default_rng(71)
     ok = True
     detail = ""
 
     for p in (2, 3, 5):
         grid = uniform_grid(p)
-        samples = SampleSet(grid=grid, data=gen.standard_normal((8, p)))
+        samples = SampleSet(grid=grid, data=rep_rng((71,), p).standard_normal((8, p)))
         s = empirical_cov(samples)
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=min(p, 4))
         for model in coll:
             proj = model.projector
-            if np.max(np.abs(proj - proj.T)) > 1e-10:
-                ok, detail = False, "projector symmetry"
-            if np.max(np.abs(proj @ proj - proj)) > 1e-10:
-                ok, detail = False, "projector idempotence"
+            try:
+                check_projector(proj)
+            except ValueError as exc:
+                ok, detail = False, str(exc)
             shat = project(s, model)
             if np.max(np.abs(shat - proj @ shat @ proj)) > 1e-10:
                 ok, detail = False, "sigma_hat not in model space"
@@ -239,17 +224,11 @@ def test_criterion_7_structural_invariants():
         if np.max(np.abs(project(s, full) - s)) > 1e-12:
             ok, detail = False, "full-rank fit differs from S"
 
-    # projected-trace bounds for PSD matrices, dense construction
-    for p in (2, 3, 4):
-        for _ in range(20):
-            proj, _ = projector_from_design(
-                gen.standard_normal((p, int(gen.integers(1, p + 1))))
-            )
-            a = gen.standard_normal((p * p, p * p))
-            psi = a @ a.T
-            val = float(np.sum(kron(proj, proj) * psi))
-            if not (-1e-10 * np.trace(psi) <= val <= np.trace(psi) * (1 + 1e-10)):
-                ok, detail = False, "projected trace outside [0, Tr]"
+    # the projector and projected-trace checks `covsel validate` runs
+    for i, check in enumerate((check_projectors, check_trace_range)):
+        check_ok, check_detail = check((71, i), cases=60)
+        if not check_ok:
+            ok, detail = False, check_detail
 
     report_line(
         "criterion 7: structural invariants (projectors, fits, trace bounds)",

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsel import cli
 from covsel.cli import (
@@ -271,17 +276,51 @@ class TestCsvRoundTrip:
             ("0.25,0.75\n1,nan\n0,1\n", "data contains non-finite entries"),
             ("0.25,0.75\n1,0\n-inf,1\n", "data contains non-finite entries"),
             ("0.25,inf\n1,0\n0,1\n", "grid contains non-finite entries"),
+            # (file, bytes): that file holds the bytes, or is a directory for None
+            (("input", b"0.25,0.75\n3.0,\xff4.0\n0,1\n"), "cannot read input file"),
+            (("input", None), "cannot read input file"),
+            (("config", b"[selection]\ntheta = \xff\n"), "cannot read config file"),
+            (("config", None), "cannot read config file"),
         ],
     )
     def test_malformed_file_exits_2_with_one_line(self, tmp_path, capsys, body, message):
-        data = write_toy(tmp_path, body=body)
-        code = main(["select", "--config", str(select_config(tmp_path)), "--input", str(data),
+        files = {"input": write_toy(tmp_path), "config": select_config(tmp_path)}
+        target, content = body if isinstance(body, tuple) else ("input", body.encode())
+        files[target].unlink()
+        if content is None:
+            files[target].mkdir()
+        else:
+            files[target].write_bytes(content)
+        code = main(["select", "--config", str(files["config"]), "--input", str(files["input"]),
                      "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+
+VALID_CSV = b"0.1,0.5,0.9\n1.5,-2,0.25\n0,1,3e-1\n-1,2.5,4\n"
+
+
+@given(st.lists(st.tuples(st.integers(0, len(VALID_CSV)), st.integers(0, 3),
+                          st.binary(max_size=3)), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_byte_mutated_csv_exits_0_or_2(edits):
+    # each edit deletes up to 3 bytes at a position and inserts up to 3
+    body = VALID_CSV
+    for pos, drop, insert in edits:
+        body = body[:pos] + insert + body[pos + drop:]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_bytes(body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["select", "--config", str(select_config(tmp)),
+                         "--input", str(tmp / "data.csv"), "--out", str(tmp / "out")])
+    assert code in (0, 2), body
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def simulate_config(tmp_path, reps=5, diagnostics="false"):
@@ -418,7 +457,9 @@ class TestSimulateCommand:
             ("simulate", "[kernel]\nkind = finite_rank\nindices = 0\npsi_diag = 0\n",
              "covariance is zero on the grid"),
             # min(s, t) on a grid with negative points is not a covariance
-            ("simulate", "t_min = -1\n[kernel]\nkind = brownian\n", "non-PSD covariance"),
+            ("simulate", "t_min = -1\n[kernel]\nkind = brownian\n",
+             "the kernel's covariance on the grid must be non-negative definite"),
+            ("simulate", "[experiment]\nn_grid =\n", "n_grid must list at least one n"),
             ("select", "[selection]\ntheta = inf\n", "theta must be strictly positive"),
             ("select", "[collection]\nd_max = 99\n", "nested scheme needs 1 <= d_max <= 5"),
             # the toy grid is 0.25,0.75; these lines extend the [basis] section

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ class TestBuildCollection:
         # C(4,1) + C(4,2) = 10 candidates, all full rank on this grid
         assert len(coll) == 10
         assert all(len(m.indices) <= 2 for m in coll)
+
+    def test_cap_checked_before_any_set_is_built(self):
+        # 41 basis functions, subsets of size <= 4: 112,791 sets against the
+        # cap of 10,000, counted without building one
+        fam = BasisFamily("fourier", 0.0, 1.0, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="112791 models"):
+                dictionary.collection_index_sets(fam, "all_subsets", k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_index_sets_distinct(self):
         fam = BasisFamily("fourier", 0.0, 1.0, 5)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from covsel._reference import fourth_moment_cov_dense, kron
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
-from covsel.estimator import SampleSet, empirical_cov, fit_all, fourth_moment_cov_dense, project
-from covsel.linalg import frob_norm_sq, kron, projector_from_design
+from covsel.estimator import SampleSet, empirical_cov, fit_all, project
+from covsel.linalg import frob_norm_sq, projector_from_design
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(303)

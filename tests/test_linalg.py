@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import pinv
 
-from covsel import linalg
+from covsel import _reference, linalg
+from covsel.dictionary import BasisFamily
+from covsel.oracle import TruthSpec
+from covsel.simulate import KernelSpec, kernel_to_sigma
 
 rng = np.random.default_rng(101)
 
@@ -17,14 +20,14 @@ def random_projector(gen, p, k=None):
 
 class TestVec:
     def test_column_stacking(self):
-        out = linalg.vec(np.array([[1.0, 3.0], [2.0, 4.0]]))
+        out = _reference.vec(np.array([[1.0, 3.0], [2.0, 4.0]]))
         np.testing.assert_array_equal(out, [1.0, 2.0, 3.0, 4.0])
 
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(linalg.vec(np.zeros((3, 2))), np.zeros(6))
+        np.testing.assert_array_equal(_reference.vec(np.zeros((3, 2))), np.zeros(6))
 
     def test_scalar_case(self):
-        np.testing.assert_array_equal(linalg.vec(np.array([[7.5]])), [7.5])
+        np.testing.assert_array_equal(_reference.vec(np.array([[7.5]])), [7.5])
 
 
 class TestFrobInner:
@@ -39,7 +42,7 @@ class TestFrobInner:
     def test_matches_vec_dot(self):
         for _ in range(20):
             a = rng.standard_normal((3, 3))
-            expected = float(linalg.vec(a) @ linalg.vec(a))
+            expected = float(_reference.vec(a) @ _reference.vec(a))
             assert linalg.frob_norm_sq(a) == pytest.approx(expected, rel=1e-12)
 
 
@@ -81,7 +84,7 @@ class TestProjector:
     def test_invariants_hold(self, p, k, seed):
         g = np.random.default_rng(seed).standard_normal((p, k))
         proj, rank = linalg.projector_from_design(g)
-        linalg.check_projector(proj)  # symmetry 1e-12, idempotence 1e-10
+        _reference.check_projector(proj)  # symmetry 1e-12, idempotence 1e-10
         assert 0 <= rank <= min(p, k)
 
     def test_is_projector_of_basis(self):
@@ -102,56 +105,56 @@ class TestProjector:
 
     def test_check_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
-            linalg.check_projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
+            _reference.check_projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
 
 
 class TestKron:
     def test_identity(self):
-        np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(_reference.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_vec_identity(self):
         for _ in range(20):
             a, b, x = (rng.standard_normal((2, 2)) for _ in range(3))
-            lhs = linalg.kron(a, b) @ linalg.vec(x)
-            rhs = linalg.vec(b @ x @ a.T)
+            lhs = _reference.kron(a, b) @ _reference.vec(x)
+            rhs = _reference.vec(b @ x @ a.T)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_trace_identity(self):
         for _ in range(20):
             a = rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3))
-            lhs = np.trace(linalg.kron(a, b))
+            lhs = np.trace(_reference.kron(a, b))
             assert lhs == pytest.approx(np.trace(a) * np.trace(b), rel=1e-12, abs=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            linalg.kron(np.eye(1001), np.eye(1001))
+            _reference.kron(np.eye(1001), np.eye(1001))
 
 
 class TestCommutation:
     def test_p1(self):
-        np.testing.assert_array_equal(linalg.commutation_matrix(1), [[1.0]])
+        np.testing.assert_array_equal(_reference.commutation_matrix(1), [[1.0]])
 
     def test_defining_property(self):
-        k = linalg.commutation_matrix(3)
+        k = _reference.commutation_matrix(3)
         for _ in range(20):
             a = rng.standard_normal((3, 3))
-            np.testing.assert_array_equal(k @ linalg.vec(a), linalg.vec(a.T))
+            np.testing.assert_array_equal(k @ _reference.vec(a), _reference.vec(a.T))
 
     def test_involution(self):
         for p in (1, 2, 3, 4):
-            k = linalg.commutation_matrix(p)
+            k = _reference.commutation_matrix(p)
             np.testing.assert_array_equal(k @ k, np.eye(p * p))
 
     def test_permutation_structure(self):
-        k = linalg.commutation_matrix(4)
+        k = _reference.commutation_matrix(4)
         assert np.all((k == 0) | (k == 1))
         np.testing.assert_array_equal(k.sum(axis=0), np.ones(16))
         np.testing.assert_array_equal(k.sum(axis=1), np.ones(16))
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            linalg.commutation_matrix(40)
+            _reference.commutation_matrix(40)
 
 
 class TestProjectedTraceRange:
@@ -162,6 +165,41 @@ class TestProjectedTraceRange:
                 proj = random_projector(rng, p)
                 a = rng.standard_normal((p * p, p * p))
                 psi = a @ a.T
-                val = float(np.sum(linalg.kron(proj, proj) * psi))
+                val = float(np.sum(_reference.kron(proj, proj) * psi))
                 assert val >= -1e-9
                 assert val <= np.trace(psi) + 1e-9
+
+
+class TestPsdCheck:
+    """One relative PSD and symmetry check, with no floor, behind psd_factor,
+    TruthSpec, KernelSpec and kernel_to_sigma."""
+
+    FAMILY = BasisFamily("fourier", 0.0, 1.0, 1)
+    CALLERS = {
+        "psd_factor": linalg.psd_factor,
+        "TruthSpec": lambda a: TruthSpec(sigma=a),
+        "KernelSpec": lambda a: KernelSpec("finite_rank", family=TestPsdCheck.FAMILY,
+                                           indices=(0, 1), psi=a),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40], ids=["2^-40", "1", "2^40"])
+    def test_verdict_does_not_depend_on_scale(self, caller, scale):
+        build = self.CALLERS[caller]
+        with pytest.raises(ValueError, match="non-negative definite"):
+            build(scale * np.diag([1.0, -1e-3]))
+        build(scale * np.diag([1.0, -1e-12]))  # rounding of a PSD matrix
+
+    def test_asymmetry_relative_to_the_entries(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            TruthSpec(sigma=2.0 ** -40 * np.array([[1.0, 1e-3], [0.0, 1.0]]))
+
+    def test_kernel_covariance_checked_relative(self):
+        # min(s, t) on a tiny grid reaching below 0: indefinite at any scale
+        grid = 2.0 ** -40 * np.array([-1e-3, 1.0])
+        with pytest.raises(ValueError, match="kernel's covariance on the grid must be"):
+            kernel_to_sigma(KernelSpec("brownian"), grid)
+
+    def test_psd_factor_clips_rounding(self):
+        factor = linalg.psd_factor(2.0 ** -40 * np.diag([1.0, -1e-12]))
+        np.testing.assert_array_equal(factor @ factor.T, 2.0 ** -40 * np.diag([1.0, 0.0]))

@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 
 from covsel._mc import wilson_interval
+from covsel._reference import (
+    check_quadratic_form_tail,
+    gaussian_fourth_moment_dense,
+    kron,
+    true_variance_factor,
+)
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
-from covsel.linalg import frob_norm_sq, kron
+from covsel.linalg import frob_norm_sq
 from covsel.oracle import (
     TruthSpec,
-    check_quadratic_form_tail,
     check_underestimation_prob,
     check_variance_factor_mean,
-    gaussian_fourth_moment_dense,
     oracle_model,
     true_fourth_moment_trace,
     true_risk,
-    true_variance_factor,
 )
 from covsel.selection import select
 from covsel.simulate import KernelSpec, kernel_to_sigma, uniform_grid
@@ -41,11 +44,6 @@ class TestTruthSpec:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="non-negative definite"):
             TruthSpec(sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_mean_vec_is_column_stacked_sigma(self):
-        sigma = random_psd(rng, 3)
-        truth = TruthSpec(sigma=sigma)
-        np.testing.assert_array_equal(truth.mean_vec, truth.sigma.ravel(order="F"))
 
 
 class TestTrueFourthMomentTrace:
@@ -78,19 +76,6 @@ class TestTrueFourthMomentTrace:
                 dense = float(np.sum(kron(model.projector, model.projector) * phi))
                 assert closed == pytest.approx(dense, rel=1e-10, abs=1e-10)
 
-    def test_phi_dense_route(self):
-        sigma = random_psd(rng, 2)
-        phi = gaussian_fourth_moment_dense(sigma)
-        truth = TruthSpec(sigma=sigma, gaussian=False, phi_dense=phi)
-        model = full_rank_model(2)
-        via_dense = true_fourth_moment_trace(truth, model)
-        via_closed = true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
-        assert via_dense == pytest.approx(via_closed, rel=1e-10)
-
-    def test_requires_some_fourth_moment_structure(self):
-        truth = TruthSpec(sigma=np.eye(2), gaussian=False)
-        with pytest.raises(ValueError, match="neither"):
-            true_fourth_moment_trace(truth, full_rank_model(2))
 
 
 class TestTrueRisk:
@@ -303,12 +288,6 @@ class TestQuadraticFormTail:
         exceed = [row["exceedance"] for row in rows]
         assert all(0.0 <= e <= 1.0 for e in exceed)
         assert all(b <= a for a, b in zip(exceed, exceed[1:]))
-
-    def test_rejects_non_gaussian(self):
-        sigma = np.eye(2)
-        truth = TruthSpec(sigma=sigma, gaussian=False, phi_dense=gaussian_fourth_moment_dense(sigma))
-        with pytest.raises(ValueError, match="Gaussian"):
-            check_quadratic_form_tail(truth, full_rank_model(2), n=10, x_grid=[1.0], reps=2000)
 
     def test_rejects_tiny_rep_counts(self):
         truth = TruthSpec(sigma=np.eye(2))

@@ -12,7 +12,6 @@ from covsel.simulate import (
     kernel_to_sigma,
     psd_factor,
     run_experiment,
-    sample_paths,
     uniform_grid,
 )
 
@@ -59,23 +58,24 @@ class TestKernelToSigma:
             KernelSpec("matern")
 
 
-class TestSamplePaths:
-    def test_zero_sigma_gives_zero_paths(self):
-        samples = sample_paths(np.zeros((3, 3)), n=4, seed=0, grid=uniform_grid(3))
-        np.testing.assert_array_equal(samples.data, np.zeros((4, 3)))
+class TestDrawBatch:
+    """`_mc.draw_batch` is the one sampler: replication r of a key draws
+    Z_r factor^T from rep_rng(key, r)."""
 
-    def test_same_seed_bit_identical(self):
-        sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck"), uniform_grid(4))
-        a = sample_paths(sigma, n=6, seed=42, grid=uniform_grid(4))
-        b = sample_paths(sigma, n=6, seed=42, grid=uniform_grid(4))
-        assert np.array_equal(a.data, b.data)
-        c = sample_paths(sigma, n=6, seed=43, grid=uniform_grid(4))
-        assert not np.array_equal(a.data, c.data)
+    def test_zero_sigma_gives_zero_paths(self):
+        x = draw_batch(psd_factor(np.zeros((3, 3))), 4, 0, 0, 2)
+        np.testing.assert_array_equal(x, np.zeros((2, 4, 3)))
+
+    def test_same_key_bit_identical(self):
+        factor = psd_factor(kernel_to_sigma(KernelSpec("ornstein_uhlenbeck"), uniform_grid(4)))
+        a = draw_batch(factor, 6, (42, 0), 0, 3)
+        assert np.array_equal(a, draw_batch(factor, 6, (42, 0), 0, 3))
+        assert not np.array_equal(a, draw_batch(factor, 6, (43, 0), 0, 3))
 
     def test_sample_covariance_matches_sigma(self):
         n = 100_000
-        samples = sample_paths(np.eye(2), n=n, seed=7, grid=uniform_grid(2))
-        s = samples.data.T @ samples.data / n
+        (x,) = draw_batch(psd_factor(np.eye(2)), n, 7, 0, 1)
+        s = x.T @ x / n
         # entrywise 3 SE bands: var of s_jj is 2/n, of s_12 is 1/n
         assert abs(s[0, 0] - 1.0) < 3 * np.sqrt(2 / n)
         assert abs(s[1, 1] - 1.0) < 3 * np.sqrt(2 / n)
@@ -84,14 +84,12 @@ class TestSamplePaths:
     def test_rank_deficient_sigma_sampled_exactly(self):
         grid = uniform_grid(8)
         kernel = KernelSpec("finite_rank", family=FOURIER, indices=(0, 1))
-        sigma = kernel_to_sigma(kernel, grid)
-        samples = sample_paths(sigma, n=5, seed=1, grid=grid)
-        assert np.all(np.isfinite(samples.data))
+        x = draw_batch(psd_factor(kernel_to_sigma(kernel, grid)), 5, 1, 0, 2)
+        assert np.all(np.isfinite(x))
 
     def test_duplicate_grid_points_rejected(self):
-        sigma = np.eye(2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            sample_paths(sigma, n=3, seed=0, grid=np.array([0.0, 0.0]))
+            SampleSet(grid=np.array([0.0, 0.0]), data=np.zeros((3, 2)))
 
     def test_psd_factor_rejects_indefinite(self):
         with pytest.raises(np.linalg.LinAlgError):
