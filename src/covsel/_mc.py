@@ -30,7 +30,7 @@ def draw_batch(factor, n, seed, start, stop):
     return out
 
 
-def iter_chunks(reps, n, p, target_floats=4_000_000):
+def iter_chunks(reps, n, p, target_floats=1_000_000):
     """Yield (start, stop) ranges keeping each batch near target_floats numbers."""
     chunk = max(1, int(target_floats // max(1, n * p)))
     start = 0

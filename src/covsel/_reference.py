@@ -17,10 +17,10 @@ import numpy as np
 
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, rep_rng
-from .dictionary import BasisFamily, make_model
+from .dictionary import BasisFamily, ModelSpec, make_model
 from .estimator import SampleSet, empirical_cov, fit_all, project
-from .linalg import frob_norm_sq, projector_from_design, psd_factor, require_finite
-from .oracle import true_fourth_moment_trace
+from .linalg import basis_from_design, frob_norm_sq, projector_from_design, psd_factor, require_finite
+from .oracle import TruthSpec, true_fourth_moment_trace
 from .simulate import uniform_grid
 
 # Maximum number of entries a dense Kronecker-style construction may allocate.
@@ -240,16 +240,17 @@ def check_kron_free_trace(key, cases=17):
 
 
 def check_gaussian_closed_form(key, cases=100, sign=1.0):
-    """(Tr P sigma)^2 + ||P sigma P||^2 against the dense Gaussian
-    Tr((P kron P) F); `sign` -1 corrupts the closed form."""
+    """oracle.true_fourth_moment_trace on a model basis against the dense
+    Gaussian Tr((P kron P) F); `sign` -1 flips the closed form's sign."""
     def error(gen):
         p = int(gen.integers(2, 5))
         a = gen.standard_normal((p, p))
         sigma = a @ a.T
-        proj = random_projector(gen, p)
-        closed = np.trace(proj @ sigma) ** 2 + sign * frob_norm_sq(proj @ sigma @ proj)
+        basis, rank = basis_from_design(gen.standard_normal((p, gen.integers(1, p + 1))))
+        model = ModelSpec((), basis, rank, float(rank * rank), uniform_grid(p))
+        closed = sign * true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
         phi = gaussian_fourth_moment_dense(sigma)
-        return _rel_err(closed, np.sum(kron(proj, proj) * phi))
+        return _rel_err(closed, np.sum(kron(model.projector, model.projector) * phi))
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-10)
 
 

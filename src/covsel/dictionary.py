@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .linalg import RANK_RTOL, basis_from_design, projector_from_basis, require_finite
+from .linalg import basis_from_design, numerical_rank, projector_from_basis, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
 
@@ -103,8 +103,9 @@ class ModelSpec:
     its rank and dimension.
 
     `basis` is p x rank: the design's left singular vectors above the rank
-    cutoff. `projector` is basis basis^T, symmetrised; it is built on first
-    access and cached on the instance, so a model whose projector is never
+    cutoff, or in a nested collection leading columns of one shared table.
+    `projector` is basis basis^T, symmetrised; it is built on first access
+    and cached on the instance, so a model whose projector is never
     read never holds a p x p array. `dim` is the squared design rank: the
     dimension of the space of matrices G Psi G^T with Psi symmetric.
     """
@@ -123,23 +124,18 @@ class ModelSpec:
         return f"ModelSpec(indices={self.indices}, rank={self.rank}, dim={self.dim:g})"
 
 
-def _model_from_design(indices, design, grid, rtol):
-    basis, rank = basis_from_design(design, rtol=rtol)
+def _model_from_basis(indices, basis, grid):
+    rank = basis.shape[1]
     if rank == 0:
         return None
-    return ModelSpec(
-        indices=tuple(int(i) for i in indices),
-        basis=basis,
-        rank=rank,
-        dim=float(rank * rank),
-        grid=grid,
-    )
+    return ModelSpec(tuple(int(i) for i in indices), basis, rank, float(rank * rank), grid)
 
 
-def make_model(family, indices, grid, rtol=RANK_RTOL):
+def make_model(family, indices, grid):
     """Build a ModelSpec; returns None when the design has numerical rank 0."""
     grid = np.asarray(grid, dtype=float)
-    return _model_from_design(indices, build_design(family, indices, grid), grid, rtol)
+    basis, _ = basis_from_design(build_design(family, indices, grid))
+    return _model_from_basis(indices, basis, grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +182,28 @@ def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=1
     return [c for size in sizes for c in itertools.combinations(range(pool), size)]
 
 
+def _nested_bases(table):
+    """Bases of table[:, :d], d = 1, 2, ..., as leading-column views of one Q,
+    up to the first block whose rank decision (on R's r[:d, :d], table = Q R)
+    is not clear or steps by neither 0 nor 1; a column that leaves the rank
+    unchanged is an exact dependency and stays out of Q."""
+    q, r = np.linalg.qr(table)
+    k = table.shape[1]
+    # dropping columns never lowers sigma_min / sigma_max, so a clear
+    # full-rank table has clear full-rank leading blocks
+    whole = numerical_rank(np.linalg.svd(r, compute_uv=False))
+    ranks = list(range(1, k + 1)) if whole == (k, True) else []
+    for d in range(len(ranks) + 1, k + 1):
+        rank, clear = numerical_rank(np.linalg.svd(r[:d, :d], compute_uv=False))
+        if not clear or rank - (ranks[-1] if ranks else 0) not in (0, 1):
+            break
+        ranks.append(rank)
+    kept = np.flatnonzero(np.diff(ranks, prepend=0))
+    if 0 < kept.size < k:
+        q = np.linalg.qr(table[:, kept])[0]
+    return [q[:, :rank] for rank in ranks]
+
+
 def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):
     """Build a finite model collection over `family` on `grid`, with the
     index sets of :func:`collection_index_sets` (keep k small for
@@ -200,15 +218,14 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     check_in_domain(family, grid)
     index_sets = collection_index_sets(family, scheme, d_max, k, max_models)
 
-    # each basis function the collection uses is evaluated once; a model's
-    # design is a column selection from this table, equal to build_design's
-    used = sorted(set(itertools.chain.from_iterable(index_sets)))
-    table = build_design(family, used, grid)
-    column = {index: j for j, index in enumerate(used)}
+    # each basis function is evaluated once: both schemes use every index up
+    # to their largest, so a model's design is the table's columns `indices`
+    table = build_design(family, range(max(map(max, index_sets)) + 1), grid)
+    bases = _nested_bases(table) if scheme == "nested" else []
     models = []
-    for indices in index_sets:
-        design = table[:, [column[i] for i in indices]]
-        model = _model_from_design(indices, design, grid, RANK_RTOL)
+    for d, indices in enumerate(index_sets):
+        basis = bases[d] if d < len(bases) else basis_from_design(table[:, indices])[0]
+        model = _model_from_basis(indices, basis, grid)
         if model is None:
             warnings.warn(f"dropping model {indices}: design has numerical rank 0")
             continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob_norm_sq, require_finite
+from .linalg import require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,11 +55,6 @@ def empirical_cov(samples):
     return 0.5 * (s + s.T)
 
 
-def _check_grid(samples, model):
-    if samples.grid.shape != model.grid.shape or not np.array_equal(samples.grid, model.grid):
-        raise ValueError("model grid does not match sample grid")
-
-
 def project(s, model):
     """The estimate of one model: P S P, symmetrised."""
     proj = model.projector
@@ -67,33 +62,39 @@ def project(s, model):
     return 0.5 * (shat + shat.T)
 
 
-def fit_all(samples, s, collection):
-    """Empirical loss and fourth-moment trace of every model, as two arrays
-    in collection order.
+def fit_all(samples, s, models):
+    """Empirical loss and fourth-moment trace of each of `models` (in any
+    order), as two arrays. Models whose bases are leading columns of one
+    orthonormal table Q (a nested collection) share one W = X Q; a model
+    with a basis of its own has its own. No projector is formed. For the
+    model of Q's first d columns, with projector P and C = Q^T S Q:
 
-    Each model is fitted in the coordinates W = X U of its orthonormal basis
-    U (p x r), so no projector is formed:
+    * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2 = (1/n) sum_i ||x_i||^4 -
+      ||C[:d, :d]||^2, as P is an orthogonal projector
+    * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T)
+      = (1/n) sum_i ||P x_i||^4 - ||C[:d, :d]||^2, where ||P x_i||^2 sums the
+      first d squares of row i of W; cumulative sums give every d at once
 
-    * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2, via the expansion
-      (1/n) sum_i ||x_i||^4 - ||P S P||^2, valid because P = U U^T is an
-      orthogonal projector, with ||P S P||^2 = ||U^T S U||^2
-    * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T),
-      via (1/n) sum_i ||P x_i||^4 - ||P S P||^2 with ||P x_i||^2 the squared
-      norm of row i of W, without forming any p^2 x p^2 matrix
-
-    Cost O(n p r + p^2 r) per model of rank r; the direct residual sum and
+    Cost O(n p r + p^2 r) per chain of width r; the direct residual sum and
     the dense route are checked in `covsel._reference`.
     """
-    row_sq = np.einsum("ij,ij->i", samples.data, samples.data)
-    const = float(np.mean(row_sq ** 2))
-    loss = np.empty(len(collection))
-    trace = np.empty(len(collection))
-    for j, model in enumerate(collection):
-        _check_grid(samples, model)
-        u = model.basis
-        fit_sq = frob_norm_sq(u.T @ s @ u)
-        w = samples.data @ u
-        proj_sq = np.einsum("ij,ij->i", w, w)
-        loss[j] = const - fit_sq
-        trace[j] = float(np.mean(proj_sq ** 2)) - fit_sq
+    models, x = tuple(models), samples.data
+    const = float(np.mean(np.einsum("ij,ij->i", x, x) ** 2))
+    loss, trace = np.empty(len(models)), np.empty(len(models))
+    chains = {}
+    for j, model in enumerate(models):
+        if not np.array_equal(samples.grid, model.grid):
+            raise ValueError("model grid does not match sample grid")
+        # one start address and one set of strides: leading columns of one table
+        chains.setdefault((model.basis.ctypes.data, model.basis.strides), []).append(j)
+    for members in chains.values():
+        q = max((models[j].basis for j in members), key=lambda u: u.shape[1])
+        w = x @ q
+        # row d-1 is ||P x_i||^2 over i; numpy means a contiguous row pairwise
+        proj_sq = np.cumsum(np.ascontiguousarray((w * w).T), axis=0)
+        c2 = np.square(q.T @ s @ q)
+        fit_sq = np.cumsum(np.tril(c2).sum(axis=1) + np.triu(c2, 1).sum(axis=0))
+        d = np.array([models[j].rank for j in members]) - 1
+        loss[members] = const - fit_sq[d]
+        trace[members] = np.mean(proj_sq ** 2, axis=1)[d] - fit_sq[d]
     return loss, trace

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Singular values below RANK_RTOL * sigma_max count as zero everywhere.
+# Singular values below RANK_RTOL * sigma_max count as zero everywhere; a rank
+# decision is clear when none lies within a factor RANK_MARGIN of that cutoff.
 RANK_RTOL = 1e-10
+RANK_MARGIN = 1e4
 
 # An eigenvalue down to -PSD_RTOL * max |eigenvalue|, or an asymmetry up to
 # PSD_RTOL * max |entry|, is rounding; both are relative, with no floor.
@@ -31,10 +33,18 @@ def frob_norm_sq(a):
     return float(np.sum(a * a))
 
 
-def basis_from_design(g, rtol=RANK_RTOL):
+def numerical_rank(s):
+    """(rank, clear) for singular values `s` in descending order: the count
+    above RANK_RTOL * s[0], and whether that decision is clear."""
+    ratio = s / s[0] if s[0] > 0.0 else s
+    near = (ratio > RANK_RTOL / RANK_MARGIN) & (ratio < RANK_RTOL * RANK_MARGIN)
+    return int(np.sum(ratio > RANK_RTOL)), not near.any()
+
+
+def basis_from_design(g):
     """Orthonormal basis of the column space of the design matrix `g`.
 
-    The left singular vectors above the rank cutoff rtol * sigma_max.
+    The left singular vectors above the rank cutoff RANK_RTOL * sigma_max.
     Returns (basis, rank) with basis of shape p x rank; a zero design has
     rank 0 and an empty basis.
     """
@@ -42,10 +52,7 @@ def basis_from_design(g, rtol=RANK_RTOL):
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError("design must be a p x k matrix with p, k >= 1")
     u, s, _ = np.linalg.svd(g, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > rtol * s[0]))
+    r, _ = numerical_rank(s)
     return u[:, :r], r
 
 
@@ -55,14 +62,14 @@ def projector_from_basis(ur):
     return 0.5 * (proj + proj.T)
 
 
-def projector_from_design(g, rtol=RANK_RTOL):
+def projector_from_design(g):
     """Orthogonal projector onto the column space of the design matrix `g`.
 
     Built from the left singular vectors above the rank cutoff, which equals
     g (g^T g)^+ g^T but is numerically stable for rank-deficient designs.
     Returns (projector, rank); a zero design yields the zero projector.
     """
-    ur, r = basis_from_design(g, rtol=rtol)
+    ur, r = basis_from_design(g)
     return projector_from_basis(ur), r
 
 

@@ -39,11 +39,14 @@ def true_fourth_moment_trace(truth, model):
     """Tr((P kron P) F) for the true fourth-moment covariance F of a Gaussian
     truth, by the Kronecker-free closed form
     (Tr(P sigma))^2 + ||P sigma P||^2 = tr(G)^2 + ||G||^2 with
-    G = U^T sigma U for the model's basis U.
+    G = U^T sigma U for the model's basis U; 0.0 where that is at most TIE_RTOL
+    times the full space's trace (the rounding of an exact zero).
     """
     u = model.basis
     g = u.T @ truth.sigma @ u
-    return float(np.trace(g) ** 2 + frob_norm_sq(g))
+    trace = float(np.trace(g) ** 2 + frob_norm_sq(g))
+    full = np.trace(truth.sigma) ** 2 + frob_norm_sq(truth.sigma)
+    return 0.0 if trace <= TIE_RTOL * full else trace
 
 
 def bias_sq(truth, model):
@@ -51,11 +54,13 @@ def bias_sq(truth, model):
 
     Computed as ||R||^2 + ||R U||^2 with R = sigma - U (U^T sigma) = (I - P) sigma:
     the two orthogonal parts (I - P) sigma and P sigma (I - P) of the bias.
-    A sum of squares, so never negative.
+    A sum of squares, so never negative; 0.0 where it is at most TIE_RTOL
+    ||sigma||^2 (the rounding of an exact zero: the model contains the truth).
     """
     u = model.basis
     resid = truth.sigma - u @ (u.T @ truth.sigma)
-    return frob_norm_sq(resid) + frob_norm_sq(resid @ u)
+    bias = frob_norm_sq(resid) + frob_norm_sq(resid @ u)
+    return 0.0 if bias <= TIE_RTOL * frob_norm_sq(truth.sigma) else bias
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,25 +106,19 @@ def oracle_model(truth, collection, n):
 
 def _batched_variance_factors(truth, collection, n, reps, seed):
     """Plug-in variance factors per replication, shape (reps, n_models), and
-    the true factors per model.
-
-    A true trace at most TIE_RTOL times (tr sigma)^2 + ||sigma||^2, the full
-    space's trace and so a bound on every model's, is rounding of an exact
-    zero: the truth does not reach that model, and its true factor is 0.
-    """
+    the true factors per model (0 where the truth misses the model)."""
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
     factor = psd_factor(truth.sigma)
     bases = _kernels.stack_bases(collection)
     dims = np.array([model.dim for model in collection])
     traces = np.array([true_fourth_moment_trace(truth, model) for model in collection])
-    floor = TIE_RTOL * (np.trace(truth.sigma) ** 2 + frob_norm_sq(truth.sigma))
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
         _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, bases)
         chunks.append((proj_norm4 - fit_sq) / dims[None, :])
-    return np.concatenate(chunks, axis=0), np.where(traces <= floor, 0.0, traces) / dims
+    return np.concatenate(chunks, axis=0), traces / dims
 
 
 def check_variance_factor_mean(truth, collection, n, reps, seed=0):

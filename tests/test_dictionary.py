@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from covsel.dictionary import (
     eval_basis,
     make_model,
 )
+from covsel.linalg import RANK_RTOL, basis_from_design
 from covsel.simulate import uniform_grid
 
 rng = np.random.default_rng(202)
@@ -191,3 +193,58 @@ class TestBuildCollection:
         fam = BasisFamily("fourier", 0.0, 1.0, 3)
         with pytest.raises(ValueError, match="outside domain"):
             build_collection(fam, np.array([0.5, 1.5]), scheme="nested", d_max=2)
+
+
+# (family, p, max_index): rank-deficient past p, a Nyquist zero column, empty
+# histogram cells, and a polynomial design whose last singular value sits
+# 1.8e-11 of the largest, below the rank cutoff but near it
+NESTED_CASES = [("polynomial", 17, 20), ("fourier", 16, 15), ("histogram", 4, 7),
+                ("histogram", 9, 20), ("polynomial", 40, 39)]
+
+
+def nested(kind, p, max_index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # histogram models with only empty cells
+        return build_collection(BasisFamily(kind, 0.0, 1.0, max_index), uniform_grid(p),
+                                scheme="nested")
+
+
+class TestNestedCollection:
+    @pytest.mark.parametrize("case", NESTED_CASES, ids=lambda c: "%s-p%d-%d" % c)
+    def test_matches_per_model_svd(self, case):
+        # same ranks as each design's own SVD, projectors within 100 eps kappa
+        coll = nested(*case)
+        for model in coll:
+            design = build_design(coll.family, model.indices, coll.grid)
+            basis, rank = basis_from_design(design)
+            assert rank == model.rank
+            sv = np.linalg.svd(design, compute_uv=False)
+            tol = 100 * np.finfo(float).eps * sv[0] / sv[rank - 1]
+            assert np.abs(model.projector - basis @ basis.T).max() <= tol
+
+    def test_bases_are_leading_columns_of_one_table(self):
+        coll = nested("fourier", 16, 15)
+        widest = coll.models[-1].basis
+        for model in coll:
+            assert np.shares_memory(model.basis, widest)
+            assert np.array_equal(model.basis, widest[:, :model.rank])
+        # the Nyquist column is an exact dependency: the last two share a basis
+        assert coll.models[-1].rank == coll.models[-2].rank == 15
+
+    def test_near_cutoff_rank_ends_the_chain(self):
+        # sigma_40 / sigma_1 = 1.8e-11: a basis of the first 39 columns would
+        # miss the SVD's projector by 4e-3, so model 40 takes its own SVD
+        coll = nested("polynomial", 40, 39)
+        first, last = coll.models[0].basis, coll.models[-1].basis
+        assert coll.models[-1].rank == 39
+        assert not np.shares_memory(first, last)
+        _, s, _ = np.linalg.svd(build_design(coll.family, range(40), coll.grid))
+        assert 1e-12 < s[-1] / s[0] < RANK_RTOL
+
+    def test_rank_zero_prefix_is_dropped_and_the_chain_goes_on(self):
+        # cell 0 of eight holds none of the four points: model {0} has rank 0
+        with pytest.warns(UserWarning, match=r"dropping model \(0,\)"):
+            coll = build_collection(BasisFamily("histogram", 0.0, 1.0, 7), uniform_grid(4),
+                                    scheme="nested")
+        assert [m.rank for m in coll] == [1, 1, 2, 2, 3, 3, 4]
+        assert all(np.shares_memory(m.basis, coll.models[-1].basis) for m in coll)

@@ -153,6 +153,37 @@ FINGERPRINTS = {
                 "30bba54127ef40da08076d55cc485256801efb8989df6d882c2f2312a9c8b155",
         },
     },
+    # v5: a nested collection's bases are leading columns of one QR table and
+    # fit_all reads every nested model off one W = X Q by cumulative sums;
+    # risk tables report exact zeros (a trace the truth does not reach, a
+    # bias of a model that contains it) as 0. Floats move in their last
+    # digits (at most 8.4e-14 relative, on z); selections, ties, frequencies,
+    # oracle picks, flagged and violations are unchanged, and
+    # selection_frequencies.csv and underestimation_prob.csv keep their v4 bytes
+    5: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "7da608fda927cd25294c37b93805af2adf4920dad0a3815c4c852bda9039c85f",
+            "simulate/risk_vs_n.csv":
+                "d6f2305cd9914e1dcb1d5391c6ee26743c5f38939781d920054c8b5e06b71183",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "3d9fc6cd24ae58678bf029ba3f0196a4a55162fca2a7588bb9b185e46a68cc3c",
+            "simulate/underestimation_prob.csv":
+                "efe4b9f94e84fa4b7c78322c9594ac244692f9cda8073d185118d02f0fe2989f",
+            "simulate-keep/replications.csv":
+                "7e6e007f2eefc8b0c9652ea3da732e19dadbf7ac5bee5826db712e61bc5b98ab",
+            "select/selection_report.json":
+                "6e37bf8b46194dd5aba91d3ba8f076567566e54c79edba1a3d3f79546d01e73a",
+            "select/criterion_table.csv":
+                "cc550337a64ab2837ddc89196aca94efd15e2a879509fa35f5091a13d3bec2e1",
+            "select/sigma_hat.csv":
+                "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
+        },
+    },
 }
 
 

@@ -15,6 +15,7 @@ from covsel.oracle import (
     check_underestimation_prob,
     check_variance_factor_mean,
     oracle_model,
+    risk_table,
     true_fourth_moment_trace,
     true_risk,
 )
@@ -247,6 +248,23 @@ class TestModelsTheTruthDoesNotReach:
         )
         assert out == reached
         assert out["violations"] < 200
+
+
+def test_risk_table_reports_exact_zeros():
+    # a fourier truth on indices 0-2 (p = 8): the all_subsets model (3,)
+    # misses it, so its variance factor is 0, and the nested model (0, 1, 2)
+    # contains it, so its bias is 0; both read as exact zeros, not rounding
+    grid = uniform_grid(8)
+    family = BasisFamily("fourier", 0.0, 1.0, 5)
+    kernel = KernelSpec("finite_rank", family=family, indices=(0, 1, 2))
+    truth = TruthSpec(sigma=kernel_to_sigma(kernel, grid))
+    subsets = {rec.model.indices: rec for rec in risk_table(
+        truth, build_collection(family, grid, scheme="all_subsets", k=2), 50)}
+    assert subsets[(3,)].variance_factor == 0.0 and subsets[(3,)].variance_term == 0.0
+    assert subsets[(0, 1)].variance_factor > 0.0
+    nested = risk_table(truth, build_collection(family, grid, scheme="nested"), 50)
+    assert [rec.bias_sq == 0.0 for rec in nested] == [False, False, True, True, True, True]
+    assert nested[2].risk == nested[2].variance_term > 0.0
 
 
 class TestWilsonInterval:

@@ -80,3 +80,14 @@ def test_select_and_simulate_never_load_reference(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gaussian_closed_form_check_holds_the_pipeline_function(monkeypatch):
+    # the check compares oracle.true_fourth_moment_trace itself with the dense
+    # reference, so a corrupted pipeline closed form fails it
+    assert _reference.check_gaussian_closed_form((2,), cases=20)[0]
+    def doubled(truth, model):
+        return 2.0 * oracle.true_fourth_moment_trace(truth, model)
+
+    monkeypatch.setattr(_reference, "true_fourth_moment_trace", doubled)
+    assert not _reference.check_gaussian_closed_form((2,), cases=20)[0]

@@ -248,3 +248,43 @@ class TestSelect:
                 report = select(models, loss, trace, theta, samples.n)
                 dims.append(report.selected.dim)
             assert all(b <= a for a, b in zip(dims, dims[1:]))
+
+
+def finite_rank_data(gen, n, p, rank):
+    """n rows of a rank-`rank` fourier truth on the p-point grid, so every
+    model that contains it ties with the smallest such model."""
+    design = np.stack([np.ones(p)] + [
+        np.sqrt(2) * f(2 * np.pi * k * uniform_grid(p))
+        for k in range(1, rank) for f in (np.cos, np.sin)][:rank - 1], axis=1)
+    return gen.standard_normal((n, rank)) * 0.8 ** np.arange(rank) @ design.T
+
+
+class TestMetamorphic:
+    """Relabelling that leaves the data's content alone leaves the selection
+    and its ties alone."""
+
+    @staticmethod
+    def decide_on(data, models):
+        samples = SampleSet(grid=uniform_grid(data.shape[1]), data=data)
+        loss, trace = fit_all(samples, empirical_cov(samples), models)
+        report = select(models, loss, trace, 1.0, samples.n)
+        return report.selected.indices, report.ties
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scheme=st.sampled_from(["nested", "all_subsets"]))
+    def test_permuting_replications(self, seed, scheme):
+        gen = np.random.default_rng(seed)
+        data = finite_rank_data(gen, 40, 16, int(gen.integers(1, 6)))
+        models = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), uniform_grid(16),
+                                  scheme=scheme, k=2).models
+        assert self.decide_on(data[gen.permutation(40)], models) == self.decide_on(data, models)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scheme=st.sampled_from(["nested", "all_subsets"]))
+    def test_shuffling_the_collection(self, seed, scheme):
+        gen = np.random.default_rng(seed)
+        data = finite_rank_data(gen, 40, 16, int(gen.integers(1, 6)))
+        models = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), uniform_grid(16),
+                                  scheme=scheme, k=2).models
+        shuffled = [models[j] for j in gen.permutation(len(models))]
+        assert self.decide_on(data, shuffled) == self.decide_on(data, models)
