@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .linalg import basis_from_design, numerical_rank, projector_from_basis, require_finite
+from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, projector_from_basis, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
 
@@ -191,15 +191,15 @@ def _nested_bases(table):
     k = table.shape[1]
     # dropping columns never lowers sigma_min / sigma_max, so a clear
     # full-rank table has clear full-rank leading blocks
-    whole = numerical_rank(np.linalg.svd(r, compute_uv=False))
-    ranks = list(range(1, k + 1)) if whole == (k, True) else []
+    whole = numerical_rank(np.linalg.svd(r, compute_uv=False), RANK_MARGIN)
+    ranks = list(range(1, k + 1)) if whole == k else []
     for d in range(len(ranks) + 1, k + 1):
-        rank, clear = numerical_rank(np.linalg.svd(r[:d, :d], compute_uv=False))
-        if not clear or rank - (ranks[-1] if ranks else 0) not in (0, 1):
+        rank = numerical_rank(np.linalg.svd(r[:d, :d], compute_uv=False), RANK_MARGIN)
+        if rank is None or rank - (ranks[-1] if ranks else 0) not in (0, 1):
             break
         ranks.append(rank)
     kept = np.flatnonzero(np.diff(ranks, prepend=0))
-    if 0 < kept.size < k:
+    if 0 < kept.size < len(ranks):  # a dependency was dropped
         q = np.linalg.qr(table[:, kept])[0]
     return [q[:, :rank] for rank in ranks]
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_finite
+from .linalg import frob_norm_sq, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +64,10 @@ def project(s, model):
 
 def fit_all(samples, s, models):
     """Empirical loss and fourth-moment trace of each of `models` (in any
-    order), as two arrays. Models whose bases are leading columns of one
-    orthonormal table Q (a nested collection) share one W = X Q; a model
-    with a basis of its own has its own. No projector is formed. For the
-    model of Q's first d columns, with projector P and C = Q^T S Q:
+    order), as two arrays; no projector is formed. Models whose bases are
+    leading columns of one orthonormal table Q (a nested collection) form a
+    chain and share one W = X Q. For the model of Q's first d columns, with
+    projector P and C = Q^T S Q:
 
     * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2 = (1/n) sum_i ||x_i||^4 -
       ||C[:d, :d]||^2, as P is an orthogonal projector
@@ -75,19 +75,25 @@ def fit_all(samples, s, models):
       = (1/n) sum_i ||P x_i||^4 - ||C[:d, :d]||^2, where ||P x_i||^2 sums the
       first d squares of row i of W; cumulative sums give every d at once
 
-    Cost O(n p r + p^2 r) per chain of width r; the direct residual sum and
-    the dense route are checked in `covsel._reference`.
+    Cost O(n p r + p^2 r) per chain of width r; `covsel._reference` checks
+    the direct residual sum and the dense route.
     """
     models, x = tuple(models), samples.data
     const = float(np.mean(np.einsum("ij,ij->i", x, x) ** 2))
     loss, trace = np.empty(len(models)), np.empty(len(models))
+    grids = {id(model.grid): model.grid for model in models}  # each compared once
+    if not all(np.array_equal(samples.grid, grid) for grid in grids.values()):
+        raise ValueError("model grid does not match sample grid")
     chains = {}
     for j, model in enumerate(models):
-        if not np.array_equal(samples.grid, model.grid):
-            raise ValueError("model grid does not match sample grid")
         # one start address and one set of strides: leading columns of one table
         chains.setdefault((model.basis.ctypes.data, model.basis.strides), []).append(j)
     for members in chains.values():
+        if len(members) == 1:  # a model of its own needs no cumulative sums
+            (j,), u = members, models[members[0]].basis
+            w, fit_sq = x @ u, frob_norm_sq(u.T @ s @ u)
+            loss[j], trace[j] = const - fit_sq, np.mean(np.einsum("ij,ij->i", w, w) ** 2) - fit_sq
+            continue
         q = max((models[j].basis for j in members), key=lambda u: u.shape[1])
         w = x @ q
         # row d-1 is ||P x_i||^2 over i; numpy means a contiguous row pairwise

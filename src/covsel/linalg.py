@@ -33,12 +33,14 @@ def frob_norm_sq(a):
     return float(np.sum(a * a))
 
 
-def numerical_rank(s):
-    """(rank, clear) for singular values `s` in descending order: the count
-    above RANK_RTOL * s[0], and whether that decision is clear."""
-    ratio = s / s[0] if s[0] > 0.0 else s
-    near = (ratio > RANK_RTOL / RANK_MARGIN) & (ratio < RANK_RTOL * RANK_MARGIN)
-    return int(np.sum(ratio > RANK_RTOL)), not near.any()
+def numerical_rank(s, margin=1.0):
+    """The count of singular values `s` (in descending order) above the
+    cutoff RANK_RTOL * s[0], or None where one lies within a factor `margin`
+    of that cutoff (the decision is not clear)."""
+    cutoff = RANK_RTOL * s[0]
+    if margin > 1.0 and np.any((s > cutoff / margin) & (s < cutoff * margin)):
+        return None
+    return int(np.sum(s > cutoff))
 
 
 def basis_from_design(g):
@@ -52,7 +54,7 @@ def basis_from_design(g):
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError("design must be a p x k matrix with p, k >= 1")
     u, s, _ = np.linalg.svd(g, full_matrices=False)
-    r, _ = numerical_rank(s)
+    r = numerical_rank(s)
     return u[:, :r], r
 
 

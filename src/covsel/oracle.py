@@ -6,6 +6,7 @@ assumptions behind the data-driven penalty.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,10 +14,15 @@ import numpy as np
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, wilson_interval
 from .linalg import frob_norm_sq, psd_eigh, psd_factor
-from .selection import TIE_RTOL, decide
+from .selection import decide
 
 # fewest replications the Monte Carlo diagnostics accept
 MIN_DIAGNOSTICS_REPS = 100
+
+# A squared bias or fourth-moment trace at most ZERO_RTOL times its scale in
+# sigma is the rounding of an exact zero: measured up to 9e-24 (a polynomial
+# model of condition number 6e9), while real values reach down to 6e-20.
+ZERO_RTOL = 1e-22
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,19 +40,25 @@ class TruthSpec:
     def p(self):
         return self.sigma.shape[0]
 
+    @functools.cached_property
+    def floors(self):
+        """ZERO_RTOL times ||sigma||^2 and (tr sigma)^2 + ||sigma||^2, the
+        scales of every model's squared bias and fourth-moment trace."""
+        norm_sq = frob_norm_sq(self.sigma)
+        return ZERO_RTOL * norm_sq, ZERO_RTOL * (np.trace(self.sigma) ** 2 + norm_sq)
+
 
 def true_fourth_moment_trace(truth, model):
     """Tr((P kron P) F) for the true fourth-moment covariance F of a Gaussian
     truth, by the Kronecker-free closed form
     (Tr(P sigma))^2 + ||P sigma P||^2 = tr(G)^2 + ||G||^2 with
-    G = U^T sigma U for the model's basis U; 0.0 where that is at most TIE_RTOL
-    times the full space's trace (the rounding of an exact zero).
+    G = U^T sigma U for the model's basis U; 0.0 where the truth does not
+    reach the model.
     """
     u = model.basis
     g = u.T @ truth.sigma @ u
     trace = float(np.trace(g) ** 2 + frob_norm_sq(g))
-    full = np.trace(truth.sigma) ** 2 + frob_norm_sq(truth.sigma)
-    return 0.0 if trace <= TIE_RTOL * full else trace
+    return 0.0 if trace <= truth.floors[1] else trace
 
 
 def bias_sq(truth, model):
@@ -54,13 +66,13 @@ def bias_sq(truth, model):
 
     Computed as ||R||^2 + ||R U||^2 with R = sigma - U (U^T sigma) = (I - P) sigma:
     the two orthogonal parts (I - P) sigma and P sigma (I - P) of the bias.
-    A sum of squares, so never negative; 0.0 where it is at most TIE_RTOL
-    ||sigma||^2 (the rounding of an exact zero: the model contains the truth).
+    A sum of squares, so never negative; 0.0 where the model contains the
+    truth.
     """
     u = model.basis
     resid = truth.sigma - u @ (u.T @ truth.sigma)
     bias = frob_norm_sq(resid) + frob_norm_sq(resid @ u)
-    return 0.0 if bias <= TIE_RTOL * frob_norm_sq(truth.sigma) else bias
+    return 0.0 if bias <= truth.floors[0] else bias
 
 
 @dataclass(frozen=True, eq=False)

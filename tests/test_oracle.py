@@ -267,6 +267,23 @@ def test_risk_table_reports_exact_zeros():
     assert nested[2].risk == nested[2].variance_term > 0.0
 
 
+def test_floor_keeps_small_real_values():
+    # a truth with a part of weight 1e-7 along function 3: the bias of the
+    # model (0, 1, 2) and the trace of the model (3,) are about 1e-14, below
+    # 1e-12 of their scales but far above rounding, so neither reads as zero
+    grid = uniform_grid(8)
+    family = BasisFamily("fourier", 0.0, 1.0, 5)
+    design = build_design(family, range(4), grid)
+    g3 = design[:, 3] / np.linalg.norm(design[:, 3])
+    truth = TruthSpec(sigma=design[:, :3] @ design[:, :3].T + 1e-7 * np.outer(g3, g3))
+    rec = true_risk(truth, make_model(family, (0, 1, 2), grid), 50)
+    assert rec.bias_sq == pytest.approx(1e-14, rel=1e-6)
+    assert 0.0 < rec.bias_sq < 1e-12 * frob_norm_sq(truth.sigma)
+    trace = true_fourth_moment_trace(truth, make_model(family, (3,), grid))
+    assert trace == pytest.approx(2e-14, rel=1e-6)
+    assert 0.0 < trace < 1e-12 * (np.trace(truth.sigma) ** 2 + frob_norm_sq(truth.sigma))
+
+
 class TestWilsonInterval:
     @pytest.mark.parametrize("trials", [1, 7, 200, 2000, 100_000])
     def test_edges_are_exact(self, trials):
