@@ -12,9 +12,6 @@ from .dictionary import (
     ModelCollection,
     ModelSpec,
     build_collection,
-    build_design,
-    eval_basis,
-    make_model,
 )
 from .estimator import (
     SampleSet,
@@ -28,16 +25,14 @@ from .oracle import (
     check_underestimation_prob,
     check_variance_factor_mean,
     oracle_model,
-    risk_table,
+    plug_in_factors,
     true_fourth_moment_trace,
-    true_risk,
 )
 from .selection import SelectionReport, select
 from .simulate import (
     ExperimentConfig,
     KernelSpec,
     kernel_to_sigma,
-    psd_factor,
     run_experiment,
     uniform_grid,
 )
@@ -56,21 +51,16 @@ __all__ = [
     "SelectionReport",
     "TruthSpec",
     "build_collection",
-    "build_design",
     "check_underestimation_prob",
     "check_variance_factor_mean",
     "empirical_cov",
-    "eval_basis",
     "fit_all",
     "kernel_to_sigma",
-    "make_model",
     "oracle_model",
+    "plug_in_factors",
     "project",
-    "psd_factor",
-    "risk_table",
     "run_experiment",
     "select",
     "true_fourth_moment_trace",
-    "true_risk",
     "uniform_grid",
 ]

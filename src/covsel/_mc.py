@@ -1,43 +1,54 @@
-"""Shared Monte Carlo plumbing: per-replication RNG streams and chunking.
+"""Shared Monte Carlo plumbing: blocked RNG streams and chunking.
 
-Every replication draws from a generator seeded by (seed, replication
-index), so results are identical no matter how replications are batched.
+Replication r of a key is row r - b B of block b = r // B, B = block_reps(n, p),
+and block b is one (B, n, p) standard normal draw from rep_rng(key, b), so
+results are identical no matter how whole blocks are batched.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _seed_key(seed):
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+# floats per RNG block: one generator serves max(1, BLOCK_FLOATS // (n p)) replications
+BLOCK_FLOATS = 2 ** 16
 
 
-def rep_rng(seed, rep):
-    """Generator for one replication, keyed by (seed..., rep)."""
-    return np.random.default_rng(_seed_key(seed) + (int(rep),))
+def rep_rng(seed, index):
+    """Generator keyed by (seed..., index): a Monte Carlo block or a reference
+    check's case. The index is the SeedSequence's spawn key, which numpy keeps
+    apart from the entropy, where (s, i, 1) and (s, i, 1, 0) name one stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(index),)))
+
+
+def block_reps(n, p):
+    return max(1, BLOCK_FLOATS // (n * p))
 
 
 def draw_batch(factor, n, seed, start, stop):
-    """Draw replications start..stop-1 of n paths each: X[r] = Z_r factor^T."""
+    """Draw replications start..stop-1 of n paths each: X[r] = Z_r factor^T.
+
+    `start` must open a block; a last, partial block is a prefix of its full
+    stream. Each block goes through factor^T in one matmul.
+    """
     p = factor.shape[0]
+    size = block_reps(n, p)
+    if start % size:
+        raise ValueError(f"start {start} does not open a block of {size} replications")
     out = np.empty((stop - start, n, p))
-    for i, rep in enumerate(range(start, stop)):
-        z = rep_rng(seed, rep).standard_normal((n, p))
-        out[i] = z @ factor.T
+    for first in range(start, stop, size):
+        block = out[first - start:min(first + size, stop) - start]
+        z = rep_rng(seed, first // size).standard_normal(block.shape)
+        np.matmul(z.reshape(-1, p), factor.T, out=block.reshape(-1, p))
     return out
 
 
 def iter_chunks(reps, n, p, target_floats=1_000_000):
-    """Yield (start, stop) ranges keeping each batch near target_floats numbers."""
-    chunk = max(1, int(target_floats // max(1, n * p)))
-    start = 0
-    while start < reps:
-        stop = min(start + chunk, reps)
-        yield start, stop
-        start = stop
+    """Yield (start, stop) ranges of whole RNG blocks, at least one, keeping
+    each batch near target_floats numbers."""
+    size = block_reps(n, p)
+    chunk = size * max(1, target_floats // (size * n * p))
+    for start in range(0, reps, chunk):
+        yield start, min(start + chunk, reps)
 
 
 def wilson_interval(successes, trials, z=1.959963984540054):

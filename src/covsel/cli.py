@@ -46,7 +46,7 @@ REPLICATIONS_FILE = "replications.csv"
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901

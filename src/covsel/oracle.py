@@ -116,61 +116,70 @@ def oracle_model(truth, collection, n):
     return table[pick].model, table
 
 
-def _batched_variance_factors(truth, collection, n, reps, seed):
-    """Plug-in variance factors per replication, shape (reps, n_models), and
-    the true factors per model (0 where the truth misses the model)."""
+@dataclass(frozen=True, eq=False)
+class PlugInFactors:
+    """Plug-in variance factor `values[r, j]` of model j in replication r at
+    sample size n, and model j's true factor `true[j]` (0 if unreached)."""
+
+    models: tuple
+    n: int
+    values: np.ndarray = field(repr=False)
+    true: np.ndarray = field(repr=False)
+
+
+def plug_in_factors(truth, collection, n, reps, seed=0):
+    """Draw `reps` replications of n paths once and return every model's
+    plug-in variance factor in each: the table both diagnostics read."""
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
     factor = psd_factor(truth.sigma)
     bases = _kernels.stack_bases(collection)
     dims = np.array([model.dim for model in collection])
     traces = np.array([true_fourth_moment_trace(truth, model) for model in collection])
-    chunks = []
+    values = np.empty((reps, len(dims)))
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
         _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, bases)
-        chunks.append((proj_norm4 - fit_sq) / dims[None, :])
-    return np.concatenate(chunks, axis=0), traces / dims
+        values[start:stop] = (proj_norm4 - fit_sq) / dims
+    return PlugInFactors(models=tuple(collection), n=n, values=values, true=traces / dims)
 
 
-def check_variance_factor_mean(truth, collection, n, reps, seed=0):
-    """Monte Carlo check that the plug-in variance factor has mean
-    (n-1)/n times the true factor (and hence never overshoots it).
+def check_variance_factor_mean(factors):
+    """Monte Carlo check, on a `plug_in_factors` table, that the plug-in
+    variance factor has mean (n-1)/n times the true factor (and hence never
+    overshoots it).
 
     Returns one record per model with the estimated mean, the exact target,
     the standard error, and a z-score; |z| > 4 marks a hard failure. A model
     the truth does not reach has target 0 and z = 0.
     """
-    values, true_factors = _batched_variance_factors(truth, collection, n, reps, seed)
+    n, values = factors.n, factors.values
     records = []
-    for j, model in enumerate(collection):
-        target = (n - 1) / n * true_factors[j]
+    for j, model in enumerate(factors.models):
+        target = (n - 1) / n * factors.true[j]
         mean = float(values[:, j].mean())
-        se = float(values[:, j].std(ddof=1) / np.sqrt(reps))
+        se = float(values[:, j].std(ddof=1) / np.sqrt(values.shape[0]))
         diff = mean - target
-        if target == 0.0 or diff == 0.0:
-            z = 0.0
-        else:
-            z = diff / se if se > 0 else np.inf
+        z = 0.0 if target == 0.0 or diff == 0.0 else (diff / se if se > 0 else np.inf)
         records.append({"indices": model.indices, "dim": model.dim, "mean": mean,
                         "target": target, "se": se, "z": float(z),
                         "flagged": bool(abs(z) > 4.0)})
     return records
 
 
-def check_underestimation_prob(truth, collection, n, alpha, reps, seed=0):
-    """Estimate the probability that any model's plug-in variance factor
-    falls below (1 - alpha) times its true value.
+def check_underestimation_prob(factors, alpha):
+    """Estimate, on a `plug_in_factors` table, the probability that any
+    model's plug-in variance factor falls below (1 - alpha) times its true
+    value.
 
     Models the truth does not reach never undershoot and are left out.
     Returns the point estimate with a 95% Wilson confidence interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    values, true_factors = _batched_variance_factors(truth, collection, n, reps, seed)
-    reached = true_factors > 0.0
-    bad = np.any(values[:, reached] < (1.0 - alpha) * true_factors[reached], axis=1)
-    count = int(bad.sum())
+    reached = factors.true > 0.0
+    bad = np.any(factors.values[:, reached] < (1.0 - alpha) * factors.true[reached], axis=1)
+    count, reps = int(bad.sum()), factors.values.shape[0]
     lo, hi = wilson_interval(count, reps)
     return {
         "estimate": count / reps,
@@ -179,5 +188,5 @@ def check_underestimation_prob(truth, collection, n, alpha, reps, seed=0):
         "violations": count,
         "reps": reps,
         "alpha": alpha,
-        "n": n,
+        "n": factors.n,
     }

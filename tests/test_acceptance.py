@@ -31,6 +31,7 @@ from covsel.oracle import (
     bias_sq,
     check_underestimation_prob,
     check_variance_factor_mean,
+    plug_in_factors,
     risk_table,
 )
 from covsel.simulate import (
@@ -127,7 +128,7 @@ def test_criterion_4_variance_factor_mean_exact_factor():
     truth = TruthSpec(sigma=np.eye(2))
     fam = BasisFamily("histogram", 0.0, 1.0, 1)
     coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-    records = check_variance_factor_mean(truth, coll, n=10, reps=100_000, seed=41)
+    records = check_variance_factor_mean(plug_in_factors(truth, coll, n=10, reps=100_000, seed=41))
     # target embeds the exact (n-1)/n = 0.9 factor
     for rec in records:
         model = next(m for m in coll if m.indices == rec["indices"])
@@ -149,7 +150,7 @@ def test_criterion_5_underestimation_probability_trend():
     estimates = []
     for i, n in enumerate((20, 50, 100, 200)):
         out = check_underestimation_prob(
-            truth, coll, n=n, alpha=0.5, reps=5000, seed=(51, i)
+            plug_in_factors(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
         )
         estimates.append(out)
     ok = True

@@ -4,12 +4,15 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covsel.oracle
+import covsel.simulate
 from covsel import cli
 from covsel.cli import (
     CONFIG_KEYS,
@@ -543,6 +546,87 @@ def test_every_bad_value_exits_2_with_one_line(tmp_path, capsys, command, sectio
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert (f"[{section}] {key} = '@@'" if value == "@@" else "'nonesuch'") in err
     assert not (tmp_path / "out").exists()
+
+
+def _ini_text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+# simulate fields that parse but lie out of range: (section, key) -> (values,
+# the other keys the constructor needs set to read the field, its message)
+OUT_OF_RANGE = {
+    ("experiment", "reps"): (st.integers(max_value=0), {}, "reps must be >= 1"),
+    ("experiment", "n"): (st.integers(max_value=1), {}, "n must be >= 2"),
+    ("experiment", "n_grid"): (
+        st.lists(st.integers(2, 50), max_size=2).flatmap(
+            lambda ns: st.integers(max_value=1).map(lambda bad: [*ns, bad])),
+        {}, "every n in n_grid must be >= 2"),
+    ("experiment", "p"): (st.integers(max_value=0), {}, "p must be >= 1"),
+    ("experiment", "seed"): (st.integers(max_value=-1), {}, "seed must be >= 0"),
+    ("experiment", "theta"): (st.floats(max_value=0.0) | st.just(float("nan")), {},
+                              "theta must be strictly positive"),
+    ("experiment", "alpha"): (st.floats(max_value=0.0) | st.floats(min_value=1.0),
+                              {("experiment", "diagnostics"): True}, "alpha must lie in (0, 1)"),
+    ("experiment", "diagnostics_reps"): (st.integers(max_value=99),
+                                         {("experiment", "diagnostics"): True},
+                                         "diagnostics_reps must be >= 100"),
+    ("kernel", "length_scale"): (st.floats(max_value=0.0),
+                                 {("kernel", "kind"): "ornstein_uhlenbeck"},
+                                 "length_scale must be > 0"),
+    ("collection", "k"): (st.integers(max_value=0), {("collection", "scheme"): "all_subsets"},
+                          "all_subsets scheme needs k >= 1"),
+    ("collection", "d_max"): (st.integers(max_value=0) | st.integers(min_value=9),
+                              {("collection", "scheme"): "nested"},
+                              "nested scheme needs 1 <= d_max <= 8"),
+    ("basis", "max_index"): (st.integers(max_value=-1), {}, "max_index must be >= 0"),
+    ("basis", "t_min"): (st.floats(min_value=1.0), {}, "domain requires finite t_min < t_max"),
+}
+
+
+@st.composite
+def out_of_range_documents(draw):
+    """An INI document setting a drawn subset of CONFIG_KEYS["simulate"] to
+    their defaults, then one field out of range; returns it with the message
+    the field's constructor gives."""
+    keys = CONFIG_KEYS["simulate"]
+    fields = {(section, key): default for section, entries in keys.items()
+              for key, (_, default) in entries.items() if default is not None}
+    written = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+    target = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    values, needs, message = OUT_OF_RANGE[target]
+    doc = {field: fields[field] for field in written}
+    doc.update(needs)
+    doc[target] = draw(values)
+    sections = {}
+    for (section, key), value in doc.items():
+        sections.setdefault(section, []).append(f"{key} = {_ini_text(value)}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()), message
+
+
+@given(out_of_range_documents())
+@settings(max_examples=150, deadline=None)
+def test_out_of_range_config_exits_2_before_sampling(case):
+    body, message = case
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(covsel.simulate, "draw_batch", no_sampling), \
+            mock.patch.object(covsel.oracle, "draw_batch", no_sampling):
+        tmp = Path(tmp)
+        (tmp / "bad.ini").write_text(body)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(tmp / "bad.ini"), "--out", str(tmp / "out")])
+        assert not (tmp / "out").exists()
+    assert code == 2, body
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), body
+    assert message in err.getvalue(), body
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,36 @@ FINGERPRINTS = {
                 "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
         },
     },
+    # v6: replications are drawn one generator per RNG block of
+    # max(1, 2**16 // (n p)) replications, and both diagnostics read one
+    # draw keyed (seed, i_n, 1); every Monte Carlo number moves. The select
+    # report differs from v5 only in report_version; criterion_table.csv,
+    # sigma_hat.csv and (the example selects one model every time)
+    # selection_frequencies.csv keep their v5 bytes
+    6: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "44e558a4ef25bca21c21e3325609d5d85484674ae1bb699c150a98c7e8d7dbc3",
+            "simulate/risk_vs_n.csv":
+                "f2f07717aeb354244cb1222d6a2a908d5bc5ed4b9f5b61b4654611fa934ad745",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "d4d29fc9ae1bc36955f6578abdd7ea90f2a89ee079ae9a43cb29a430f721a97c",
+            "simulate/underestimation_prob.csv":
+                "1afdb2c528d00d2a8f1b98e37e873aca82ee56f5929cde103a22e4a818b88ac4",
+            "simulate-keep/replications.csv":
+                "25eebfd028e4c03e168aefa67cc3ae598e660c698bfebb760be71232fe98fa4d",
+            "select/selection_report.json":
+                "ad61c88ebc32e51ba612a3a518e1c9755412c49f5add3668ea9bc61c5e0fc6b1",
+            "select/criterion_table.csv":
+                "cc550337a64ab2837ddc89196aca94efd15e2a879509fa35f5091a13d3bec2e1",
+            "select/sigma_hat.csv":
+                "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
+        },
+    },
 }
 
 

@@ -14,6 +14,7 @@ from covsel.oracle import (
     TruthSpec,
     check_underestimation_prob,
     check_variance_factor_mean,
+    plug_in_factors,
     oracle_model,
     risk_table,
     true_fourth_moment_trace,
@@ -165,7 +166,7 @@ class TestVarianceFactorMean:
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        records = check_variance_factor_mean(truth, coll, n=2, reps=200, seed=5)
+        records = check_variance_factor_mean(plug_in_factors(truth, coll, n=2, reps=200, seed=5))
         for rec in records:
             model = next(m for m in coll if m.indices == rec["indices"])
             assert rec["target"] == pytest.approx(0.5 * true_variance_factor(truth, model))
@@ -174,7 +175,8 @@ class TestVarianceFactorMean:
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        records = check_variance_factor_mean(truth, coll, n=10, reps=4000, seed=11)
+        records = check_variance_factor_mean(plug_in_factors(truth, coll, n=10, reps=4000,
+                                                             seed=11))
         for rec in records:
             assert abs(rec["z"]) < 4.0
             assert not rec["flagged"]
@@ -184,7 +186,7 @@ class TestVarianceFactorMean:
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=1)
         with pytest.raises(ValueError, match="reps"):
-            check_variance_factor_mean(truth, coll, n=5, reps=0)
+            plug_in_factors(truth, coll, n=5, reps=0)
 
 
 class TestUnderestimationProb:
@@ -195,25 +197,28 @@ class TestUnderestimationProb:
 
     def test_alpha_near_one_gives_tiny_probability(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(truth, coll, n=10, alpha=0.999, reps=500, seed=3)
+        out = check_underestimation_prob(plug_in_factors(truth, coll, n=10, reps=500, seed=3),
+                                         alpha=0.999)
         assert out["estimate"] <= 0.01
 
     def test_valid_probability_even_at_n2(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(truth, coll, n=2, alpha=0.5, reps=200, seed=4)
+        out = check_underestimation_prob(plug_in_factors(truth, coll, n=2, reps=200, seed=4),
+                                         alpha=0.5)
         assert 0.0 <= out["estimate"] <= 1.0
         assert 0.0 <= out["ci_low"] <= out["estimate"] <= out["ci_high"] <= 1.0
 
     def test_input_validation(self):
         truth, coll = self._setup()
         with pytest.raises(ValueError, match="reps"):
-            check_underestimation_prob(truth, coll, n=10, alpha=0.5, reps=10)
+            plug_in_factors(truth, coll, n=10, reps=10)
         with pytest.raises(ValueError, match="alpha"):
-            check_underestimation_prob(truth, coll, n=10, alpha=1.5, reps=200)
+            check_underestimation_prob(plug_in_factors(truth, coll, n=10, reps=200), alpha=1.5)
 
     def test_zero_violations_lie_inside_interval(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(truth, coll, n=10, alpha=0.999, reps=200, seed=3)
+        out = check_underestimation_prob(plug_in_factors(truth, coll, n=10, reps=200, seed=3),
+                                         alpha=0.999)
         assert out["violations"] == 0
         assert out["ci_low"] == 0.0
         assert out["ci_low"] <= out["estimate"] <= out["ci_high"]
@@ -234,7 +239,8 @@ class TestModelsTheTruthDoesNotReach:
 
     def test_unreached_models_are_not_flagged(self):
         truth, coll = self._setup()
-        records = check_variance_factor_mean(truth, coll, n=20, reps=200, seed=(1, 0, 1))
+        records = check_variance_factor_mean(plug_in_factors(truth, coll, n=20, reps=200,
+                                                             seed=(1, 0, 1)))
         assert [rec["indices"] for rec in records] == [(0,), (1,), (2,), (3,)]
         assert records[0]["target"] > 100.0 and not records[0]["flagged"]
         for rec in records[1:]:
@@ -242,10 +248,10 @@ class TestModelsTheTruthDoesNotReach:
 
     def test_unreached_models_are_left_out_of_the_event(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(truth, coll, n=20, alpha=0.5, reps=200, seed=(1, 0, 2))
+        out = check_underestimation_prob(
+            plug_in_factors(truth, coll, n=20, reps=200, seed=(1, 0, 1)), alpha=0.5)
         reached = check_underestimation_prob(
-            truth, coll.models[:1], n=20, alpha=0.5, reps=200, seed=(1, 0, 2)
-        )
+            plug_in_factors(truth, coll.models[:1], n=20, reps=200, seed=(1, 0, 1)), alpha=0.5)
         assert out == reached
         assert out["violations"] < 200
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covsel._mc import draw_batch
+from covsel._mc import block_reps, draw_batch, rep_rng
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, fit_all
 from covsel.oracle import TruthSpec, true_fourth_moment_trace
@@ -59,8 +59,30 @@ class TestKernelToSigma:
 
 
 class TestDrawBatch:
-    """`_mc.draw_batch` is the one sampler: replication r of a key draws
-    Z_r factor^T from rep_rng(key, r)."""
+    """`_mc.draw_batch` is the one sampler: replication r of a key is row
+    r - b B of block b = r // B, B = block_reps(n, p), and block b is one
+    standard normal draw from rep_rng(key, b) mapped through factor^T."""
+
+    def test_batch_is_its_blocks_concatenated(self):
+        factor = psd_factor(kernel_to_sigma(KernelSpec("brownian"), uniform_grid(3)))
+        size = block_reps(7, 3)
+        whole = draw_batch(factor, 7, (5, 1), 0, 2 * size + 3)
+        blocks = [draw_batch(factor, 7, (5, 1), start, min(start + size, 2 * size + 3))
+                  for start in range(0, 2 * size + 3, size)]
+        assert len(blocks) == 3
+        assert np.array_equal(whole, np.concatenate(blocks))
+
+    def test_partial_block_is_a_prefix_of_its_stream(self):
+        # with factor I the paths are the block's standard normals themselves
+        size = block_reps(7, 3)
+        last = draw_batch(np.eye(3), 7, (5, 1), 2 * size, 2 * size + 3)
+        full = rep_rng((5, 1), 2).standard_normal((size, 7, 3))
+        assert np.array_equal(last, full[:3])
+
+    def test_unaligned_start_raises(self):
+        size = block_reps(7, 3)
+        with pytest.raises(ValueError, match="block"):
+            draw_batch(np.eye(3), 7, 0, size + 1, 2 * size)
 
     def test_zero_sigma_gives_zero_paths(self):
         x = draw_batch(psd_factor(np.zeros((3, 3))), 4, 0, 0, 2)
@@ -165,12 +187,19 @@ class TestRunExperiment:
             reps=64, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200,
             keep_replications=True,
         )
+        # blocks of 2_000 floats: 16 replications of 30 x 4 and 10 of 50 x 4,
+        # so 64 replications span 4 and 7 blocks
+        monkeypatch.setattr(mc, "BLOCK_FLOATS", 2_000)
         whole, whole_reps = run_experiment(cfg)
-        # 2_000 floats is 16 replications of 30 x 4 (10 of 50 x 4) per chunk,
-        # against one chunk at the default size
-        def small_chunks(reps, n, p):
-            return mc.iter_chunks(reps, n, p, target_floats=2_000)
 
+        # 4_000 floats is 2 blocks per chunk, against one chunk at the default size
+        def small_chunks(reps, n, p):
+            return mc.iter_chunks(reps, n, p, target_floats=4_000)
+
+        for n in cfg.n_grid:
+            assert cfg.reps >= 3 * mc.block_reps(n, 4)
+            assert len(list(small_chunks(cfg.reps, n, 4))) >= 2
+            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
         monkeypatch.setattr(sim, "iter_chunks", small_chunks)
         monkeypatch.setattr(oracle, "iter_chunks", small_chunks)
         report, reps = run_experiment(cfg)
@@ -178,6 +207,24 @@ class TestRunExperiment:
         assert list(reps) == list(whole_reps)
         for key, column in reps.items():
             assert np.array_equal(column, whole_reps[key]), key
+
+    def test_diagnostics_share_one_draw_per_n(self, monkeypatch):
+        import covsel._mc as mc
+        import covsel.oracle as oracle
+        import covsel.simulate as sim
+
+        drawn = []
+
+        def counting_draw(factor, n, seed, start, stop):
+            drawn.append((n, stop - start))
+            return mc.draw_batch(factor, n, seed, start, stop)
+
+        monkeypatch.setattr(sim, "draw_batch", counting_draw)
+        monkeypatch.setattr(oracle, "draw_batch", counting_draw)
+        cfg = small_config(reps=40, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200)
+        run_experiment(cfg)
+        for n in cfg.n_grid:
+            assert sum(count for m, count in drawn if m == n) == cfg.reps + cfg.diagnostics_reps
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
