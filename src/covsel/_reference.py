@@ -19,7 +19,8 @@ from . import _kernels
 from ._mc import draw_batch, iter_chunks, rep_rng
 from .dictionary import BasisFamily, ModelSpec, make_model
 from .estimator import SampleSet, empirical_cov, fit_all, project
-from .linalg import basis_from_design, frob_norm_sq, projector_from_design, psd_factor, require_finite
+from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
+                     psd_factor, require_finite)
 from .oracle import TruthSpec, true_fourth_moment_trace
 from .simulate import uniform_grid
 
@@ -233,8 +234,8 @@ def check_kron_free_trace(key, cases=17):
         samples = SampleSet(grid=grid, data=gen.standard_normal((n, p)))
         model = make_model(family, range(int(gen.integers(1, p + 1))), grid)
         _, (fast,) = fit_all(samples, empirical_cov(samples), [model])
-        phi = fourth_moment_cov_dense(samples)
-        return _rel_err(fast, np.sum(kron(model.projector, model.projector) * phi))
+        phi, proj = fourth_moment_cov_dense(samples), projector_from_basis(model.basis)
+        return _rel_err(fast, np.sum(kron(proj, proj) * phi))
     return _worst_below([error(rep_rng(key + (p, n), c), p, n)
                          for p in (2, 3, 4) for n in (5, 10) for c in range(cases)], 1e-8)
 
@@ -249,8 +250,8 @@ def check_gaussian_closed_form(key, cases=100, sign=1.0):
         basis, rank = basis_from_design(gen.standard_normal((p, gen.integers(1, p + 1))))
         model = ModelSpec((), basis, rank, float(rank * rank), uniform_grid(p))
         closed = sign * true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
-        phi = gaussian_fourth_moment_dense(sigma)
-        return _rel_err(closed, np.sum(kron(model.projector, model.projector) * phi))
+        phi, proj = gaussian_fourth_moment_dense(sigma), projector_from_basis(basis)
+        return _rel_err(closed, np.sum(kron(proj, proj) * phi))
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-10)
 
 

@@ -40,10 +40,6 @@ EXIT_DEGENERATE = 3
 
 FLOAT_FMT = "%.17g"
 
-# `simulate` writes one row per replication here, and only here, when
-# keep_replications is on; experiment_report.json names the file
-REPLICATIONS_FILE = "replications.csv"
-
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
 REPORT_VERSION = 6
@@ -121,15 +117,11 @@ def write_table_csv(path, table):
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _columns(names, rows):
-    """{name: column} of row tuples whose fields are in `names` order."""
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
-
-
 def dump_json(path, payload):
+    """Strict JSON: a NaN or infinity raises ValueError before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,10 @@ def cmd_select(args):
 
     collection = build_collection(family, grid, **coll_args)
     s = empirical_cov(samples)
-    loss, trace = fit_all(samples, s, collection)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, trace = fit_all(samples, s, collection)
+    if not (np.isfinite(loss).all() and np.isfinite(trace).all()):
+        raise ConfigError(f"{input_path}: fourth moments of the data overflow float64")
     report = select(collection.models, loss, trace, theta, samples.n)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,56 +313,12 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    report, replications = run_experiment(cfg)
+    report, tables = run_experiment(cfg)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"report_version": REPORT_VERSION, **report}
-    if replications is not None:
-        payload["replications_file"] = REPLICATIONS_FILE
-    dump_json(out_dir / "experiment_report.json", payload)
-
-    risk_rows = []
-    freq_rows = []
-    vf_rows = []
-    under_rows = []
-    for run in report["runs"]:
-        n, dd, kn = run["n"], run["data_driven"], run["known_penalty"]
-        risk_rows.append((n, run["oracle"]["risk"], dd["risk_mean"], dd["risk_se"],
-                          dd["risk_ratio"], kn["risk_mean"], kn["risk_ratio"]))
-        for mode in ("data_driven", "known_penalty"):
-            for model, freq in sorted(run[mode]["selection_freq"].items()):
-                freq_rows.append((n, mode, model, freq))
-        if "diagnostics" in run:
-            for rec in run["diagnostics"]["variance_factor_mean"]:
-                vf_rows.append((n, ";".join(str(i) for i in rec["indices"]), rec["dim"],
-                                rec["mean"], rec["target"], rec["se"], rec["z"],
-                                rec["flagged"]))
-            rec = run["diagnostics"]["underestimation_prob"]
-            under_rows.append((n, rec["alpha"], rec["estimate"], rec["ci_low"],
-                               rec["ci_high"], rec["violations"], rec["reps"]))
-
-    write_table_csv(
-        out_dir / "risk_vs_n.csv",
-        _columns(("n", "oracle_risk", "risk_mean", "risk_se", "risk_ratio",
-                  "known_risk_mean", "known_risk_ratio"), risk_rows),
-    )
-    write_table_csv(
-        out_dir / "selection_frequencies.csv",
-        _columns(("n", "mode", "model", "frequency"), freq_rows),
-    )
-    if vf_rows:
-        write_table_csv(
-            out_dir / "variance_factor_mean.csv",
-            _columns(("n", "model", "dim", "mean", "target", "se", "z", "flagged"), vf_rows),
-        )
-    if under_rows:
-        write_table_csv(
-            out_dir / "underestimation_prob.csv",
-            _columns(("n", "alpha", "estimate", "ci_low", "ci_high", "violations", "reps"),
-                     under_rows),
-        )
-    if replications is not None:
-        write_table_csv(out_dir / REPLICATIONS_FILE, replications)
+    dump_json(out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report})
+    for name, table in tables.items():
+        write_table_csv(out_dir / name, table)
     print(f"experiment reports written to {out_dir}")
     return EXIT_OK
 

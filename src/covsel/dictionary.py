@@ -9,7 +9,6 @@ rank-deficient, and exactly-sparse projectors.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre
 
-from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, projector_from_basis, require_finite
+from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
 
@@ -104,9 +103,7 @@ class ModelSpec:
 
     `basis` is p x rank: the design's left singular vectors above the rank
     cutoff, or in a nested collection leading columns of one shared table.
-    `projector` is basis basis^T, symmetrised; it is built on first access
-    and cached on the instance, so a model whose projector is never
-    read never holds a p x p array. `dim` is the squared design rank: the
+    No p x p projector is kept. `dim` is the squared design rank: the
     dimension of the space of matrices G Psi G^T with Psi symmetric.
     """
 
@@ -115,10 +112,6 @@ class ModelSpec:
     rank: int
     dim: float
     grid: np.ndarray
-
-    @functools.cached_property
-    def projector(self):
-        return projector_from_basis(self.basis)
 
     def __repr__(self):
         return f"ModelSpec(indices={self.indices}, rank={self.rank}, dim={self.dim:g})"

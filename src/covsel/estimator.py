@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob_norm_sq, require_finite
+from .linalg import frob_norm_sq, projector_from_basis, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,7 @@ def empirical_cov(samples):
 
 def project(s, model):
     """The estimate of one model: P S P, symmetrised."""
-    proj = model.projector
+    proj = projector_from_basis(model.basis)
     shat = proj @ s @ proj
     return 0.5 * (shat + shat.T)
 

@@ -129,9 +129,12 @@ class ExperimentConfig:
         # fails here, before any sampling, for a collection the family cannot give
         collection_index_sets(self.family, self.scheme, self.d_max, self.k)
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        # a zero truth gives every model risk 0, so no risk ratio exists
-        if not frob_norm_sq(kernel_to_sigma(self.kernel, self.grid)) > 0:
-            raise ValueError("the kernel's covariance is zero on the grid")
+        # a zero truth, or one whose ||sigma||^2 overflows and so floors every
+        # bias and trace (TruthSpec.floors), gives every model risk 0: no ratio
+        with np.errstate(over="ignore"):
+            norm_sq = frob_norm_sq(kernel_to_sigma(self.kernel, self.grid))
+        if not 0 < norm_sq < np.inf:
+            raise ValueError("the kernel's covariance is zero on the grid or overflows float64")
 
 
 def uniform_grid(p, t_min=0.0, t_max=1.0):
@@ -187,12 +190,12 @@ def run_experiment(cfg):
     risk-optimal model; repeat over cfg.reps replications (and over
     cfg.n_grid when present).
 
-    Returns (report, replications). The report is a JSON-ready dict
-    embedding the resolved configuration and holds no per-replication data.
-    `replications` is None unless cfg.keep_replications; then it maps each
-    column of one row per replication (n, rep, selected, dim, err_sq,
-    selected_known, err_sq_known) to an array over every n in turn, with
-    models labelled "i;j". Identical configs give identical results.
+    Returns (report, tables). The report is a JSON-ready dict embedding the
+    resolved configuration and holds no per-replication data. `tables` maps
+    each CSV file name to its {column: values} table; cfg.diagnostics adds
+    two, and cfg.keep_replications adds replications.csv, one row per
+    replication over every n in turn, which the report names. Models are
+    labelled "i;j". Identical configs give identical results.
     """
     sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
     truth = oracle.TruthSpec(sigma=sigma)
@@ -205,6 +208,8 @@ def run_experiment(cfg):
 
     runs = []
     blocks = []
+    rows = {name: [] for name in ("risk_vs_n.csv", "selection_frequencies.csv",
+                                  "variance_factor_mean.csv", "underestimation_prob.csv")}
     n_values = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     for i_n, n in enumerate(n_values):
         best_model, table = oracle.oracle_model(truth, collection, n)
@@ -212,13 +217,12 @@ def run_experiment(cfg):
 
         selected, err = _run_block(truth, models, cfg, n, (cfg.seed, i_n))
         sel_dims = dims[selected]
+        dd, kn = (_mode_summary(labels, selected[i], err[i], sel_dims[i], oracle_risk, cfg.reps)
+                  for i in range(2))
 
         run = {
             "n": int(n),
-            "oracle": {
-                "indices": list(best_model.indices),
-                "risk": oracle_risk,
-            },
+            "oracle": {"indices": list(best_model.indices), "risk": oracle_risk},
             "risk_table": [
                 {
                     "indices": list(rec.model.indices),
@@ -230,9 +234,17 @@ def run_experiment(cfg):
                 }
                 for rec in table
             ],
-            **{mode: _mode_summary(labels, selected[i], err[i], sel_dims[i], oracle_risk, cfg.reps)
-               for i, mode in enumerate(("data_driven", "known_penalty"))},
+            "data_driven": dd, "known_penalty": kn,
         }
+        rows["risk_vs_n.csv"].append({
+            "n": int(n), "oracle_risk": oracle_risk, "risk_mean": dd["risk_mean"],
+            "risk_se": dd["risk_se"], "risk_ratio": dd["risk_ratio"],
+            "known_risk_mean": kn["risk_mean"], "known_risk_ratio": kn["risk_ratio"]})
+        rows["selection_frequencies.csv"] += [
+            {"n": int(n), "mode": mode, "model": model, "frequency": freq}
+            for mode, summary in (("data_driven", dd), ("known_penalty", kn))
+            for model, freq in sorted(summary["selection_freq"].items())
+        ]
         if cfg.keep_replications:
             blocks.append({
                 "n": np.full(cfg.reps, int(n)),
@@ -246,15 +258,19 @@ def run_experiment(cfg):
         if cfg.diagnostics:
             factors = oracle.plug_in_factors(truth, collection, n, cfg.diagnostics_reps,
                                              seed=(cfg.seed, i_n, 1))
-            run["diagnostics"] = {
-                "variance_factor_mean": oracle.check_variance_factor_mean(factors),
-                "underestimation_prob": oracle.check_underestimation_prob(factors, cfg.alpha),
-            }
+            vf = oracle.check_variance_factor_mean(factors)
+            under = oracle.check_underestimation_prob(factors, cfg.alpha)
+            run["diagnostics"] = {"variance_factor_mean": vf, "underestimation_prob": under}
+            rows["variance_factor_mean.csv"] += [
+                {"n": int(n), "model": ";".join(str(i) for i in rec["indices"]),
+                 **{key: rec[key] for key in ("dim", "mean", "target", "se", "z", "flagged")}}
+                for rec in vf
+            ]
+            rows["underestimation_prob.csv"].append({"n": int(n), **{
+                key: under[key] for key in ("alpha", "estimate", "ci_low", "ci_high",
+                                            "violations", "reps")}})
         runs.append(run)
 
-    replications = None
-    if blocks:
-        replications = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     report = {
         "config": _describe_config(cfg),
         "collection": [
@@ -263,7 +279,13 @@ def run_experiment(cfg):
         "sigma": sigma.tolist(),
         "runs": runs,
     }
-    return report, replications
+    tables = {name: {key: [row[key] for row in table] for key in table[0]}
+              for name, table in rows.items() if table}
+    if blocks:
+        tables["replications.csv"] = {key: np.concatenate([b[key] for b in blocks])
+                                      for key in blocks[0]}
+        report["replications_file"] = "replications.csv"
+    return report, tables
 
 
 def _describe_config(cfg):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import covsel.estimator
 import covsel.oracle
 import covsel.simulate
 from covsel import cli
@@ -145,14 +146,20 @@ class TestSelectCommand:
         }
 
     def test_only_selected_model_forms_projector(self, tmp_path, monkeypatch):
-        built = []
+        built, formed = [], []
         build_collection = cli.build_collection
+        projector_from_basis = covsel.estimator.projector_from_basis
 
         def build_and_keep(*args, **kwargs):
             built.append(build_collection(*args, **kwargs))
             return built[-1]
 
+        def form_and_keep(basis):
+            formed.append(basis)
+            return projector_from_basis(basis)
+
         monkeypatch.setattr(cli, "build_collection", build_and_keep)
+        monkeypatch.setattr(covsel.estimator, "projector_from_basis", form_and_keep)
         gen = np.random.default_rng(5)
         grid = (np.arange(12) + 0.5) / 12
         path = tmp_path / "wide.csv"
@@ -164,8 +171,8 @@ class TestSelectCommand:
         (collection,) = built
         assert len(collection) == 10
         report = json.loads((tmp_path / "selection_report.json").read_text())
-        formed = [list(m.indices) for m in collection if "projector" in vars(m)]
-        assert formed == [report["selected"]]
+        assert [list(m.indices) for basis in formed for m in collection
+                if m.basis is basis] == [report["selected"]]
 
     def test_seed_flag_rejected(self, tmp_path):
         data = write_toy(tmp_path)
@@ -202,6 +209,39 @@ def test_reports_carry_report_version(tmp_path):
     for path in (sel_out / "selection_report.json", sim_out / "experiment_report.json"):
         version = json.loads(path.read_text())["report_version"]
         assert type(version) is int and version == REPORT_VERSION
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, body, csv, message",
+    [
+        # ||sigma||^2 = inf floored every bias and trace to 0: a risk ratio of 0 / 0
+        ("simulate", "[basis]\nt_max = 1e200\n[kernel]\nkind = brownian\n[experiment]\np = 4\n",
+         None, "the kernel's covariance is zero on the grid or overflows float64"),
+        # finite entries whose fourth moments overflow made every criterion NaN
+        ("select", "[basis]\nfamily = histogram\nmax_index = 1\n[collection]\nd_max = 2\n",
+         "0.25,0.75\n1e80,0\n0,1e80\n3e79,1e79\n",
+         "toy.csv: fourth moments of the data overflow float64"),
+    ],
+    ids=["simulate", "select"],
+)
+def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body, csv, message):
+    cfg = tmp_path / "big.ini"
+    cfg.write_text(body)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if csv is not None:
+        args += ["--input", str(write_toy(tmp_path, body=csv))]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dump_json_rejects_non_finite_values(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli.dump_json(tmp_path / "report.json", {"value": value})
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestCsvRoundTrip:
@@ -435,6 +475,73 @@ class TestSimulateCommand:
                 mean = np.mean([float(r[err]) for r in mine])
                 assert mean == pytest.approx(run[mode]["risk_mean"], rel=1e-14)
 
+    def test_tables_agree_with_report(self, tmp_path):
+        # value checks that hold on any numpy/BLAS build, unlike the digests
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(
+            "[basis]\nfamily = fourier\nmax_index = 4\n"
+            "[collection]\nscheme = nested\nd_max = 4\n"
+            "[kernel]\nkind = ornstein_uhlenbeck\nlength_scale = 0.5\n"
+            "[experiment]\np = 4\nreps = 20\nseed = 2\nn_grid = 15,40\n"
+            "diagnostics = true\ndiagnostics_reps = 100\nkeep_replications = true\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "experiment_report.json").read_text())
+        runs = {run["n"]: run for run in report["runs"]}
+        assert list(runs) == [15, 40]
+        modes = ("data_driven", "known_penalty")
+
+        def rows(name):
+            lines = (out / name).read_text().splitlines()
+            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+        def same(row, expected):
+            # floats round-trip exactly through both the report and the CSV
+            assert list(row) == list(expected)
+            for key, value in expected.items():
+                assert (float(row[key]) == value if isinstance(value, float)
+                        else row[key] == str(value)), (key, row, expected)
+
+        risk = rows("risk_vs_n.csv")
+        assert len(risk) == len(runs)
+        for row, (n, run) in zip(risk, runs.items()):
+            dd, kn = (run[mode] for mode in modes)
+            same(row, {"n": n, "oracle_risk": run["oracle"]["risk"],
+                       "risk_mean": dd["risk_mean"], "risk_se": dd["risk_se"],
+                       "risk_ratio": dd["risk_ratio"], "known_risk_mean": kn["risk_mean"],
+                       "known_risk_ratio": kn["risk_ratio"]})
+        freq = {}
+        for row in rows("selection_frequencies.csv"):
+            key = (int(row["n"]), row["mode"])
+            freq.setdefault(key, {})[row["model"]] = float(row["frequency"])
+        assert freq == {(n, mode): run[mode]["selection_freq"]
+                        for n, run in runs.items() for mode in modes}
+        expected = [
+            {"n": n, "model": ";".join(str(i) for i in rec["indices"]),
+             **{key: rec[key] for key in ("dim", "mean", "target", "se", "z", "flagged")}}
+            for n, run in runs.items() for rec in run["diagnostics"]["variance_factor_mean"]
+        ]
+        vf = rows("variance_factor_mean.csv")
+        assert len(vf) == len(expected) == 2 * len(report["collection"])
+        for row, want in zip(vf, expected):
+            same(row, want)
+        under = rows("underestimation_prob.csv")
+        assert len(under) == len(runs)
+        for row, (n, run) in zip(under, runs.items()):
+            rec = run["diagnostics"]["underestimation_prob"]
+            same(row, {"n": n, **{key: rec[key] for key in
+                                  ("alpha", "estimate", "ci_low", "ci_high", "violations",
+                                   "reps")}})
+        counts = {}
+        for row in rows("replications.csv"):
+            for mode, column in zip(modes, ("selected", "selected_known")):
+                key = (int(row["n"]), mode)
+                counts.setdefault(key, {})
+                counts[key][row[column]] = counts[key].get(row[column], 0) + 1
+        assert {key: {model: c / 20 for model, c in labels.items()}
+                for key, labels in counts.items()} == freq
+
     @pytest.mark.parametrize(
         "command, body, message",
         [
@@ -587,17 +694,31 @@ OUT_OF_RANGE = {
 }
 
 
+# select fields out of range, in the same form; the domain defaults to the
+# data grid's range, so TOY_CSV lies inside every drawn one
+SELECT_OUT_OF_RANGE = {
+    ("selection", "theta"): (st.floats(max_value=0.0) | st.just(float("nan")), {},
+                             "theta must be strictly positive"),
+    ("collection", "d_max"): (st.integers(max_value=0) | st.integers(min_value=9),
+                              {("collection", "scheme"): "nested"},
+                              "nested scheme needs 1 <= d_max <= 8"),
+    ("collection", "k"): (st.integers(max_value=0), {("collection", "scheme"): "all_subsets"},
+                          "all_subsets scheme needs k >= 1"),
+    ("basis", "max_index"): (st.integers(max_value=-1), {}, "max_index must be >= 0"),
+}
+
+
 @st.composite
-def out_of_range_documents(draw):
-    """An INI document setting a drawn subset of CONFIG_KEYS["simulate"] to
-    their defaults, then one field out of range; returns it with the message
-    the field's constructor gives."""
-    keys = CONFIG_KEYS["simulate"]
+def out_of_range_documents(draw, command="simulate", out_of_range=OUT_OF_RANGE):
+    """An INI document setting a drawn subset of CONFIG_KEYS[command] to
+    their defaults, then one field of `out_of_range` out of range; returns it
+    with the message the field's constructor gives."""
+    keys = CONFIG_KEYS[command]
     fields = {(section, key): default for section, entries in keys.items()
               for key, (_, default) in entries.items() if default is not None}
     written = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
-    target = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
-    values, needs, message = OUT_OF_RANGE[target]
+    target = draw(st.sampled_from(sorted(out_of_range)))
+    values, needs, message = out_of_range[target]
     doc = {field: fields[field] for field in written}
     doc.update(needs)
     doc[target] = draw(values)
@@ -623,6 +744,28 @@ def test_out_of_range_config_exits_2_before_sampling(case):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", str(tmp / "bad.ini"), "--out", str(tmp / "out")])
+        assert not (tmp / "out").exists()
+    assert code == 2, body
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), body
+    assert message in err.getvalue(), body
+
+
+@given(out_of_range_documents("select", SELECT_OUT_OF_RANGE))
+@settings(max_examples=100, deadline=None)
+def test_select_out_of_range_config_exits_2_before_fitting(case):
+    body, message = case
+
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("fitting started")
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "fit_all", no_fitting):
+        tmp = Path(tmp)
+        (tmp / "bad.ini").write_text(body)
+        args = ["select", "--config", str(tmp / "bad.ini"), "--input", str(write_toy(tmp)),
+                "--out", str(tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
         assert not (tmp / "out").exists()
     assert code == 2, body
     assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), body

@@ -9,7 +9,7 @@ from covsel._reference import (
     true_variance_factor,
 )
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
-from covsel.linalg import frob_norm_sq
+from covsel.linalg import frob_norm_sq, projector_from_basis
 from covsel.oracle import (
     TruthSpec,
     check_underestimation_prob,
@@ -75,7 +75,8 @@ class TestTrueFourthMomentTrace:
                 model = make_model(FOURIER, range(int(gen.integers(1, p + 1))), grid)
                 closed = true_fourth_moment_trace(truth, model)
                 phi = gaussian_fourth_moment_dense(sigma)
-                dense = float(np.sum(kron(model.projector, model.projector) * phi))
+                proj = projector_from_basis(model.basis)
+                dense = float(np.sum(kron(proj, proj) * phi))
                 assert closed == pytest.approx(dense, rel=1e-10, abs=1e-10)
 
 

@@ -35,13 +35,13 @@ class TestKernelToSigma:
 
     def test_finite_rank_truth_has_zero_bias_at_its_model(self):
         from covsel.dictionary import make_model
-        from covsel.linalg import frob_norm_sq
+        from covsel.linalg import frob_norm_sq, projector_from_basis
 
         grid = uniform_grid(8)
         kernel = KernelSpec("finite_rank", family=FOURIER, indices=(0, 1, 2))
         sigma = kernel_to_sigma(kernel, grid)
         model = make_model(FOURIER, (0, 1, 2), grid)
-        proj = model.projector
+        proj = projector_from_basis(model.basis)
         assert frob_norm_sq(sigma - proj @ sigma @ proj) < 1e-20
 
     def test_finite_rank_psi_validation(self):
@@ -190,7 +190,7 @@ class TestRunExperiment:
         # blocks of 2_000 floats: 16 replications of 30 x 4 and 10 of 50 x 4,
         # so 64 replications span 4 and 7 blocks
         monkeypatch.setattr(mc, "BLOCK_FLOATS", 2_000)
-        whole, whole_reps = run_experiment(cfg)
+        whole, whole_tables = run_experiment(cfg)
 
         # 4_000 floats is 2 blocks per chunk, against one chunk at the default size
         def small_chunks(reps, n, p):
@@ -202,8 +202,9 @@ class TestRunExperiment:
             assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
         monkeypatch.setattr(sim, "iter_chunks", small_chunks)
         monkeypatch.setattr(oracle, "iter_chunks", small_chunks)
-        report, reps = run_experiment(cfg)
+        report, tables = run_experiment(cfg)
         assert report == whole
+        reps, whole_reps = tables["replications.csv"], whole_tables["replications.csv"]
         assert list(reps) == list(whole_reps)
         for key, column in reps.items():
             assert np.array_equal(column, whole_reps[key]), key
@@ -235,7 +236,8 @@ class TestRunExperiment:
         assert 0.0 <= diag["underestimation_prob"]["estimate"] <= 1.0
 
     def test_per_replication_records_when_requested(self):
-        report, reps = run_experiment(small_config(reps=12, keep_replications=True))
+        report, tables = run_experiment(small_config(reps=12, keep_replications=True))
+        reps = tables["replications.csv"]
         assert "replications" not in report["runs"][0]
         assert list(reps) == [
             "n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"
@@ -252,7 +254,7 @@ class TestRunExperiment:
         assert reps["dim"].tolist() == [dims[key] for key in reps["selected"]]
 
     def test_replications_none_unless_requested(self):
-        assert run_experiment(small_config(reps=3))[1] is None
+        assert "replications.csv" not in run_experiment(small_config(reps=3))[1]
 
     def test_modal_selection_hits_true_model(self):
         # representable truth: the most frequently selected model has zero bias
@@ -288,7 +290,7 @@ class TestRunExperiment:
         # each replication, redrawn from its seed key, is handed to `select`
         # with the empirical traces and with the true ones
         cfg = small_config(reps=25, keep_replications=True, **overrides)
-        _, reps = run_experiment(cfg)
+        reps = run_experiment(cfg)[1]["replications.csv"]
         sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
         truth = TruthSpec(sigma=sigma)
         models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
