@@ -122,11 +122,11 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
         raise ValueError("x_grid must be nonempty and nonnegative")
 
     factor = psd_factor(truth.sigma)
-    bases = _kernels.stack_bases([model])
+    chains = _kernels.chains([model])
     quad = np.empty(reps)
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        quad[start:stop] = n * _kernels.deviation_batch(x, bases, truth.sigma)[:, 0]
+        quad[start:stop] = n * _kernels.deviation_batch(x, *chains, truth.sigma)[:, 0]
 
     vf = true_variance_factor(truth, model)
     dim = model.dim
@@ -233,7 +233,7 @@ def check_kron_free_trace(key, cases=17):
         grid = uniform_grid(p)
         samples = SampleSet(grid=grid, data=gen.standard_normal((n, p)))
         model = make_model(family, range(int(gen.integers(1, p + 1))), grid)
-        _, (fast,) = fit_all(samples, empirical_cov(samples), [model])
+        _, (fast,) = fit_all(samples, [model])
         phi, proj = fourth_moment_cov_dense(samples), projector_from_basis(model.basis)
         return _rel_err(fast, np.sum(kron(proj, proj) * phi))
     return _worst_below([error(rep_rng(key + (p, n), c), p, n)
@@ -265,7 +265,7 @@ def check_loss_expansion(key, cases=30):
         samples = SampleSet(grid=grid, data=gen.standard_normal((n, p)))
         s = empirical_cov(samples)
         model = make_model(family, range(int(gen.integers(1, p + 1))), grid)
-        (loss,), _ = fit_all(samples, s, [model])
+        (loss,), _ = fit_all(samples, [model])
         shat = project(s, model)
         return _rel_err(loss, np.mean([frob_norm_sq(np.outer(x, x) - shat) for x in samples.data]))
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-9)

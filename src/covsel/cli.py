@@ -42,7 +42,7 @@ FLOAT_FMT = "%.17g"
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901
@@ -245,7 +245,7 @@ def cmd_select(args):
     collection = build_collection(family, grid, **coll_args)
     s = empirical_cov(samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, trace = fit_all(samples, s, collection)
+        loss, trace = fit_all(samples, collection)
     if not (np.isfinite(loss).all() and np.isfinite(trace).all()):
         raise ConfigError(f"{input_path}: fourth moments of the data overflow float64")
     report = select(collection.models, loss, trace, theta, samples.n)
@@ -313,10 +313,16 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    report, tables = run_experiment(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, tables = run_experiment(cfg)
+    report = {"report_version": REPORT_VERSION, **report}
+    try:  # before any file: each table float is in the report or in one of its means
+        json.dumps(report, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError("fourth moments of the kernel's covariance overflow float64") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report})
+    dump_json(out_dir / "experiment_report.json", report)
     for name, table in tables.items():
         write_table_csv(out_dir / name, table)
     print(f"experiment reports written to {out_dir}")

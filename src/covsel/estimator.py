@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frob_norm_sq, projector_from_basis, require_finite
+from ._kernels import chains, model_stats_batch
+from .linalg import projector_from_basis, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,45 +63,21 @@ def project(s, model):
     return 0.5 * (shat + shat.T)
 
 
-def fit_all(samples, s, models):
+def fit_all(samples, models):
     """Empirical loss and fourth-moment trace of each of `models` (in any
-    order), as two arrays; no projector is formed. Models whose bases are
-    leading columns of one orthonormal table Q (a nested collection) form a
-    chain and share one W = X Q. For the model of Q's first d columns, with
-    projector P and C = Q^T S Q:
+    order), as two arrays, from `_kernels.model_stats_batch` on one
+    replication; no projector is formed. For a model with projector P:
 
     * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2 = (1/n) sum_i ||x_i||^4 -
-      ||C[:d, :d]||^2, as P is an orthogonal projector
+      ||P S P||^2, as P is an orthogonal projector
     * trace = Tr((P kron P) F) for F the empirical covariance of vec(x x^T)
-      = (1/n) sum_i ||P x_i||^4 - ||C[:d, :d]||^2, where ||P x_i||^2 sums the
-      first d squares of row i of W; cumulative sums give every d at once
+      = (1/n) sum_i ||P x_i||^4 - ||P S P||^2
 
-    Cost O(n p r + p^2 r) per chain of width r; `covsel._reference` checks
-    the direct residual sum and the dense route.
+    `covsel._reference` checks the direct residual sum and the dense route.
     """
-    models, x = tuple(models), samples.data
-    const = float(np.mean(np.einsum("ij,ij->i", x, x) ** 2))
-    loss, trace = np.empty(len(models)), np.empty(len(models))
+    models = tuple(models)
     grids = {id(model.grid): model.grid for model in models}  # each compared once
     if not all(np.array_equal(samples.grid, grid) for grid in grids.values()):
         raise ValueError("model grid does not match sample grid")
-    chains = {}
-    for j, model in enumerate(models):
-        # one start address and one set of strides: leading columns of one table
-        chains.setdefault((model.basis.ctypes.data, model.basis.strides), []).append(j)
-    for members in chains.values():
-        if len(members) == 1:  # a model of its own needs no cumulative sums
-            (j,), u = members, models[members[0]].basis
-            w, fit_sq = x @ u, frob_norm_sq(u.T @ s @ u)
-            loss[j], trace[j] = const - fit_sq, np.mean(np.einsum("ij,ij->i", w, w) ** 2) - fit_sq
-            continue
-        q = max((models[j].basis for j in members), key=lambda u: u.shape[1])
-        w = x @ q
-        # row d-1 is ||P x_i||^2 over i; numpy means a contiguous row pairwise
-        proj_sq = np.cumsum(np.ascontiguousarray((w * w).T), axis=0)
-        c2 = np.square(q.T @ s @ q)
-        fit_sq = np.cumsum(np.tril(c2).sum(axis=1) + np.triu(c2, 1).sum(axis=0))
-        d = np.array([models[j].rank for j in members]) - 1
-        loss[members] = const - fit_sq[d]
-        trace[members] = np.mean(proj_sq ** 2, axis=1)[d] - fit_sq[d]
-    return loss, trace
+    (norm4,), (proj_norm4,), (fit_sq,) = model_stats_batch(samples.data[None], *chains(models))
+    return norm4 - fit_sq, proj_norm4 - fit_sq

@@ -133,13 +133,13 @@ def plug_in_factors(truth, collection, n, reps, seed=0):
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
     factor = psd_factor(truth.sigma)
-    bases = _kernels.stack_bases(collection)
+    chains = _kernels.chains(collection)
     dims = np.array([model.dim for model in collection])
     traces = np.array([true_fourth_moment_trace(truth, model) for model in collection])
     values = np.empty((reps, len(dims)))
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, bases)
+        _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, *chains)
         values[start:stop] = (proj_norm4 - fit_sq) / dims
     return PlugInFactors(models=tuple(collection), n=n, values=values, true=traces / dims)
 

@@ -151,7 +151,7 @@ def _run_block(truth, models, cfg, n, seed_key):
     index and squared error per replication, row 0 under the data-driven
     penalty and row 1 under the known-factor penalty.
     """
-    bases = _kernels.stack_bases(models)
+    chains = _kernels.chains(models)
     true_traces = np.array([oracle.true_fourth_moment_trace(truth, m) for m in models])
     bias_sq = np.array([oracle.bias_sq(truth, m) for m in models])
     factor = psd_factor(truth.sigma)
@@ -160,8 +160,8 @@ def _run_block(truth, models, cfg, n, seed_key):
     err = np.empty((2, cfg.reps))
     for start, stop in iter_chunks(cfg.reps, n, truth.p):
         x = draw_batch(factor, n, seed_key, start, stop)
-        norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, bases)
-        dev_sq = _kernels.deviation_batch(x, bases, truth.sigma)
+        norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, *chains)
+        dev_sq = _kernels.deviation_batch(x, *chains, truth.sigma)
         traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(true_traces, fit_sq.shape)])
         pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
         selected[:, start:stop] = pick

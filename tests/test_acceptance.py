@@ -83,13 +83,13 @@ def test_criterion_2_gaussian_closed_form():
 
 
 def _mc_risk_z_scores(truth, collection, n, reps, seed):
-    bases = _kernels.stack_bases(collection)
+    chains = _kernels.chains(collection)
     bias = np.array([bias_sq(truth, m) for m in collection])
     factor = psd_factor(truth.sigma)
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(factor, n, seed, start, stop)
-        chunks.append(bias + _kernels.deviation_batch(x, bases, truth.sigma))
+        chunks.append(bias + _kernels.deviation_batch(x, *chains, truth.sigma))
     err_sq = np.concatenate(chunks, axis=0)
     z_scores = []
     for j, rec in enumerate(risk_table(truth, collection, n)):

@@ -218,12 +218,17 @@ def test_reports_carry_report_version(tmp_path):
         # ||sigma||^2 = inf floored every bias and trace to 0: a risk ratio of 0 / 0
         ("simulate", "[basis]\nt_max = 1e200\n[kernel]\nkind = brownian\n[experiment]\np = 4\n",
          None, "the kernel's covariance is zero on the grid or overflows float64"),
+        # a finite ||sigma||^2 whose square overflows: risk_se and the risk
+        # variance overflowed, and the report's Infinity stopped the JSON write
+        ("simulate", "[basis]\nfamily = fourier\nmax_index = 3\nt_max = 1e77\n"
+         "[kernel]\nkind = brownian\n[experiment]\np = 4\nn = 20\nreps = 100\n",
+         None, "fourth moments of the kernel's covariance overflow float64"),
         # finite entries whose fourth moments overflow made every criterion NaN
         ("select", "[basis]\nfamily = histogram\nmax_index = 1\n[collection]\nd_max = 2\n",
          "0.25,0.75\n1e80,0\n0,1e80\n3e79,1e79\n",
          "toy.csv: fourth moments of the data overflow float64"),
     ],
-    ids=["simulate", "select"],
+    ids=["simulate", "simulate-fourth-moments", "select"],
 )
 def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body, csv, message):
     cfg = tmp_path / "big.ini"

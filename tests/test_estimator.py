@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from covsel import _kernels
 from covsel._reference import fourth_moment_cov_dense, kron
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.estimator import SampleSet, empirical_cov, fit_all, project
 from covsel.linalg import frob_norm_sq, projector_from_basis, projector_from_design
-from covsel.simulate import uniform_grid
+from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
 
 rng = np.random.default_rng(303)
 
@@ -98,7 +99,7 @@ class TestFitModel:
             samples = samples_from(x)
             s = empirical_cov(samples)
             model = make_model(FOURIER, range(int(rng.integers(1, 4))), samples.grid)
-            (loss,), _ = fit_all(samples, s, [model])
+            (loss,), _ = fit_all(samples, [model])
             shat = project(s, model)
             direct = np.mean([frob_norm_sq(np.outer(xi, xi) - shat) for xi in x])
             assert loss == pytest.approx(direct, rel=1e-9, abs=1e-9)
@@ -115,10 +116,9 @@ class TestFitModel:
 
     def test_grid_mismatch(self):
         samples = samples_from(rng.standard_normal((4, 3)))
-        s = empirical_cov(samples)
         model = make_model(FOURIER, [0], uniform_grid(3, 0.0, 0.5))
         with pytest.raises(ValueError, match="grid"):
-            fit_all(samples, s, [model])
+            fit_all(samples, [model])
 
     def test_replication_order_invariance(self):
         x = rng.standard_normal((9, 3))
@@ -127,8 +127,7 @@ class TestFitModel:
         fits = []
         for data in (x, x[perm]):
             samples = samples_from(data)
-            s = empirical_cov(samples)
-            fits.append(fit_all(samples, s, [model]))
+            fits.append(fit_all(samples, [model]))
         (loss_a,), (trace_a,) = fits[0]
         (loss_b,), (trace_b,) = fits[1]
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
@@ -137,16 +136,15 @@ class TestFitModel:
     def test_monotone_loss_on_nested_models(self):
         x = rng.standard_normal((12, 8))
         samples = samples_from(x, uniform_grid(8))
-        s = empirical_cov(samples)
         coll = build_collection(FOURIER, samples.grid, scheme="nested", d_max=5)
-        losses, _ = fit_all(samples, s, coll)
+        losses, _ = fit_all(samples, coll)
         assert losses.shape == (5,)
         for small, large in zip(losses, losses[1:]):
             assert large <= small + 1e-9
 
 
 def traces_of(samples, models):
-    return fit_all(samples, empirical_cov(samples), models)[1]
+    return fit_all(samples, models)[1]
 
 
 class TestFourthMomentTrace:
@@ -235,7 +233,7 @@ class TestCoordinatePath:
         gen = np.random.default_rng(len(coll))
         samples = samples_from(gen.standard_normal((40, coll.grid.size)), coll.grid)
         s = empirical_cov(samples)
-        loss, trace = fit_all(samples, s, coll)
+        loss, trace = fit_all(samples, coll)
         dense_loss, dense_trace = dense_fit_all(samples, s, coll)
         np.testing.assert_allclose(loss, dense_loss, rtol=1e-13, atol=0)
         np.testing.assert_allclose(trace, dense_trace, rtol=1e-13, atol=0)
@@ -249,7 +247,7 @@ class TestCoordinatePath:
         monkeypatch.setattr(covsel.estimator, "projector_from_basis", no_projector)
         coll = make_collection()
         samples = samples_from(rng.standard_normal((5, coll.grid.size)), coll.grid)
-        fit_all(samples, empirical_cov(samples), coll)
+        fit_all(samples, coll)
 
     def test_lazy_projector_equals_projector_from_design(self, make_collection):
         # a model whose basis shares its table with another model's is leading
@@ -281,11 +279,10 @@ def test_fit_all_takes_models_in_any_order():
     coll = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), grid, scheme="nested")
     own = [make_model(FOURIER, range(d), grid) for d in (1, 3)]
     samples = samples_from(rng.standard_normal((30, 16)), grid)
-    s = empirical_cov(samples)
     models = [*coll, *own]
-    loss, trace = fit_all(samples, s, models)
+    loss, trace = fit_all(samples, models)
     perm = rng.permutation(len(models))
-    perm_loss, perm_trace = fit_all(samples, s, [models[j] for j in perm])
+    perm_loss, perm_trace = fit_all(samples, [models[j] for j in perm])
     assert np.array_equal(perm_loss, loss[perm]) and np.array_equal(perm_trace, trace[perm])
     # a model of its own spans what the nested model of the same indices spans
     np.testing.assert_allclose(loss[-2:], loss[[0, 2]], rtol=1e-13)
@@ -298,6 +295,12 @@ def test_fit_all_takes_models_in_any_order():
 # 1.19 and 3.62 when this budget was set; it may only tighten.
 LOSS_BUDGET_EPS = 1.5
 TRACE_BUDGET_EPS = 4.0
+# The same for the batched kernels (test_kernel_error_budget), in the units
+# its docstring gives. Measured at 2.75 (proj_norm4), 1.51 (fit_sq) and 15.5
+# (dev_sq) when these budgets were set; they may only tighten.
+KERNEL_PROJ4_BUDGET_EPS = 3.0
+KERNEL_FIT_BUDGET_EPS = 1.7
+KERNEL_DEV_BUDGET_EPS = 17.0
 
 
 def longdouble_fit(x, s, basis):
@@ -309,9 +312,10 @@ def longdouble_fit(x, s, basis):
     return const - fit_sq, proj4 - fit_sq, const, proj4
 
 
-def test_fit_all_error_budget():
-    eps = np.finfo(float).eps
-    worst_loss = worst_trace = 0.0
+def budget_collections():
+    """(collection, grid, generator) for every fixed collection of the error
+    budgets: three families at three grid sizes, both schemes, three seeds,
+    and one wider nested fourier case."""
     cases = [(kind, top, p, scheme, seed)
              for kind, top in (("fourier", 24), ("polynomial", 12), ("histogram", 15))
              for p in (8, 16, 33) for scheme in ("nested", "all_subsets") for seed in range(3)]
@@ -320,16 +324,53 @@ def test_fit_all_error_budget():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # histogram models with only empty cells
             coll = build_collection(BasisFamily(kind, 0.0, 1.0, top), grid, scheme=scheme)
-        gen = np.random.default_rng((p, seed))
+        yield coll, grid, np.random.default_rng((p, seed))
+
+
+def test_fit_all_error_budget():
+    eps = np.finfo(float).eps
+    worst_loss = worst_trace = 0.0
+    for coll, grid, gen in budget_collections():
+        p = grid.size
         samples = samples_from(gen.standard_normal((40, p)) @ gen.standard_normal((p, p)), grid)
         s = empirical_cov(samples)
-        loss, trace = fit_all(samples, s, coll)
+        loss, trace = fit_all(samples, coll)
         for j, model in enumerate(coll):
             exact_loss, exact_trace, const, proj4 = longdouble_fit(samples.data, s, model.basis)
             worst_loss = max(worst_loss, float(abs(loss[j] - exact_loss) / (eps * const)))
             worst_trace = max(worst_trace, float(abs(trace[j] - exact_trace) / (eps * proj4)))
     assert worst_loss <= LOSS_BUDGET_EPS, worst_loss
     assert worst_trace <= TRACE_BUDGET_EPS, worst_trace
+
+
+def test_kernel_error_budget():
+    """The batched kernels on several replications of an Ornstein-Uhlenbeck
+    truth, against a long-double recomputation from the same float64 draws
+    and bases: proj_norm4 and fit_sq in eps times (1/n) sum ||x_i||^4, dev_sq
+    in eps times ||C||^2 + ||G||^2 (C = U^T S U, G = U^T sigma U)."""
+    eps = np.finfo(float).eps
+    worst = np.zeros(3)
+    for coll, grid, gen in budget_collections():
+        sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck", length_scale=0.5), grid)
+        X = gen.standard_normal((4, 40, grid.size)) @ psd_factor(sigma).T
+        chains = _kernels.chains(coll)
+        norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, *chains)
+        dev_sq = _kernels.deviation_batch(X, *chains, sigma)
+        xl, sl = X.astype(np.longdouble), sigma.astype(np.longdouble)
+        for j, model in enumerate(coll):
+            u = model.basis.astype(np.longdouble)
+            w = xl @ u
+            c = np.matmul(w.transpose(0, 2, 1), w) / X.shape[1]
+            g = u.T @ sl @ u
+            exact_fit, g_sq = np.sum(c * c, axis=(1, 2)), np.sum(g * g)
+            errors = (np.mean(np.sum(w * w, axis=2) ** 2, axis=1) - proj_norm4[:, j],
+                      exact_fit - fit_sq[:, j], np.sum((c - g) ** 2, axis=(1, 2)) - dev_sq[:, j])
+            scales = (norm4, norm4, exact_fit + g_sq)
+            worst = np.maximum(worst, [float(np.max(np.abs(e) / (eps * sc)))
+                                       for e, sc in zip(errors, scales)])
+    assert worst[0] <= KERNEL_PROJ4_BUDGET_EPS, worst
+    assert worst[1] <= KERNEL_FIT_BUDGET_EPS, worst
+    assert worst[2] <= KERNEL_DEV_BUDGET_EPS, worst
 
 
 class TestFourthMomentCovDense:

@@ -214,6 +214,37 @@ FINGERPRINTS = {
                 "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
         },
     },
+    # v7: select, simulate and the diagnostics share one statistics kernel,
+    # which reads every model of a chain off one W = X Q through a 0/1 rank
+    # mask, and select's ||P S P||^2 comes from W^T W / n instead of Q^T S Q.
+    # Floats move in their last digits (at most 1.8e-14 relative, on z);
+    # selections, ties, frequencies, oracle picks, flagged and violations are
+    # unchanged, and risk_vs_n.csv, selection_frequencies.csv,
+    # underestimation_prob.csv and sigma_hat.csv keep their v6 bytes
+    7: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "b0b606ebc0e719554a23b98c466a128a20413082005b0bc6e9580cbcada09061",
+            "simulate/risk_vs_n.csv":
+                "f2f07717aeb354244cb1222d6a2a908d5bc5ed4b9f5b61b4654611fa934ad745",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "4bfbd0aae3f8290d4e1b6d358f0761999f5966c5a90c75be1f64cbfd024f9a7a",
+            "simulate/underestimation_prob.csv":
+                "1afdb2c528d00d2a8f1b98e37e873aca82ee56f5929cde103a22e4a818b88ac4",
+            "simulate-keep/replications.csv":
+                "754133b9796a74f6933c36abf2109f01eceff2b13eab94433911b820c58846f7",
+            "select/selection_report.json":
+                "e7267b1b8afa3599f43f5cac272e33fa8bf3de41ebe003168891050d229abfcf",
+            "select/criterion_table.csv":
+                "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
+            "select/sigma_hat.csv":
+                "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
+        },
+    },
 }
 
 

@@ -1,6 +1,7 @@
-"""The batched numpy kernels, fed stacked model bases, must agree with a
-direct per-replication computation on dense projectors, and the Monte Carlo
-loss bias_sq + deviation_batch must agree with the direct loss."""
+"""The batched numpy kernels, fed the chains of a model list, must agree with
+a direct per-replication computation on dense projectors and with fit_all on
+each replication alone, and the Monte Carlo loss bias_sq + deviation_batch
+must agree with the direct loss."""
 
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 
 from covsel import _kernels
 from covsel.dictionary import BasisFamily, build_collection
-from covsel.estimator import SampleSet, empirical_cov, fit_all
+from covsel.estimator import SampleSet, fit_all
 from covsel.linalg import basis_from_design, frob_norm_sq
 from covsel.oracle import TruthSpec, bias_sq
 from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
@@ -65,12 +66,12 @@ def direct_deviation(X, projs, sigma):
 
 
 def assert_kernels_match_direct(X, models, sigma, rtol, atol):
-    bases = _kernels.stack_bases(models)
+    chains = _kernels.chains(models)
     projs = projectors(models)
-    for got, want in zip(_kernels.model_stats_batch(X, bases), direct_model_stats(X, projs)):
+    for got, want in zip(_kernels.model_stats_batch(X, *chains), direct_model_stats(X, projs)):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
     err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
-    dev_sq = _kernels.deviation_batch(X, bases, sigma)
+    dev_sq = _kernels.deviation_batch(X, *chains, sigma)
     np.testing.assert_allclose(dev_sq, proj_dev_sq, rtol=rtol, atol=atol)
     truth = TruthSpec(sigma=sigma)
     bias = np.array([bias_sq(truth, m) for m in models])
@@ -86,16 +87,6 @@ def test_numpy_path_matches_direct(reps, n, p, m_count):
     a = rng.standard_normal((p, p))
     for sigma in (np.eye(p), a @ a.T):
         assert_kernels_match_direct(X, random_models(p, m_count), sigma, rtol=1e-10, atol=1e-12)
-
-
-def test_stack_bases_pads_with_zero_columns():
-    models = random_models(5, 6)
-    bases = _kernels.stack_bases(models)
-    r_max = max(m.rank for m in models)
-    assert bases.shape == (6, 5, r_max)
-    for m, model in enumerate(models):
-        assert np.array_equal(bases[m, :, :model.rank], model.basis)
-        assert not bases[m, :, model.rank:].any()
 
 
 def simulate_kernel_setup(reps):
@@ -116,13 +107,26 @@ def test_simulate_kernel_shape_matches_direct():
 
 
 def test_single_replication_matches_fit_all():
-    """select's fit_all and simulate's kernel compute the same loss and trace."""
-    X, _, grid, collection = simulate_kernel_setup(reps=1)
-    samples = SampleSet(grid=grid, data=X[0])
-    loss, trace = fit_all(samples, empirical_cov(samples), collection)
-    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, _kernels.stack_bases(collection))
-    np.testing.assert_allclose(norm4[0] - fit_sq[0], loss, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(proj_norm4[0] - fit_sq[0], trace, rtol=1e-12, atol=0)
+    """select's fit_all and simulate's kernel compute the same loss and trace:
+    each replication of a batch, over models in any order and chains of any
+    length, gets what fit_all gives on it alone. The models are a nested
+    fourier chain, a nested polynomial collection whose chain breaks after 23
+    models (the last three have bases of their own), and histogram
+    all_subsets models, each a chain of one."""
+    grid = uniform_grid(24)
+    parts = [("fourier", 12, "nested"), ("polynomial", 25, "nested"),
+             ("histogram", 5, "all_subsets")]
+    models = [m for kind, top, scheme in parts
+              for m in build_collection(BasisFamily(kind, 0.0, 1.0, top), grid, scheme=scheme)]
+    models = [models[j] for j in rng.permutation(len(models))]
+    sizes = sorted(len(members) for members, _ in _kernels.chains(models)[1])
+    assert sizes[-2:] == [13, 23] and sizes.count(1) == len(sizes) - 2
+    X = rng.standard_normal((4, 30, 24)) @ rng.standard_normal((24, 24))
+    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, *_kernels.chains(models))
+    for r, x in enumerate(X):
+        loss, trace = fit_all(SampleSet(grid=grid, data=x), models)
+        np.testing.assert_allclose(norm4[r] - fit_sq[r], loss, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(proj_norm4[r] - fit_sq[r], trace, rtol=1e-12, atol=0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -145,7 +149,7 @@ def test_loss_split_matches_extended_precision_loss():
     X = np.random.default_rng(5000).standard_normal((reps, n, p)) @ psd_factor(sigma).T
 
     bias = np.array([bias_sq(truth, m) for m in collection])
-    loss = bias + _kernels.deviation_batch(X, _kernels.stack_bases(collection), sigma)
+    loss = bias + _kernels.deviation_batch(X, *_kernels.chains(collection), sigma)
 
     xl = X.astype(np.longdouble)
     sl = np.matmul(xl.transpose(0, 2, 1), xl) / n

@@ -347,10 +347,10 @@ class TestKnownPenaltySelectionAgainstOracle:
         truth = TruthSpec(sigma=np.eye(4))
         true_traces = [true_fourth_moment_trace(truth, m) for m in coll]
 
-        from covsel.estimator import SampleSet, empirical_cov, fit_all
+        from covsel.estimator import SampleSet, fit_all
 
         samples = SampleSet(grid=grid, data=gen.standard_normal((25, 4)))
-        loss, _ = fit_all(samples, empirical_cov(samples), coll)
+        loss, _ = fit_all(samples, coll)
         report = select(coll.models, loss, true_traces, 1.0, samples.n)
         crits = {
             m.indices: loss[j] + 2.0 * true_variance_factor(truth, m) * m.dim / samples.n

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsel.dictionary import BasisFamily, build_collection
-from covsel.estimator import SampleSet, empirical_cov, fit_all
+from covsel.estimator import SampleSet, fit_all
 from covsel.selection import TIE_RTOL, decide, select, tie_break_key
 from covsel.simulate import uniform_grid
 
@@ -21,9 +21,8 @@ def fitted_collection(data, family=FOURIER, **kwargs):
     data = np.asarray(data, dtype=float)
     grid = uniform_grid(data.shape[1])
     samples = SampleSet(grid=grid, data=data)
-    s = empirical_cov(samples)
     coll = build_collection(family, grid, **kwargs)
-    return (samples, coll.models, *fit_all(samples, s, coll))
+    return (samples, coll.models, *fit_all(samples, coll))
 
 
 class TestPenaltyValues:
@@ -169,12 +168,11 @@ class TestSelect:
         data = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
         grid = np.array([0.1, 0.6])
         samples = SampleSet(grid=grid, data=data)
-        s = empirical_cov(samples)
         with pytest.warns(UserWarning):
             coll = build_collection(
                 BasisFamily("histogram", 0.0, 1.0, 3), grid, scheme="all_subsets", k=1
             )
-        loss, trace = fit_all(samples, s, coll)
+        loss, trace = fit_all(samples, coll)
         report = select(coll.models, loss, trace, 1.0, samples.n)
         assert report.selected.indices == (0,)
         assert set(report.ties) == {(0,), (2,)}
@@ -266,7 +264,7 @@ class TestMetamorphic:
     @staticmethod
     def decide_on(data, models):
         samples = SampleSet(grid=uniform_grid(data.shape[1]), data=data)
-        loss, trace = fit_all(samples, empirical_cov(samples), models)
+        loss, trace = fit_all(samples, models)
         report = select(models, loss, trace, 1.0, samples.n)
         return report.selected.indices, report.ties
 

@@ -3,7 +3,7 @@ import pytest
 
 from covsel._mc import block_reps, draw_batch, rep_rng
 from covsel.dictionary import BasisFamily, build_collection
-from covsel.estimator import SampleSet, empirical_cov, fit_all
+from covsel.estimator import SampleSet, fit_all
 from covsel.oracle import TruthSpec, true_fourth_moment_trace
 from covsel.selection import select
 from covsel.simulate import (
@@ -303,7 +303,7 @@ class TestRunExperiment:
                 zip(reps["selected"][mine], reps["selected_known"][mine])
             ):
                 samples = SampleSet(grid=cfg.grid, data=x[r])
-                loss, trace = fit_all(samples, empirical_cov(samples), models)
+                loss, trace = fit_all(samples, models)
                 for traces, label in ((trace, selected), (true_traces, selected_known)):
                     pick = select(models, loss, traces, cfg.theta, n).selected
                     assert ";".join(str(i) for i in pick.indices) == label
