@@ -20,7 +20,6 @@ from .estimator import (
     project,
 )
 from .oracle import (
-    RiskRecord,
     TruthSpec,
     check_underestimation_prob,
     check_variance_factor_mean,
@@ -46,7 +45,6 @@ __all__ = [
     "KernelSpec",
     "ModelCollection",
     "ModelSpec",
-    "RiskRecord",
     "SampleSet",
     "SelectionReport",
     "TruthSpec",

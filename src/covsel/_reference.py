@@ -20,7 +20,7 @@ from ._mc import draw_batch, iter_chunks, rep_rng
 from .dictionary import BasisFamily, ModelSpec, make_model
 from .estimator import SampleSet, empirical_cov, fit_all, project
 from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
-                     psd_factor, require_finite)
+                     require_finite)
 from .oracle import TruthSpec, true_fourth_moment_trace
 from .simulate import uniform_grid
 
@@ -121,12 +121,13 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
     if x_grid.size == 0 or np.any(x_grid < 0):
         raise ValueError("x_grid must be nonempty and nonnegative")
 
-    factor = psd_factor(truth.sigma)
     chains = _kernels.chains([model])
     quad = np.empty(reps)
     for start, stop in iter_chunks(reps, n, truth.p):
-        x = draw_batch(factor, n, seed, start, stop)
-        quad[start:stop] = n * _kernels.deviation_batch(x, *chains, truth.sigma)[:, 0]
+        # the batch is freed when the kernel returns, before the next draw
+        dev_sq = _kernels.deviation_batch(draw_batch(truth.factor, n, seed, start, stop),
+                                          *chains, truth.sigma)
+        quad[start:stop] = n * dev_sq[:, 0]
 
     vf = true_variance_factor(truth, model)
     dim = model.dim

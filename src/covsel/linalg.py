@@ -93,11 +93,12 @@ def psd_eigh(a, name="matrix"):
     return eigvals, eigvecs
 
 
-def psd_factor(sigma):
-    """Symmetric factor L with L L^T = sigma, via the eigendecomposition.
+def psd_factor(sigma, name="matrix"):
+    """Factor L = V diag(sqrt(lambda)) with L L^T = sigma, from the
+    eigendecomposition with which :func:`psd_eigh` checks `sigma`.
 
     Eigenvalues that :func:`psd_eigh` accepts as rounding are clipped to zero,
     so rank-deficient and zero matrices factor cleanly.
     """
-    eigvals, eigvecs = psd_eigh(sigma)
+    eigvals, eigvecs = psd_eigh(sigma, name)
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))

@@ -1,7 +1,8 @@
 """Ground-truth quantities available only in simulation: the true
 fourth-moment trace of each model under a Gaussian truth, the exact risk
-decomposition, the risk-optimal model, and Monte Carlo checks of the
-assumptions behind the data-driven penalty.
+decomposition as two columns that do not depend on n, the risk-optimal
+model, and Monte Carlo checks of the assumptions behind the data-driven
+penalty.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, wilson_interval
-from .linalg import frob_norm_sq, psd_eigh, psd_factor
+from .linalg import frob_norm_sq, psd_factor
 from .selection import decide
 
 # fewest replications the Monte Carlo diagnostics accept
@@ -27,13 +28,16 @@ ZERO_RTOL = 1e-22
 
 @dataclass(frozen=True, eq=False)
 class TruthSpec:
-    """A known true covariance of a centred Gaussian process on the grid."""
+    """A known true covariance of a centred Gaussian process on the grid, and
+    the factor L (L L^T = sigma) that the Monte Carlo draws through, from the
+    eigendecomposition that checks sigma."""
 
     sigma: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        psd_eigh(sigma, "sigma")
+        object.__setattr__(self, "factor", psd_factor(sigma, "sigma"))
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
 
     @property
@@ -75,45 +79,26 @@ def bias_sq(truth, model):
     return 0.0 if bias <= truth.floors[0] else bias
 
 
-@dataclass(frozen=True, eq=False)
-class RiskRecord:
-    """Exact risk decomposition for one model: bias_sq + variance_term."""
-
-    model: object
-    bias_sq: float
-    variance_term: float
-    risk: float
-    variance_factor: float
-
-
-def true_risk(truth, model, n):
-    """Exact mean squared error of the projected sample covariance.
-
-    E||sigma - P S P||^2 = ||sigma - P sigma P||^2 + variance_factor * dim / n.
+def risk_table(truth, models):
+    """The two columns of the exact risk that do not depend on n, in the order
+    of `models`: (bias, trace), each model's squared bias and true
+    fourth-moment trace. At sample size n, E||sigma - P S P||^2 = bias + trace / n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    bias = bias_sq(truth, model)
-    trace = true_fourth_moment_trace(truth, model)
-    return RiskRecord(model=model, bias_sq=bias, variance_term=trace / n,
-                      risk=bias + trace / n, variance_factor=trace / model.dim)
+    return (np.array([bias_sq(truth, model) for model in models]),
+            np.array([true_fourth_moment_trace(truth, model) for model in models]))
 
 
-def risk_table(truth, collection, n):
-    return tuple(true_risk(truth, model, n) for model in collection)
-
-
-def oracle_model(truth, collection, n):
-    """Risk-minimising model and the full risk table.
+def oracle_model(models, bias, trace, n):
+    """Risk-minimising model at sample size n, and every model's risk
+    bias + trace / n, from the `risk_table` columns of `models`.
 
     Ties break exactly as in selection: smaller dim, then lexicographic
     indices.
     """
-    table = risk_table(truth, collection, n)
-    if not table:
+    if not models:
         raise ValueError("empty collection")
-    pick, _ = decide([rec.risk for rec in table], [rec.model for rec in table])
-    return table[pick].model, table
+    risk = bias + trace / n
+    return models[decide(risk, models)[0]], risk
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,21 +112,23 @@ class PlugInFactors:
     true: np.ndarray = field(repr=False)
 
 
-def plug_in_factors(truth, collection, n, reps, seed=0):
+def plug_in_factors(truth, models, chains, trace, n, reps, seed=0):
     """Draw `reps` replications of n paths once and return every model's
-    plug-in variance factor in each: the table both diagnostics read."""
+    plug-in variance factor in each: the table both diagnostics read.
+
+    `chains` is `_kernels.chains(models)` and `trace` the trace column of
+    `risk_table(truth, models)`.
+    """
     if reps < MIN_DIAGNOSTICS_REPS:
         raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
-    factor = psd_factor(truth.sigma)
-    chains = _kernels.chains(collection)
-    dims = np.array([model.dim for model in collection])
-    traces = np.array([true_fourth_moment_trace(truth, model) for model in collection])
+    dims = np.array([model.dim for model in models])
     values = np.empty((reps, len(dims)))
     for start, stop in iter_chunks(reps, n, truth.p):
-        x = draw_batch(factor, n, seed, start, stop)
-        _, proj_norm4, fit_sq = _kernels.model_stats_batch(x, *chains)
+        # the batch is freed when the kernel returns, before the next draw
+        _, proj_norm4, fit_sq = _kernels.model_stats_batch(
+            draw_batch(truth.factor, n, seed, start, stop), *chains)
         values[start:stop] = (proj_norm4 - fit_sq) / dims
-    return PlugInFactors(models=tuple(collection), n=n, values=values, true=traces / dims)
+    return PlugInFactors(models=tuple(models), n=n, values=values, true=trace / dims)
 
 
 def check_variance_factor_mean(factors):

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels, oracle
 from ._mc import draw_batch, iter_chunks
 from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
-from .linalg import frob_norm_sq, psd_eigh, psd_factor, require_finite
+from .linalg import frob_norm_sq, psd_eigh, require_finite
 from .selection import check_theta, decide, tie_break_key
 
 KERNEL_KINDS = ("brownian", "ornstein_uhlenbeck", "finite_rank")
@@ -144,32 +144,29 @@ def uniform_grid(p, t_min=0.0, t_max=1.0):
     return t_min + (np.arange(p) + 0.5) * (t_max - t_min) / p
 
 
-def _run_block(truth, models, cfg, n, seed_key):
-    """Monte Carlo block for one sample size.
+def _run_block(truth, models, chains, bias, trace, cfg, n, seed_key):
+    """Monte Carlo block for one sample size, reading the n-free `chains` and
+    `risk_table` columns of `models`.
 
     Returns (selected, err_sq), each of shape (2, reps): the selected model's
     index and squared error per replication, row 0 under the data-driven
     penalty and row 1 under the known-factor penalty.
     """
-    chains = _kernels.chains(models)
-    true_traces = np.array([oracle.true_fourth_moment_trace(truth, m) for m in models])
-    bias_sq = np.array([oracle.bias_sq(truth, m) for m in models])
-    factor = psd_factor(truth.sigma)
-
     selected = np.empty((2, cfg.reps), dtype=np.int64)
     err = np.empty((2, cfg.reps))
     for start, stop in iter_chunks(cfg.reps, n, truth.p):
-        x = draw_batch(factor, n, seed_key, start, stop)
+        x = draw_batch(truth.factor, n, seed_key, start, stop)
         norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, *chains)
         dev_sq = _kernels.deviation_batch(x, *chains, truth.sigma)
-        traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(true_traces, fit_sq.shape)])
+        del x  # so that the next chunk's draw never finds this one alive
+        traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
         pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
         selected[:, start:stop] = pick
-        err[:, start:stop] = bias_sq[pick] + dev_sq[np.arange(stop - start), pick]
+        err[:, start:stop] = bias[pick] + dev_sq[np.arange(stop - start), pick]
     return selected, err
 
 
-def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
+def _mode_summary(labels, order, sel, err, sel_dims, oracle_risk, reps):
     mean_err = float(err.mean())
     se = float(err.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     counts = np.bincount(sel, minlength=len(labels)).tolist()
@@ -179,9 +176,7 @@ def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
         "risk_ratio": mean_err / oracle_risk,
         "risk_ratio_se": se / oracle_risk,
         "mean_selected_dim": float(sel_dims.mean()),
-        "selection_freq": {
-            label: count / reps for label, count in zip(labels, counts) if count
-        },
+        "selection_freq": {labels[j]: counts[j] / reps for j in order if counts[j]},
     }
 
 
@@ -199,12 +194,15 @@ def run_experiment(cfg):
     """
     sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
     truth = oracle.TruthSpec(sigma=sigma)
-    collection = build_collection(
-        cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max, k=cfg.k
-    )
-    models = sorted(collection.models, key=tie_break_key)
+    models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
+                              k=cfg.k).models
+    # models stay in build order; the report lists them in tie-break order
+    order = sorted(range(len(models)), key=lambda j: tie_break_key(models[j]))
     labels = np.array([";".join(str(i) for i in m.indices) for m in models], dtype=object)
     dims = np.array([m.dim for m in models])
+    # the constants of every n: the models' chains and the truth's risk columns
+    chains = _kernels.chains(models)
+    bias, trace = oracle.risk_table(truth, models)
 
     runs = []
     blocks = []
@@ -212,27 +210,21 @@ def run_experiment(cfg):
                                   "variance_factor_mean.csv", "underestimation_prob.csv")}
     n_values = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     for i_n, n in enumerate(n_values):
-        best_model, table = oracle.oracle_model(truth, collection, n)
-        oracle_risk = min(rec.risk for rec in table)
+        best_model, risk = oracle.oracle_model(models, bias, trace, n)
+        oracle_risk = float(risk.min())
 
-        selected, err = _run_block(truth, models, cfg, n, (cfg.seed, i_n))
+        selected, err = _run_block(truth, models, chains, bias, trace, cfg, n, (cfg.seed, i_n))
         sel_dims = dims[selected]
-        dd, kn = (_mode_summary(labels, selected[i], err[i], sel_dims[i], oracle_risk, cfg.reps)
-                  for i in range(2))
+        dd, kn = (_mode_summary(labels, order, selected[i], err[i], sel_dims[i], oracle_risk,
+                                cfg.reps) for i in range(2))
 
         run = {
             "n": int(n),
             "oracle": {"indices": list(best_model.indices), "risk": oracle_risk},
             "risk_table": [
-                {
-                    "indices": list(rec.model.indices),
-                    "dim": rec.model.dim,
-                    "bias_sq": rec.bias_sq,
-                    "variance_term": rec.variance_term,
-                    "risk": rec.risk,
-                    "variance_factor": rec.variance_factor,
-                }
-                for rec in table
+                {"indices": list(m.indices), "dim": m.dim, "bias_sq": b, "variance_term": t / n,
+                 "risk": r, "variance_factor": t / m.dim}
+                for m, b, t, r in zip(models, bias.tolist(), trace.tolist(), risk.tolist())
             ],
             "data_driven": dd, "known_penalty": kn,
         }
@@ -256,8 +248,8 @@ def run_experiment(cfg):
                 "err_sq_known": err[1],
             })
         if cfg.diagnostics:
-            factors = oracle.plug_in_factors(truth, collection, n, cfg.diagnostics_reps,
-                                             seed=(cfg.seed, i_n, 1))
+            factors = oracle.plug_in_factors(truth, models, chains, trace, n,
+                                             cfg.diagnostics_reps, seed=(cfg.seed, i_n, 1))
             vf = oracle.check_variance_factor_mean(factors)
             under = oracle.check_underestimation_prob(factors, cfg.alpha)
             run["diagnostics"] = {"variance_factor_mean": vf, "underestimation_prob": under}
@@ -274,7 +266,8 @@ def run_experiment(cfg):
     report = {
         "config": _describe_config(cfg),
         "collection": [
-            {"indices": list(m.indices), "rank": m.rank, "dim": m.dim} for m in models
+            {"indices": list(models[j].indices), "rank": models[j].rank, "dim": models[j].dim}
+            for j in order
         ],
         "sigma": sigma.tolist(),
         "runs": runs,

@@ -29,7 +29,6 @@ from covsel.estimator import SampleSet, empirical_cov, project
 from covsel.linalg import projector_from_basis
 from covsel.oracle import (
     TruthSpec,
-    bias_sq,
     check_underestimation_prob,
     check_variance_factor_mean,
     plug_in_factors,
@@ -39,7 +38,6 @@ from covsel.simulate import (
     ExperimentConfig,
     KernelSpec,
     kernel_to_sigma,
-    psd_factor,
     run_experiment,
     uniform_grid,
 )
@@ -84,19 +82,21 @@ def test_criterion_2_gaussian_closed_form():
 
 def _mc_risk_z_scores(truth, collection, n, reps, seed):
     chains = _kernels.chains(collection)
-    bias = np.array([bias_sq(truth, m) for m in collection])
-    factor = psd_factor(truth.sigma)
+    bias, trace = risk_table(truth, collection)
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
-        x = draw_batch(factor, n, seed, start, stop)
+        x = draw_batch(truth.factor, n, seed, start, stop)
         chunks.append(bias + _kernels.deviation_batch(x, *chains, truth.sigma))
     err_sq = np.concatenate(chunks, axis=0)
-    z_scores = []
-    for j, rec in enumerate(risk_table(truth, collection, n)):
-        mean = err_sq[:, j].mean()
-        se = err_sq[:, j].std(ddof=1) / np.sqrt(reps)
-        z_scores.append((mean - rec.risk) / se)
-    return z_scores
+    mean = err_sq.mean(axis=0)
+    se = err_sq.std(axis=0, ddof=1) / np.sqrt(reps)
+    return list((mean - (bias + trace / n)) / se)
+
+
+def _plug_in(truth, collection, n, reps, seed):
+    models = collection.models
+    return plug_in_factors(truth, models, _kernels.chains(models), risk_table(truth, models)[1],
+                           n, reps, seed)
 
 
 def test_criterion_3_risk_decomposition():
@@ -129,7 +129,7 @@ def test_criterion_4_variance_factor_mean_exact_factor():
     truth = TruthSpec(sigma=np.eye(2))
     fam = BasisFamily("histogram", 0.0, 1.0, 1)
     coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-    records = check_variance_factor_mean(plug_in_factors(truth, coll, n=10, reps=100_000, seed=41))
+    records = check_variance_factor_mean(_plug_in(truth, coll, n=10, reps=100_000, seed=41))
     # target embeds the exact (n-1)/n = 0.9 factor
     for rec in records:
         model = next(m for m in coll if m.indices == rec["indices"])
@@ -151,7 +151,7 @@ def test_criterion_5_underestimation_probability_trend():
     estimates = []
     for i, n in enumerate((20, 50, 100, 200)):
         out = check_underestimation_prob(
-            plug_in_factors(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
+            _plug_in(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
         )
         estimates.append(out)
     ok = True

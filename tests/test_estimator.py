@@ -7,8 +7,9 @@ from covsel import _kernels
 from covsel._reference import fourth_moment_cov_dense, kron
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.estimator import SampleSet, empirical_cov, fit_all, project
-from covsel.linalg import frob_norm_sq, projector_from_basis, projector_from_design
-from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
+from covsel.linalg import (frob_norm_sq, projector_from_basis, projector_from_design,
+                           psd_factor)
+from covsel.simulate import KernelSpec, kernel_to_sigma, uniform_grid
 
 rng = np.random.default_rng(303)
 

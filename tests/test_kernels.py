@@ -11,9 +11,9 @@ import pytest
 from covsel import _kernels
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, fit_all
-from covsel.linalg import basis_from_design, frob_norm_sq
+from covsel.linalg import basis_from_design, frob_norm_sq, psd_factor
 from covsel.oracle import TruthSpec, bias_sq
-from covsel.simulate import KernelSpec, kernel_to_sigma, psd_factor, uniform_grid
+from covsel.simulate import KernelSpec, kernel_to_sigma, uniform_grid
 
 rng = np.random.default_rng(707)
 

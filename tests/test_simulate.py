@@ -4,13 +4,13 @@ import pytest
 from covsel._mc import block_reps, draw_batch, rep_rng
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, fit_all
+from covsel.linalg import psd_factor
 from covsel.oracle import TruthSpec, true_fourth_moment_trace
-from covsel.selection import select
+from covsel.selection import select, tie_break_key
 from covsel.simulate import (
     ExperimentConfig,
     KernelSpec,
     kernel_to_sigma,
-    psd_factor,
     run_experiment,
     uniform_grid,
 )
@@ -178,6 +178,32 @@ class TestRunExperiment:
         oracle_risks = [run["oracle"]["risk"] for run in report["runs"]]
         assert all(b <= a + 1e-15 for a, b in zip(oracle_risks, oracle_risks[1:]))
 
+    def test_report_orders_and_oracle_risk_under_rank_deficient_ties(self):
+        # on a 3-point grid P3 is a multiple of P1, so (1, 3) has rank 1 and
+        # tie-break order differs from build order, and every rank-3 model
+        # spans the grid, so their risks tie up to rounding
+        family = BasisFamily("polynomial", 0.0, 1.0, 4)
+        kernel = KernelSpec("finite_rank", family=family, indices=(0, 1, 3))
+        cfg = small_config(kernel=kernel, family=family, grid=uniform_grid(3),
+                           scheme="all_subsets", k=3, n_grid=(4, 30), reps=20)
+        report, _ = run_experiment(cfg)
+        built = build_collection(family, cfg.grid, scheme="all_subsets", k=3).models
+        listed = [tuple(m["indices"]) for m in report["collection"]]
+        assert listed == [m.indices for m in sorted(built, key=tie_break_key)]
+        assert listed != [m.indices for m in built]
+        winner_differs = False
+        for run in report["runs"]:
+            assert [tuple(row["indices"]) for row in run["risk_table"]] == [
+                m.indices for m in built]
+            risks = {tuple(row["indices"]): row["risk"] for row in run["risk_table"]}
+            # the oracle risk is the column's minimum, not the tie-break winner's risk
+            assert run["oracle"]["risk"] == min(risks.values())
+            winner_differs |= risks[tuple(run["oracle"]["indices"])] != run["oracle"]["risk"]
+            freq = run["data_driven"]["selection_freq"]
+            assert list(freq) == [key for key in (";".join(map(str, m)) for m in listed)
+                                  if key in freq]
+        assert winner_differs
+
     def test_chunking_does_not_change_results(self, monkeypatch):
         import covsel._mc as mc
         import covsel.oracle as oracle
@@ -226,6 +252,70 @@ class TestRunExperiment:
         run_experiment(cfg)
         for n in cfg.n_grid:
             assert sum(count for m, count in drawn if m == n) == cfg.reps + cfg.diagnostics_reps
+
+    def test_truth_constants_computed_once_per_experiment(self, monkeypatch):
+        # squared bias, true trace, factor and chains do not depend on n, so
+        # three sample sizes with diagnostics compute each once (at version 7:
+        # bias_sq 30, true_fourth_moment_trace 45, psd_factor 6, chains 6 and
+        # risk_table 3 calls for these 5 models)
+        import sys
+
+        import covsel._kernels as kernels
+        import covsel.linalg as linalg
+        import covsel.oracle as oracle
+
+        calls = dict.fromkeys(["bias_sq", "true_fourth_moment_trace", "psd_factor", "chains",
+                               "risk_table"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        homes = {"bias_sq": oracle, "true_fourth_moment_trace": oracle, "psd_factor": linalg,
+                 "chains": kernels, "risk_table": oracle}
+        covsel_modules = [mod for key, mod in sys.modules.items() if key.startswith("covsel")]
+        for name, home in homes.items():
+            original, wrapper = getattr(home, name), counting(name, getattr(home, name))
+            for mod in covsel_modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        cfg = small_config(grid=uniform_grid(8), d_max=5, reps=20, n_grid=(20, 40, 80),
+                           diagnostics=True, diagnostics_reps=100)
+        report, _ = run_experiment(cfg)
+        assert len(report["collection"]) == 5 and len(report["runs"]) == 3
+        assert calls == {"bias_sq": 5, "true_fourth_moment_trace": 5, "psd_factor": 1,
+                         "chains": 1, "risk_table": 1}
+
+    def test_each_batch_is_freed_before_the_next_draw(self, monkeypatch):
+        import weakref
+
+        import covsel._mc as mc
+        import covsel._reference as reference
+        import covsel.oracle as oracle
+        import covsel.simulate as sim
+
+        batches = []
+
+        def watching_draw(factor, n, seed, start, stop):
+            assert all(ref() is None for ref in batches), "a previous batch is still alive"
+            x = mc.draw_batch(factor, n, seed, start, stop)
+            batches.append(weakref.ref(x))
+            return x
+
+        for module in (sim, oracle, reference):
+            monkeypatch.setattr(module, "draw_batch", watching_draw)
+        # p = 4, n = 40: 10_000 replications are two chunks
+        assert len(list(mc.iter_chunks(10_000, 40, 4))) == 2
+        cfg = small_config(n=40, reps=10_000, diagnostics=True, diagnostics_reps=10_000)
+        run_experiment(cfg)
+        assert len(batches) == 4
+        truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
+        model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2).models[-1]
+        reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
+        assert len(batches) == 6
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
