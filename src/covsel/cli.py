@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -39,6 +38,9 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 FLOAT_FMT = "%.17g"
+
+# rows write_table_csv formats at a time: its strings never outgrow one block
+TABLE_BLOCK_ROWS = 4096
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
@@ -68,25 +70,41 @@ def _read_file(path, what, read):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _rows(fh, path):
+    """The stripped non-blank lines of `fh`, each checked as it passes to have
+    the first line's number of columns; at the end, at least two lines."""
+    width, count = None, 0
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        width = width or line.count(",") + 1
+        if line.count(",") + 1 != width:
+            raise ConfigError(f"{path}: rows must have exactly {width} columns")
+        count += 1
+        yield line
+    if count < 2:
+        raise ConfigError(f"{path}: need a grid header plus at least 2 replications")
+
+
 def read_samples_csv(path):
     """Read a replication file: header row = grid values, body rows = x_i.
 
     Blank lines are skipped; every other line is a row of comma-separated
-    floats, and `#` is not a comment marker.
+    floats, and `#` is not a comment marker. The file is parsed as it is
+    read, one line at a time, so only the array is ever held whole.
     """
     path = Path(path)
-    lines = _read_file(path, "input file",
-                       lambda fh: [line.strip() for line in fh if line.strip()])
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: need a grid header plus at least 2 replications")
-    width = lines[0].count(",") + 1
-    if any(line.count(",") + 1 != width for line in lines):
-        raise ConfigError(f"{path}: rows must have exactly {width} columns")
-    try:
-        values = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",",
-                            comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric entry ({exc})") from exc
+
+    def parse(fh):
+        try:
+            return np.loadtxt(_rows(fh, path), delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:
+            raise  # _read_file reports it as an unreadable file
+        except ValueError as exc:
+            raise ConfigError(f"{path}: non-numeric entry ({exc})") from exc
+
+    values = _read_file(path, "input file", parse)
     try:
         return SampleSet(grid=values[0], data=values[1:])
     except ValueError as exc:
@@ -105,16 +123,20 @@ def write_table_csv(path, table):
     """CSV of a table given as {column name: values}, all columns one length.
 
     Floats are written in FLOAT_FMT and every other value through str; an
-    array column is read with tolist(), which gives plain Python values.
+    array column is read with tolist(), which gives plain Python values. Rows
+    are formatted and written TABLE_BLOCK_ROWS at a time.
     """
-    cells = []
-    for values in table.values():
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        cells.append([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values])
+    rows = len(next(iter(table.values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(table) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for start in range(0, rows, TABLE_BLOCK_ROWS):
+            cells = []
+            for values in table.values():
+                values = values[start:start + TABLE_BLOCK_ROWS]
+                if isinstance(values, np.ndarray):
+                    values = values.tolist()
+                cells.append([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values])
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def dump_json(path, payload):
@@ -249,6 +271,10 @@ def cmd_select(args):
     if not (np.isfinite(loss).all() and np.isfinite(trace).all()):
         raise ConfigError(f"{input_path}: fourth moments of the data overflow float64")
     report = select(collection.models, loss, trace, theta, samples.n)
+    digest = hashlib.sha256()  # by hand: hashlib.file_digest needs Python 3.11
+    with open(input_path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
@@ -262,7 +288,7 @@ def cmd_select(args):
             "config": {
                 "input": {
                     "name": Path(input_path).name,
-                    "sha256": hashlib.sha256(Path(input_path).read_bytes()).hexdigest(),
+                    "sha256": digest.hexdigest(),
                 },
                 "theta": theta,
                 "family": asdict(family),

@@ -103,6 +103,8 @@ class ExperimentConfig:
     diagnostics: bool = False
     diagnostics_reps: int = 1000
     keep_replications: bool = False
+    # the kernel's covariance on the grid, built and checked once here
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.reps < 1:
@@ -129,10 +131,11 @@ class ExperimentConfig:
         # fails here, before any sampling, for a collection the family cannot give
         collection_index_sets(self.family, self.scheme, self.d_max, self.k)
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "sigma", kernel_to_sigma(self.kernel, self.grid))
         # a zero truth, or one whose ||sigma||^2 overflows and so floors every
         # bias and trace (TruthSpec.floors), gives every model risk 0: no ratio
         with np.errstate(over="ignore"):
-            norm_sq = frob_norm_sq(kernel_to_sigma(self.kernel, self.grid))
+            norm_sq = frob_norm_sq(self.sigma)
         if not 0 < norm_sq < np.inf:
             raise ValueError("the kernel's covariance is zero on the grid or overflows float64")
 
@@ -192,8 +195,7 @@ def run_experiment(cfg):
     replication over every n in turn, which the report names. Models are
     labelled "i;j". Identical configs give identical results.
     """
-    sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
-    truth = oracle.TruthSpec(sigma=sigma)
+    truth = oracle.TruthSpec(sigma=cfg.sigma)
     models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
                               k=cfg.k).models
     # models stay in build order; the report lists them in tie-break order
@@ -269,7 +271,7 @@ def run_experiment(cfg):
             {"indices": list(models[j].indices), "rank": models[j].rank, "dim": models[j].dim}
             for j in order
         ],
-        "sigma": sigma.tolist(),
+        "sigma": cfg.sigma.tolist(),
         "runs": runs,
     }
     tables = {name: {key: [row[key] for row in table] for key in table[0]}
@@ -282,13 +284,13 @@ def run_experiment(cfg):
 
 
 def _describe_config(cfg):
-    """The resolved config: every ExperimentConfig field, with the kernel
-    reduced to the parameters its kind reads."""
+    """The resolved config: every ExperimentConfig init field, with the
+    kernel reduced to the parameters its kind reads."""
     kernel = {"kind": cfg.kernel.kind}
     if cfg.kernel.kind == "ornstein_uhlenbeck":
         kernel["length_scale"] = cfg.kernel.length_scale
     if cfg.kernel.kind == "finite_rank":
         kernel.update(indices=cfg.kernel.indices, psi=cfg.kernel.psi.tolist(),
                       family=asdict(cfg.kernel.family))
-    return {**{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+    return {**{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init},
             "kernel": kernel, "family": asdict(cfg.family), "grid": cfg.grid.tolist()}

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -249,6 +250,16 @@ def test_dump_json_rejects_non_finite_values(tmp_path):
         assert not (tmp_path / "report.json").exists()
 
 
+def traced_peak(fn, *args):
+    """(tracemalloc peak of fn(*args), its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestCsvRoundTrip:
     def test_read_write_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -309,6 +320,63 @@ class TestCsvRoundTrip:
         )
         assert np.array_equal(plain.grid, spaced.grid)
         assert np.array_equal(plain.data, spaced.data)
+
+    def test_text_handling(self, tmp_path, capsys):
+        # 2000 rows, so the last line lies well past the reader's first chunk
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((2000, 3))
+        lines = [",".join("%.17g" % v for v in row) for row in values]
+        bodies = {
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "cr": "\r".join(lines) + "\r",
+            "no_final_newline": "\n".join(lines),
+            "whitespace_lines": "\n \t\n".join(lines) + "\n  \r\n",
+        }
+        for name, body in bodies.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(body.encode())
+            samples = read_samples_csv(path)
+            assert samples.grid.tobytes() == values[0].tobytes(), name
+            assert samples.data.tobytes() == values[1:].tobytes(), name
+        bad = {
+            "bom": (b"\xef\xbb\xbf" + "\n".join(lines).encode(), "non-numeric entry"),
+            "last_line_not_utf8": ("\n".join(lines).encode() + b"\n0.5,\xff1,2\n",
+                                   "cannot read input file"),
+        }
+        for name, (content, message) in bad.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(content)
+            code = main(["select", "--config", str(select_config(tmp_path)),
+                         "--input", str(path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, name
+            assert err.count("\n") == 1 and err.startswith("error: ") and message in err, name
+            assert not (tmp_path / "out").exists()
+
+    def test_reader_peak_is_about_the_array(self, tmp_path):
+        # select-wide's shape; numpy reports its buffers to tracemalloc
+        data = np.random.default_rng(5).standard_normal((1000, 256))
+        path = tmp_path / "wide.csv"
+        write_matrix_csv(path, np.linspace(0.0, 1.0, 256), data)
+        peak, samples = traced_peak(read_samples_csv, path)
+        assert samples.data.tobytes() == data.tobytes()
+        assert peak < 2 * samples.data.nbytes
+
+    def test_table_writer_peak_is_one_block(self, tmp_path):
+        # simulate-manyreps' replications.csv shape: 30000 rows, 7 columns
+        rng = np.random.default_rng(6)
+        rows = 30_000
+        table = {"n": np.full(rows, 100), "rep": np.arange(rows),
+                 "dim": rng.integers(1, 10, rows), "err_sq": rng.standard_normal(rows),
+                 "err_sq_known": rng.standard_normal(rows), "a": rng.uniform(size=rows),
+                 "b": rng.standard_normal(rows) * 1e-300}
+        first_block = {key: values[:cli.TABLE_BLOCK_ROWS] for key, values in table.items()}
+        block_peak, _ = traced_peak(write_table_csv, tmp_path / "block.csv", first_block)
+        table_peak, _ = traced_peak(write_table_csv, tmp_path / "table.csv", table)
+        assert rows > 7 * cli.TABLE_BLOCK_ROWS
+        assert table_peak < 1.5 * block_peak
+        assert (tmp_path / "table.csv").read_text().startswith(
+            (tmp_path / "block.csv").read_text())
 
     @pytest.mark.parametrize(
         "body, message",

@@ -257,15 +257,18 @@ class TestRunExperiment:
         # squared bias, true trace, factor and chains do not depend on n, so
         # three sample sizes with diagnostics compute each once (at version 7:
         # bias_sq 30, true_fourth_moment_trace 45, psd_factor 6, chains 6 and
-        # risk_table 3 calls for these 5 models)
+        # risk_table 3 calls for these 5 models); the config keeps the sigma
+        # it checks, so psd_eigh runs once in kernel_to_sigma and once for
+        # the factor (kernel_to_sigma 2 and psd_eigh 3 calls before)
         import sys
 
         import covsel._kernels as kernels
         import covsel.linalg as linalg
         import covsel.oracle as oracle
+        import covsel.simulate as sim
 
         calls = dict.fromkeys(["bias_sq", "true_fourth_moment_trace", "psd_factor", "chains",
-                               "risk_table"], 0)
+                               "risk_table", "kernel_to_sigma", "psd_eigh"], 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -274,7 +277,8 @@ class TestRunExperiment:
             return wrapper
 
         homes = {"bias_sq": oracle, "true_fourth_moment_trace": oracle, "psd_factor": linalg,
-                 "chains": kernels, "risk_table": oracle}
+                 "chains": kernels, "risk_table": oracle, "kernel_to_sigma": sim,
+                 "psd_eigh": linalg}
         covsel_modules = [mod for key, mod in sys.modules.items() if key.startswith("covsel")]
         for name, home in homes.items():
             original, wrapper = getattr(home, name), counting(name, getattr(home, name))
@@ -287,7 +291,7 @@ class TestRunExperiment:
         report, _ = run_experiment(cfg)
         assert len(report["collection"]) == 5 and len(report["runs"]) == 3
         assert calls == {"bias_sq": 5, "true_fourth_moment_trace": 5, "psd_factor": 1,
-                         "chains": 1, "risk_table": 1}
+                         "chains": 1, "risk_table": 1, "kernel_to_sigma": 1, "psd_eigh": 2}
 
     def test_each_batch_is_freed_before_the_next_draw(self, monkeypatch):
         import weakref
