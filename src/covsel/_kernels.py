@@ -1,12 +1,11 @@
 """The one statistics path that `select`, `simulate` and the diagnostics
 call: every model's statistics on a batch ``X`` of shape (reps, n, p).
 
-Both kernels take the `chains` of a model list. Models whose bases are
-leading columns of one orthonormal table Q form a chain and share one
-W = X Q (a model with its own basis is a chain of one); model m keeps Q's
-first rank_m columns through the 0/1 mask ``mask[k, m] = k < rank_m``, so a
-chain of M_c models and width k costs O(reps k (n p + n M_c + k M_c)).
-Results do not depend on how replications are chunked.
+Both kernels take the `chains` of a model list: the models that name one
+table Q (`ModelSpec.table`) share one W = X Q, and model m keeps the columns
+it declares through the 0/1 mask ``mask[k, m]``, so a chain of M_c models
+and width k costs O(reps k (n p + n M_c + k M_c)). Results do not depend on
+how replications are chunked.
 """
 
 from __future__ import annotations
@@ -16,24 +15,22 @@ import numpy as np
 
 def chains(models):
     """(ranks, tables): every model's rank as an int array, and one
-    (members, q) per chain, where members are the positions in `models` of
-    the models whose bases are q[:, :rank]."""
+    (members, q, mask) per table q, where members are the positions in
+    `models` of the models whose `table` is q and mask[k, j] = k in columns_j."""
     models, groups = tuple(models), {}
     for j, model in enumerate(models):
-        # one start address and one set of strides: leading columns of one table
-        groups.setdefault((model.basis.ctypes.data, model.basis.strides), []).append(j)
-    tables = [(np.array(members), max((models[j].basis for j in members),
-                                      key=lambda u: u.shape[1]))
-              for members in groups.values()]
+        groups.setdefault(id(model.table), (model.table, []))[1].append(j)
+    tables = []
+    for q, members in groups.values():
+        mask = np.zeros((q.shape[1], len(members)))
+        for i, j in enumerate(members):
+            mask[models[j].columns, i] = 1.0
+        tables.append((np.array(members), q, mask))
     return np.array([model.rank for model in models]), tables
 
 
-def _mask(ranks, members, q):
-    return (np.arange(q.shape[1])[:, None] < ranks[members]).astype(np.float64)
-
-
 def _border_sq(c, mask):
-    """||c[:d, :d]||^2 for each mask column keeping the first d rows."""
+    """||c[K, K]||^2 for the set K of rows that each mask column keeps."""
     return np.sum((np.square(c) @ mask) * mask, axis=-2)
 
 
@@ -55,8 +52,8 @@ def model_stats_batch(X, ranks, tables):
     reps, n, p = X.shape
     norm4 = np.mean(np.square(np.einsum("rij,rij->ri", X, X)), axis=1)
     proj_norm4, fit_sq = np.empty((2, reps, ranks.size))
-    for members, q in tables:
-        mask, w = _mask(ranks, members, q), X @ q
+    for members, q, mask in tables:
+        w = X @ q
         fit_sq[:, members] = _border_sq(np.matmul(w.transpose(0, 2, 1), w) / n, mask)
         # row m is ||P x_i||^2 over i, contiguous along n (a pairwise mean);
         # squaring in place and `del` keep one chain's W alive at a time
@@ -77,6 +74,6 @@ def deviation_batch(X, ranks, tables, sigma):
     X = np.ascontiguousarray(X, dtype=np.float64)
     d_all = np.matmul(X.transpose(0, 2, 1), X) / X.shape[1] - sigma
     dev_sq = np.empty((X.shape[0], ranks.size))
-    for members, q in tables:
-        dev_sq[:, members] = _border_sq(q.T @ d_all @ q, _mask(ranks, members, q))
+    for members, q, mask in tables:
+        dev_sq[:, members] = _border_sq(q.T @ d_all @ q, mask)
     return dev_sq

@@ -11,6 +11,8 @@ import numpy as np
 
 # floats per RNG block: one generator serves max(1, BLOCK_FLOATS // (n p)) replications
 BLOCK_FLOATS = 2 ** 16
+# floats per chunk of draws; the kernel buffers grow with a table's width and members
+CHUNK_FLOATS = 2 ** 18
 
 
 def rep_rng(seed, index):
@@ -42,9 +44,9 @@ def draw_batch(factor, n, seed, start, stop):
     return out
 
 
-def iter_chunks(reps, n, p, target_floats=1_000_000):
+def iter_chunks(reps, n, p, target_floats=CHUNK_FLOATS):
     """Yield (start, stop) ranges of whole RNG blocks, at least one, keeping
-    each batch near target_floats numbers."""
+    each batch of draws near target_floats numbers (or one block, if larger)."""
     size = block_reps(n, p)
     chunk = size * max(1, target_floats // (size * n * p))
     for start in range(0, reps, chunk):

@@ -249,7 +249,7 @@ def check_gaussian_closed_form(key, cases=100, sign=1.0):
         a = gen.standard_normal((p, p))
         sigma = a @ a.T
         basis, rank = basis_from_design(gen.standard_normal((p, gen.integers(1, p + 1))))
-        model = ModelSpec((), basis, rank, float(rank * rank), uniform_grid(p))
+        model = ModelSpec((), basis, tuple(range(rank)), uniform_grid(p))
         closed = sign * true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
         phi, proj = gaussian_fourth_moment_dense(sigma), projector_from_basis(basis)
         return _rel_err(closed, np.sum(kron(proj, proj) * phi))

@@ -44,7 +44,7 @@ TABLE_BLOCK_ROWS = 4096
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 7
+REPORT_VERSION = 8
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901

@@ -98,37 +98,36 @@ def build_design(family, indices, grid):
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """An index set with an orthonormal basis of its design's column space,
-    its rank and dimension.
-
-    `basis` is p x rank: the design's left singular vectors above the rank
-    cutoff, or in a nested collection leading columns of one shared table.
-    No p x p projector is kept. `dim` is the squared design rank: the
-    dimension of the space of matrices G Psi G^T with Psi symmetric.
+    """An index set, spanned by the `columns` of a p x k `table` with
+    orthonormal (or, for an empty histogram cell, zero) columns; models built
+    from one table hold the same array, which `_kernels.chains` groups by.
+    `dim` is the squared rank: the dimension of the space of matrices
+    G Psi G^T with Psi symmetric. No p x p projector is kept.
     """
 
     indices: tuple
-    basis: np.ndarray
-    rank: int
-    dim: float
-    grid: np.ndarray
+    table: np.ndarray = field(repr=False)
+    columns: tuple
+    grid: np.ndarray = field(repr=False)
+    rank: int = field(init=False)
+    dim: float = field(init=False)
 
-    def __repr__(self):
-        return f"ModelSpec(indices={self.indices}, rank={self.rank}, dim={self.dim:g})"
+    def __post_init__(self):
+        object.__setattr__(self, "rank", len(self.columns))
+        object.__setattr__(self, "dim", float(self.rank * self.rank))
 
-
-def _model_from_basis(indices, basis, grid):
-    rank = basis.shape[1]
-    if rank == 0:
-        return None
-    return ModelSpec(tuple(int(i) for i in indices), basis, rank, float(rank * rank), grid)
+    @property
+    def basis(self):
+        # a view where the columns lead the table: a copy would move matmul's rounding
+        lead = self.columns == tuple(range(self.rank))
+        return self.table[:, :self.rank] if lead else self.table[:, list(self.columns)]
 
 
 def make_model(family, indices, grid):
-    """Build a ModelSpec; returns None when the design has numerical rank 0."""
+    """A ModelSpec on a table of its own; None when the design has numerical rank 0."""
     grid = np.asarray(grid, dtype=float)
-    basis, _ = basis_from_design(build_design(family, indices, grid))
-    return _model_from_basis(indices, basis, grid)
+    q, rank = basis_from_design(build_design(family, indices, grid))
+    return ModelSpec(tuple(int(i) for i in indices), q, tuple(range(rank)), grid) if rank else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +174,11 @@ def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=1
     return [c for size in sizes for c in itertools.combinations(range(pool), size)]
 
 
-def _nested_bases(table):
-    """Bases of table[:, :d], d = 1, 2, ..., as leading-column views of one Q,
-    up to the first block whose rank decision (on R's r[:d, :d], table = Q R)
-    is not clear or steps by neither 0 nor 1; a column that leaves the rank
-    unchanged is an exact dependency and stays out of Q."""
+def _nested_tables(table):
+    """(q, columns) of table[:, :d], d = 1, 2, ..., with columns leading one
+    shared Q, up to the first block whose rank decision (on R's r[:d, :d],
+    table = Q R) is not clear or steps by neither 0 nor 1; a column that
+    leaves the rank unchanged is an exact dependency and stays out of Q."""
     q, r = np.linalg.qr(table)
     k = table.shape[1]
     # dropping columns never lowers sigma_min / sigma_max, so a clear
@@ -192,9 +191,9 @@ def _nested_bases(table):
             break
         ranks.append(rank)
     kept = np.flatnonzero(np.diff(ranks, prepend=0))
-    if 0 < kept.size < len(ranks):  # a dependency was dropped
-        q = np.linalg.qr(table[:, kept])[0]
-    return [q[:, :rank] for rank in ranks]
+    # Q of the kept columns where a dependency was dropped, else the chain's widest basis
+    q = np.linalg.qr(table[:, kept])[0] if 0 < kept.size < len(ranks) else q[:, :kept.size]
+    return [(q, tuple(range(rank))) for rank in ranks]
 
 
 def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):
@@ -202,8 +201,9 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     index sets of :func:`collection_index_sets` (keep k small for
     all_subsets so the collection stays small).
 
-    Candidate models whose design is numerically rank 0 are dropped with a
-    warning; an empty resulting collection is an error.
+    A histogram collection shares one table, its design over the column
+    norms (disjoint cells need no rank decision). Models of numerical rank 0
+    are dropped with a warning; an empty collection is an error.
     """
     grid = require_finite(np.asarray(grid, dtype=float), "grid")
     if grid.ndim != 1 or grid.size < 1:
@@ -214,15 +214,20 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     # each basis function is evaluated once: both schemes use every index up
     # to their largest, so a model's design is the table's columns `indices`
     table = build_design(family, range(max(map(max, index_sets)) + 1), grid)
-    bases = _nested_bases(table) if scheme == "nested" else []
+    if family.kind == "histogram":
+        norms = np.linalg.norm(table, axis=0)  # 0 for an empty cell, else >= 1
+        table /= np.maximum(norms, 1.0)
+        spans = [(table, tuple(i for i in indices if norms[i] > 0)) for indices in index_sets]
+    else:  # a nested chain, then every other model on its design's own SVD
+        spans = _nested_tables(table) if scheme == "nested" else []
+        own = (basis_from_design(table[:, indices]) for indices in index_sets[len(spans):])
+        spans += [(q, tuple(range(rank))) for q, rank in own]
     models = []
-    for d, indices in enumerate(index_sets):
-        basis = bases[d] if d < len(bases) else basis_from_design(table[:, indices])[0]
-        model = _model_from_basis(indices, basis, grid)
-        if model is None:
+    for indices, (q, columns) in zip(index_sets, spans):
+        if not columns:
             warnings.warn(f"dropping model {indices}: design has numerical rank 0")
             continue
-        models.append(model)
+        models.append(ModelSpec(indices, q, columns, grid))
     if not models:
         raise DegenerateCollectionError(
             "model collection is empty after dropping degenerate designs"

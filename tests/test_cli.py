@@ -172,8 +172,9 @@ class TestSelectCommand:
         (collection,) = built
         assert len(collection) == 10
         report = json.loads((tmp_path / "selection_report.json").read_text())
-        assert [list(m.indices) for basis in formed for m in collection
-                if m.basis is basis] == [report["selected"]]
+        (basis,) = formed
+        assert [list(m.indices) for m in collection
+                if np.array_equal(m.basis, basis)] == [report["selected"]]
 
     def test_seed_flag_rejected(self, tmp_path):
         data = write_toy(tmp_path)

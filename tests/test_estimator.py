@@ -251,15 +251,17 @@ class TestCoordinatePath:
         fit_all(samples, coll)
 
     def test_lazy_projector_equals_projector_from_design(self, make_collection):
-        # a model whose basis shares its table with another model's is leading
-        # columns of one QR table, not its design's SVD, so the two projectors
-        # agree to 100 eps kappa(design); every other model's is bit for bit
+        # a model of a nested chain that shares its table with another model
+        # is leading columns of one QR table, not its design's SVD, so the two
+        # projectors agree to 100 eps kappa(design); every other model's, on a
+        # table of its own or a histogram's normalised design, is bit for bit
         coll = make_collection()
         for model in coll:
             design = build_design(coll.family, model.indices, coll.grid)
             expected, rank = projector_from_design(design)
             assert rank == model.rank
-            if any(np.shares_memory(model.basis, other.basis) for other in coll if other is not model):
+            if coll.family.kind != "histogram" and any(
+                    model.table is other.table for other in coll if other is not model):
                 sv = np.linalg.svd(design, compute_uv=False)
                 tol = 100 * np.finfo(float).eps * sv[0] / sv[rank - 1]
                 assert np.abs(projector_from_basis(model.basis) - expected).max() <= tol

@@ -17,6 +17,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +247,36 @@ FINGERPRINTS = {
                 "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
         },
     },
+    # v8: a model names the table it is columns of, the kernels group models
+    # by that table, and a histogram collection's models share one table (the
+    # design divided by its column norms) instead of one SVD each. Both
+    # examples differ from v7 only in report_version; histogram floats move
+    # in their last digits (at most 7.7e-16 relative, 1.0e-13 on z) with the
+    # same selections, ties and frequencies
+    8: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "7256cb2b46b1634f144e281aa5288706bbca99568c01ae4d29e9e3341b4cc80c",
+            "simulate/risk_vs_n.csv":
+                "f2f07717aeb354244cb1222d6a2a908d5bc5ed4b9f5b61b4654611fa934ad745",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "4bfbd0aae3f8290d4e1b6d358f0761999f5966c5a90c75be1f64cbfd024f9a7a",
+            "simulate/underestimation_prob.csv":
+                "1afdb2c528d00d2a8f1b98e37e873aca82ee56f5929cde103a22e4a818b88ac4",
+            "simulate-keep/replications.csv":
+                "754133b9796a74f6933c36abf2109f01eceff2b13eab94433911b820c58846f7",
+            "select/selection_report.json":
+                "82f3395ce180bf5c78f18dc892f963695068db9a64806645cd3d5a2e9d970ed6",
+            "select/criterion_table.csv":
+                "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
+            "select/sigma_hat.csv":
+                "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
+        },
+    },
 }
 
 
@@ -388,6 +420,54 @@ def test_outputs_match_golden(examples):
         for name in names:
             assert_matches(read_output(work / run / name), read_output(golden / run / name),
                            f"{run}/{name}")
+
+
+# a histogram all_subsets collection shares one table across its models
+THREADS_SIMULATE_INI = """\
+[basis]
+family = histogram
+max_index = 5
+t_min = 0.0
+t_max = 1.0
+[collection]
+scheme = all_subsets
+k = 2
+[kernel]
+kind = ornstein_uhlenbeck
+length_scale = 0.3
+[experiment]
+p = 13
+n = 40
+n_grid = 20,40
+reps = 300
+seed = 8
+diagnostics = true
+diagnostics_reps = 300
+keep_replications = true
+"""
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`select` on the example config and a histogram all_subsets `simulate`
+    with diagnostics, each in a child process at OPENBLAS_NUM_THREADS 1 and
+    2, write the same bytes."""
+    write_select_input(tmp_path / "data.csv")
+    (tmp_path / "simulate.ini").write_text(THREADS_SIMULATE_INI)
+    runs = {}
+    for threads in (1, 2):
+        env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        for args in (["select", "--config", str(CONFIGS / "select_example.ini")],
+                     ["simulate", "--config", "simulate.ini"]):
+            out = tmp_path / f"{args[0]}-{threads}"
+            proc = subprocess.run([sys.executable, "-m", "covsel.cli", *args, "--out", str(out)],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[args[0], threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    for command in ("select", "simulate"):
+        assert len(runs[command, 1]) >= 3
+        assert runs[command, 1] == runs[command, 2], command
 
 
 if __name__ == "__main__":

@@ -19,11 +19,18 @@ rng = np.random.default_rng(707)
 
 
 def random_models(p, count):
-    """Models of random rank 1..p, each holding only an orthonormal basis."""
+    """Models of random rank 1..p: `count` with an orthonormal table of their
+    own, and `count` spanned by random column subsets of one shared table."""
     models = []
     for _ in range(count):
         basis, rank = basis_from_design(rng.standard_normal((p, int(rng.integers(1, p + 1)))))
-        models.append(SimpleNamespace(basis=basis, rank=rank))
+        models.append(SimpleNamespace(table=basis, columns=tuple(range(rank)), basis=basis,
+                                      rank=rank))
+    shared, _ = basis_from_design(rng.standard_normal((p, p)))
+    for _ in range(count):
+        columns = tuple(sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)))
+        models.append(SimpleNamespace(table=shared, columns=columns,
+                                      basis=shared[:, list(columns)], rank=len(columns)))
     return models
 
 
@@ -111,16 +118,16 @@ def test_single_replication_matches_fit_all():
     each replication of a batch, over models in any order and chains of any
     length, gets what fit_all gives on it alone. The models are a nested
     fourier chain, a nested polynomial collection whose chain breaks after 23
-    models (the last three have bases of their own), and histogram
-    all_subsets models, each a chain of one."""
+    models (the last three have tables of their own), and the 21 histogram
+    all_subsets models, which share one table."""
     grid = uniform_grid(24)
     parts = [("fourier", 12, "nested"), ("polynomial", 25, "nested"),
              ("histogram", 5, "all_subsets")]
     models = [m for kind, top, scheme in parts
               for m in build_collection(BasisFamily(kind, 0.0, 1.0, top), grid, scheme=scheme)]
     models = [models[j] for j in rng.permutation(len(models))]
-    sizes = sorted(len(members) for members, _ in _kernels.chains(models)[1])
-    assert sizes[-2:] == [13, 23] and sizes.count(1) == len(sizes) - 2
+    sizes = sorted(len(members) for members, _, _ in _kernels.chains(models)[1])
+    assert sizes == [1, 1, 1, 13, 21, 23]
     X = rng.standard_normal((4, 30, 24)) @ rng.standard_normal((24, 24))
     norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, *_kernels.chains(models))
     for r, x in enumerate(X):

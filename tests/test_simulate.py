@@ -311,15 +311,38 @@ class TestRunExperiment:
 
         for module in (sim, oracle, reference):
             monkeypatch.setattr(module, "draw_batch", watching_draw)
-        # p = 4, n = 40: 10_000 replications are two chunks
-        assert len(list(mc.iter_chunks(10_000, 40, 4))) == 2
+        # p = 4, n = 40: 10_000 replications span several chunks, drawn once
+        # for the selection and once for the diagnostics
+        chunks = len(list(mc.iter_chunks(10_000, 40, 4)))
+        assert chunks >= 2
         cfg = small_config(n=40, reps=10_000, diagnostics=True, diagnostics_reps=10_000)
         run_experiment(cfg)
-        assert len(batches) == 4
+        assert len(batches) == 2 * chunks
         truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
         model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2).models[-1]
         reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
-        assert len(batches) == 6
+        assert len(batches) == 3 * chunks
+
+    def test_manyreps_peak_stays_within_six_chunks(self):
+        # the simulate-manyreps shape: ten histogram models share one table of
+        # width 4, and a chunk's draws, W = X Q and (reps, members, n) rows are
+        # what the run holds at its peak: 11.6 MB here, against 15.9 MB with
+        # one SVD per model and 37.9 MB with a shared table at a chunk target
+        # of 1M floats
+        import tracemalloc
+
+        from covsel._mc import CHUNK_FLOATS
+
+        cfg = small_config(kernel=KernelSpec("brownian"),
+                           family=BasisFamily("histogram", 0.0, 1.0, 3), scheme="all_subsets",
+                           k=2, n=40, reps=10_000)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * CHUNK_FLOATS * 8
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)

@@ -49,6 +49,24 @@ diagnostics = true
 diagnostics_reps = 100
 """
 
+# every model of a histogram collection is columns of one shared table
+HISTOGRAM_INI = """\
+[basis]
+family = histogram
+max_index = 3
+[collection]
+scheme = all_subsets
+k = 2
+[kernel]
+kind = brownian
+[experiment]
+p = 5
+n = 20
+reps = 5
+diagnostics = true
+diagnostics_reps = 100
+"""
+
 
 def traced_run(tmp_path, command, ini, extra=()):
     cfg = tmp_path / f"{command}.ini"
@@ -72,9 +90,11 @@ def test_traced_runs_find_every_function_and_count(tmp_path):
     data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
     spans = []
-    for command, ini, extra in (("select", SELECT_INI, ("--input", str(data))),
-                                ("simulate", SIMULATE_INI, ())):
-        info = traced_run(tmp_path, command, ini, extra)
+    for name, command, ini, extra in (("select", "select", SELECT_INI, ("--input", str(data))),
+                                      ("nested", "simulate", SIMULATE_INI, ()),
+                                      ("histogram", "simulate", HISTOGRAM_INI, ())):
+        (tmp_path / name).mkdir()
+        info = traced_run(tmp_path / name, command, ini, extra)
         assert info["exit"] == 0
         assert info["absent"] == []
         spans += info["spans"]
