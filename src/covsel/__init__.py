@@ -13,12 +13,7 @@ from .dictionary import (
     ModelSpec,
     build_collection,
 )
-from .estimator import (
-    SampleSet,
-    empirical_cov,
-    fit_all,
-    project,
-)
+from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .oracle import (
     TruthSpec,
     check_underestimation_prob,
@@ -52,11 +47,11 @@ __all__ = [
     "check_underestimation_prob",
     "check_variance_factor_mean",
     "empirical_cov",
+    "estimate",
     "fit_all",
     "kernel_to_sigma",
     "oracle_model",
     "plug_in_factors",
-    "project",
     "run_experiment",
     "select",
     "true_fourth_moment_trace",

@@ -2,10 +2,10 @@
 call: every model's statistics on a batch ``X`` of shape (reps, n, p).
 
 Both kernels take the `chains` of a model list: the models that name one
-table Q (`ModelSpec.table`) share one W = X Q, and model m keeps the columns
-it declares through the 0/1 mask ``mask[k, m]``, so a chain of M_c models
-and width k costs O(reps k (n p + n M_c + k M_c)). Results do not depend on
-how replications are chunked.
+table Q (`ModelSpec.table`) share one W = X Q and Gram C = W^T W / n, and
+model m keeps the columns it declares through the 0/1 mask ``mask[k, m]``.
+No p x p matrix is formed per replication; a chain of M_c models and width k
+costs O(reps k (n p + n M_c + k M_c)), however replications are chunked.
 """
 
 from __future__ import annotations
@@ -34,46 +34,45 @@ def _border_sq(c, mask):
     return np.sum((np.square(c) @ mask) * mask, axis=-2)
 
 
-def model_stats_batch(X, ranks, tables):
-    """Per-replication, per-model fit statistics.
-
-    Returns (norm4_mean, proj_norm4_mean, fit_norm_sq) where, for
-    replication r and model m with basis U, W = X_r U and P = U U^T:
-
-    * norm4_mean[r]         = (1/n) sum_i ||x_i||^4
-    * proj_norm4_mean[r, m] = (1/n) sum_i ||P x_i||^4, from the rows of W
-    * fit_norm_sq[r, m]     = ||P S P||^2 = ||W^T W / n||^2, S = (1/n) X^T X
-
-    The loss of `select` is norm4_mean - fit_norm_sq (P is an orthogonal
-    projector) and the fourth-moment trace Tr((P kron P) F) is
-    proj_norm4_mean - fit_norm_sq.
-    """
+def _chain_stats(X, ranks, tables, sigma):
+    """The chain loop of both kernels; dev_sq is None when sigma is None."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     reps, n, p = X.shape
     norm4 = np.mean(np.square(np.einsum("rij,rij->ri", X, X)), axis=1)
     proj_norm4, fit_sq = np.empty((2, reps, ranks.size))
+    dev_sq = None if sigma is None else np.empty((reps, ranks.size))
     for members, q, mask in tables:
         w = X @ q
-        fit_sq[:, members] = _border_sq(np.matmul(w.transpose(0, 2, 1), w) / n, mask)
+        c = np.matmul(w.transpose(0, 2, 1), w) / n
+        fit_sq[:, members] = _border_sq(c, mask)
+        if dev_sq is not None:
+            dev_sq[:, members] = _border_sq(np.subtract(c, q.T @ sigma @ q, out=c), mask)
+        del c  # before the row table below
         # row m is ||P x_i||^2 over i, contiguous along n (a pairwise mean);
         # squaring in place and `del` keep one chain's W alive at a time
         rows = np.matmul(mask.T, np.square(w, out=w).transpose(0, 2, 1))
         proj_norm4[:, members] = np.mean(np.square(rows, out=rows), axis=2)
         del w, rows
-    return norm4, proj_norm4, fit_sq
+    return norm4, proj_norm4, fit_sq, dev_sq
+
+
+def model_stats_batch(X, ranks, tables):
+    """The first three arrays of `deviation_batch`, with no sigma and no dev_sq."""
+    return _chain_stats(X, ranks, tables, None)[:3]
 
 
 def deviation_batch(X, ranks, tables, sigma):
-    """Per-replication in-model deviation of the sample covariance.
+    """(norm4_mean, proj_norm4_mean, fit_norm_sq, dev_sq) for replication r
+    and model m with basis U, P = U U^T, W = X_r U and C = W^T W / n (the
+    p x p S = X_r^T X_r / n is never formed):
 
-    Returns dev_sq with dev_sq[r, m] = ||P (S - sigma) P||^2
-    = ||U^T (S - sigma) U||^2, where S = (1/n) X^T X and U is model m's
-    basis. The loss ||sigma - P S P||^2 is this plus the model's bias
-    ||sigma - P sigma P||^2 (`oracle.bias_sq`): the two parts are orthogonal.
+    * norm4_mean[r]         = (1/n) sum_i ||x_i||^4
+    * proj_norm4_mean[r, m] = (1/n) sum_i ||P x_i||^4, from the rows of W
+    * fit_norm_sq[r, m]     = ||P S P||^2 = ||C||^2
+    * dev_sq[r, m]          = ||P (S - sigma) P||^2 = ||C - U^T sigma U||^2
+
+    dev_sq plus the orthogonal bias ||sigma - P sigma P||^2 (`oracle.bias_sq`)
+    is the loss ||sigma - P S P||^2; `estimator.fit_all` gives select's loss
+    and trace from the other three.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    d_all = np.matmul(X.transpose(0, 2, 1), X) / X.shape[1] - sigma
-    dev_sq = np.empty((X.shape[0], ranks.size))
-    for members, q, mask in tables:
-        dev_sq[:, members] = _border_sq(q.T @ d_all @ q, mask)
-    return dev_sq
+    return _chain_stats(X, ranks, tables, sigma)

@@ -1,9 +1,9 @@
 """Brute-force references and the checks that hold covsel to them.
 
-Dense p^2 x p^2 constructions (vec, Kronecker products, the commutation
-matrix, the empirical and Gaussian fourth-moment covariances) and the Monte
-Carlo tail check serve `covsel validate` and the tests only; `select` and
-`simulate` never import this module.
+Dense constructions (vec, Kronecker products, the commutation matrix, the
+empirical and Gaussian fourth-moment covariances, the estimate P S P) and
+the Monte Carlo tail check serve `covsel validate` and the tests only;
+`select` and `simulate` never import this module.
 
 Each check in CHECKS takes a key (a tuple of ints), draws its case c from
 ``rep_rng(key, c)`` (a nested case appends its loop values to the key) and
@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, rep_rng
 from .dictionary import BasisFamily, ModelSpec, make_model
-from .estimator import SampleSet, empirical_cov, fit_all, project
+from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
                      require_finite)
 from .oracle import TruthSpec, true_fourth_moment_trace
@@ -100,6 +100,12 @@ def gaussian_fourth_moment_dense(sigma, size_guard=DEFAULT_SIZE_GUARD):
     return (np.eye(p * p) + k) @ kron(sigma, sigma, size_guard=size_guard)
 
 
+def project(s, model):
+    """The dense estimate P S P of one model, for a p x p covariance `s`."""
+    proj = projector_from_basis(model.basis)
+    return proj @ s @ proj
+
+
 def true_variance_factor(truth, model):
     """True per-dimension variance factor Tr((P kron P) F) / dim."""
     return true_fourth_moment_trace(truth, model) / model.dim
@@ -124,10 +130,9 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
     chains = _kernels.chains([model])
     quad = np.empty(reps)
     for start, stop in iter_chunks(reps, n, truth.p):
-        # the batch is freed when the kernel returns, before the next draw
-        dev_sq = _kernels.deviation_batch(draw_batch(truth.factor, n, seed, start, stop),
-                                          *chains, truth.sigma)
-        quad[start:stop] = n * dev_sq[:, 0]
+        # the batch is freed when the kernel returns, before the next draw; [3] is dev_sq
+        quad[start:stop] = n * _kernels.deviation_batch(
+            draw_batch(truth.factor, n, seed, start, stop), *chains, truth.sigma)[3][:, 0]
 
     vf = true_variance_factor(truth, model)
     dim = model.dim
@@ -257,7 +262,7 @@ def check_gaussian_closed_form(key, cases=100, sign=1.0):
 
 
 def check_loss_expansion(key, cases=30):
-    """fit_all's expanded loss against the direct (1/n) sum ||x x^T - P S P||^2."""
+    """fit_all's loss against the direct (1/n) sum ||x x^T - P S P||^2; estimate against P S P."""
     family = BasisFamily(kind="fourier", t_min=0.0, t_max=1.0, max_index=4)
     def error(gen):
         p = int(gen.integers(2, 5))
@@ -268,7 +273,8 @@ def check_loss_expansion(key, cases=30):
         model = make_model(family, range(int(gen.integers(1, p + 1))), grid)
         (loss,), _ = fit_all(samples, [model])
         shat = project(s, model)
-        return _rel_err(loss, np.mean([frob_norm_sq(np.outer(x, x) - shat) for x in samples.data]))
+        return max(_rel_err(estimate(samples, model), shat), _rel_err(
+            loss, np.mean([frob_norm_sq(np.outer(x, x) - shat) for x in samples.data])))
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-9)
 
 

@@ -28,7 +28,7 @@ from .dictionary import (
     check_in_domain,
     collection_index_sets,
 )
-from .estimator import SampleSet, empirical_cov, fit_all, project
+from .estimator import SampleSet, estimate, fit_all
 from .selection import check_theta, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
@@ -44,7 +44,7 @@ TABLE_BLOCK_ROWS = 4096
 
 # Bumped on any change to the bytes a given seed and config produce; the
 # SHA-256 table in tests/test_fingerprint.py is keyed by it.
-REPORT_VERSION = 8
+REPORT_VERSION = 9
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901
@@ -265,7 +265,6 @@ def cmd_select(args):
         raise ConfigError(str(exc)) from exc
 
     collection = build_collection(family, grid, **coll_args)
-    s = empirical_cov(samples)
     with np.errstate(over="ignore", invalid="ignore"):
         loss, trace = fit_all(samples, collection)
     if not (np.isfinite(loss).all() and np.isfinite(trace).all()):
@@ -277,7 +276,7 @@ def cmd_select(args):
             digest.update(block)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out_dir / "sigma_hat.csv", grid, project(s, report.selected))
+    write_matrix_csv(out_dir / "sigma_hat.csv", grid, estimate(samples, report.selected))
     labels = [";".join(str(i) for i in m.indices) for m in collection.models]
     write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
     columns = {key: values.tolist() for key, values in report.table.items()}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import chains, model_stats_batch
-from .linalg import projector_from_basis, require_finite
+from .linalg import require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +56,12 @@ def empirical_cov(samples):
     return 0.5 * (s + s.T)
 
 
-def project(s, model):
-    """The estimate of one model: P S P, symmetrised."""
-    proj = projector_from_basis(model.basis)
-    shat = proj @ s @ proj
+def estimate(samples, model):
+    """The estimate of one model, P S P = U C U^T with C = W^T W / n and
+    W = X U, symmetrised; neither S nor P is formed."""
+    u = model.basis
+    w = samples.data @ u
+    shat = u @ (w.T @ w / samples.n) @ u.T
     return 0.5 * (shat + shat.T)
 
 

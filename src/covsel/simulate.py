@@ -158,10 +158,9 @@ def _run_block(truth, models, chains, bias, trace, cfg, n, seed_key):
     selected = np.empty((2, cfg.reps), dtype=np.int64)
     err = np.empty((2, cfg.reps))
     for start, stop in iter_chunks(cfg.reps, n, truth.p):
-        x = draw_batch(truth.factor, n, seed_key, start, stop)
-        norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(x, *chains)
-        dev_sq = _kernels.deviation_batch(x, *chains, truth.sigma)
-        del x  # so that the next chunk's draw never finds this one alive
+        # the batch is freed when the kernel returns, before the next draw
+        norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(
+            draw_batch(truth.factor, n, seed_key, start, stop), *chains, truth.sigma)
         traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
         pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
         selected[:, start:stop] = pick

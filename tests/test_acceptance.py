@@ -25,7 +25,7 @@ from covsel._reference import (
 )
 from covsel.cli import main
 from covsel.dictionary import BasisFamily, build_collection, make_model
-from covsel.estimator import SampleSet, empirical_cov, project
+from covsel.estimator import SampleSet, empirical_cov, estimate
 from covsel.linalg import projector_from_basis
 from covsel.oracle import (
     TruthSpec,
@@ -86,7 +86,7 @@ def _mc_risk_z_scores(truth, collection, n, reps, seed):
     chunks = []
     for start, stop in iter_chunks(reps, n, truth.p):
         x = draw_batch(truth.factor, n, seed, start, stop)
-        chunks.append(bias + _kernels.deviation_batch(x, *chains, truth.sigma))
+        chunks.append(bias + _kernels.deviation_batch(x, *chains, truth.sigma)[3])
     err_sq = np.concatenate(chunks, axis=0)
     mean = err_sq.mean(axis=0)
     se = err_sq.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -216,14 +216,14 @@ def test_criterion_7_structural_invariants():
                 check_projector(proj)
             except ValueError as exc:
                 ok, detail = False, str(exc)
-            shat = project(s, model)
+            shat = estimate(samples, model)
             if np.max(np.abs(shat - proj @ shat @ proj)) > 1e-10:
                 ok, detail = False, "sigma_hat not in model space"
 
         # full-rank model reproduces S exactly
         hist = BasisFamily("histogram", 0.0, 1.0, p - 1)
         full = make_model(hist, range(p), grid)
-        if np.max(np.abs(project(s, full) - s)) > 1e-12:
+        if np.max(np.abs(estimate(samples, full) - s)) > 1e-12:
             ok, detail = False, "full-rank fit differs from S"
 
     # the projector and projected-trace checks `covsel validate` runs

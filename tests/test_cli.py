@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covsel.estimator
 import covsel.oracle
 import covsel.simulate
 from covsel import cli
+from covsel._reference import project
 from covsel.cli import (
     CONFIG_KEYS,
     REPORT_VERSION,
@@ -25,10 +26,19 @@ from covsel.cli import (
     write_matrix_csv,
     write_table_csv,
 )
+from covsel.estimator import empirical_cov
+from covsel.linalg import projector_from_basis
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_CSV = "0.25,0.75\n1,0\n0,1\n"
+
+
+# Worst max |sigma-hat - P S P| of select's estimate against the dense
+# `_reference.project`, in eps times max |P S P|: measured at 5.33 over the
+# collections of tests/test_estimator.py::budget_collections when this budget
+# was set; it may only tighten.
+SIGMA_HAT_BUDGET_EPS = 6.0
 
 
 def write_toy(tmp_path, name="toy.csv", body=TOY_CSV):
@@ -146,21 +156,27 @@ class TestSelectCommand:
             "sha256": hashlib.sha256(TOY_CSV.encode()).hexdigest(),
         }
 
-    def test_only_selected_model_forms_projector(self, tmp_path, monkeypatch):
-        built, formed = [], []
+    def test_sigma_hat_forms_neither_s_nor_projector(self, tmp_path, monkeypatch):
+        # select writes sigma-hat = U C U^T from W = X U of the selected model:
+        # every covsel name of empirical_cov and projector_from_basis fails
+        # during the run, and the file equals the dense P S P of the model
+        # the report selects within SIGMA_HAT_BUDGET_EPS
+        def forbidden(*args):
+            raise AssertionError("select formed S or a projector")
+
+        for original in (empirical_cov, projector_from_basis):
+            name = original.__name__
+            for module in [m for key, m in sys.modules.items() if key.startswith("covsel.")]:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, forbidden)
+        built = []
         build_collection = cli.build_collection
-        projector_from_basis = covsel.estimator.projector_from_basis
 
         def build_and_keep(*args, **kwargs):
             built.append(build_collection(*args, **kwargs))
             return built[-1]
 
-        def form_and_keep(basis):
-            formed.append(basis)
-            return projector_from_basis(basis)
-
         monkeypatch.setattr(cli, "build_collection", build_and_keep)
-        monkeypatch.setattr(covsel.estimator, "projector_from_basis", form_and_keep)
         gen = np.random.default_rng(5)
         grid = (np.arange(12) + 0.5) / 12
         path = tmp_path / "wide.csv"
@@ -169,12 +185,15 @@ class TestSelectCommand:
         cfg.write_text("[basis]\nfamily = fourier\nmax_index = 9\nt_min = 0\nt_max = 1\n")
         assert main(["select", "--config", str(cfg), "--input", str(path),
                      "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
         (collection,) = built
         assert len(collection) == 10
         report = json.loads((tmp_path / "selection_report.json").read_text())
-        (basis,) = formed
-        assert [list(m.indices) for m in collection
-                if np.array_equal(m.basis, basis)] == [report["selected"]]
+        (model,) = [m for m in collection if list(m.indices) == report["selected"]]
+        dense = project(empirical_cov(read_samples_csv(path)), model)
+        sigma_hat = np.loadtxt(tmp_path / "sigma_hat.csv", delimiter=",")[1:]
+        err = np.max(np.abs(sigma_hat - dense)) / np.max(np.abs(dense))
+        assert err <= SIGMA_HAT_BUDGET_EPS * np.finfo(float).eps, err
 
     def test_seed_flag_rejected(self, tmp_path):
         data = write_toy(tmp_path)

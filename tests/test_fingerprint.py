@@ -277,6 +277,38 @@ FINGERPRINTS = {
                 "95cb18dfa3a1d69729a4b1236f3fa55e0627afab94383a75ed5c002004989eda",
         },
     },
+    # v9: the risk loop reads each model's deviation off its chain's Gram,
+    # ||(C - Q^T sigma Q)[K, K]||^2 with C = W^T W / n, in the same kernel call
+    # as the statistics, and select writes sigma-hat = U C U^T from W = X U.
+    # err_sq and the risk floats made from it move in their last digits (at
+    # most 5.9e-15 relative, on one replication's err_sq) and sigma_hat.csv by
+    # at most 2.1e-15 of its largest entry; selections, ties, frequencies,
+    # oracle picks, flagged and violations are unchanged, and the select
+    # report differs from v8 only in report_version
+    9: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "c356a0a84325b80eb1718d0e7725fd0cb2b2da9a868177256c135e1aaa0dd765",
+            "simulate/risk_vs_n.csv":
+                "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "4bfbd0aae3f8290d4e1b6d358f0761999f5966c5a90c75be1f64cbfd024f9a7a",
+            "simulate/underestimation_prob.csv":
+                "1afdb2c528d00d2a8f1b98e37e873aca82ee56f5929cde103a22e4a818b88ac4",
+            "simulate-keep/replications.csv":
+                "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
+            "select/selection_report.json":
+                "ce42ee76951c0d164779e2cc29b2c29af204effbd8c33848c12b807e7ed8f37f",
+            "select/criterion_table.csv":
+                "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
+            "select/sigma_hat.csv":
+                "d09f253114a97d78c7f6bac01e2ac2b1ee8028a31cfd5da2cc8ed9017d0c08c6",
+        },
+    },
 }
 
 

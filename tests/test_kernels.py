@@ -1,8 +1,11 @@
 """The batched numpy kernels, fed the chains of a model list, must agree with
 a direct per-replication computation on dense projectors and with fit_all on
-each replication alone, and the Monte Carlo loss bias_sq + deviation_batch
-must agree with the direct loss."""
+each replication alone; deviation_batch's statistics must equal
+model_stats_batch's bit for bit, its dev_sq must come from each chain's Gram
+without a p x p matrix per replication, and the Monte Carlo loss
+bias_sq + dev_sq must agree with the direct loss."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +81,9 @@ def assert_kernels_match_direct(X, models, sigma, rtol, atol):
     for got, want in zip(_kernels.model_stats_batch(X, *chains), direct_model_stats(X, projs)):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
     err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
-    dev_sq = _kernels.deviation_batch(X, *chains, sigma)
+    *stats, dev_sq = _kernels.deviation_batch(X, *chains, sigma)
+    for got, want in zip(stats, _kernels.model_stats_batch(X, *chains)):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(dev_sq, proj_dev_sq, rtol=rtol, atol=atol)
     truth = TruthSpec(sigma=sigma)
     bias = np.array([bias_sq(truth, m) for m in models])
@@ -136,12 +141,29 @@ def test_single_replication_matches_fit_all():
         np.testing.assert_allclose(proj_norm4[r] - fit_sq[r], trace, rtol=1e-12, atol=0)
 
 
+def test_deviation_forms_no_matrix_per_replication():
+    """dev_sq is read off each chain's Gram C = W^T W / n: at p = 256 and a
+    chain of width 3, deviation_batch's traced peak stays below an eighth of
+    the (reps, p, p) array that S - sigma per replication would take."""
+    p, n, reps = 256, 4, 40
+    collection = build_collection(BasisFamily("fourier", 0.0, 1.0, 2), uniform_grid(p))
+    X = rng.standard_normal((reps, n, p))
+    chains = _kernels.chains(collection)
+    tracemalloc.start()
+    try:
+        _kernels.deviation_batch(X, *chains, np.eye(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < reps * p * p * X.itemsize / 8, peak
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="long double is no wider than float64 on this platform")
 def test_loss_split_matches_extended_precision_loss():
     """At n = 5000 the loss ||sigma - P S P||^2 of a model that contains the
-    truth is far below ||sigma||^2; bias_sq + deviation_batch, which never
-    subtracts ||sigma||^2-sized terms, stays within 1e-13 of the loss itself
+    truth is far below ||sigma||^2; bias_sq + deviation_batch's dev_sq, which
+    never subtracts ||sigma||^2-sized terms, stays within 1e-13 of the loss itself
     against a long-double direct computation. bias_sq is a sum of squares:
     never negative, and at rounding level for every model containing the
     truth."""
@@ -156,7 +178,7 @@ def test_loss_split_matches_extended_precision_loss():
     X = np.random.default_rng(5000).standard_normal((reps, n, p)) @ psd_factor(sigma).T
 
     bias = np.array([bias_sq(truth, m) for m in collection])
-    loss = bias + _kernels.deviation_batch(X, *_kernels.chains(collection), sigma)
+    loss = bias + _kernels.deviation_batch(X, *_kernels.chains(collection), sigma)[3]
 
     xl = X.astype(np.longdouble)
     sl = np.matmul(xl.transpose(0, 2, 1), xl) / n

@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (validate's `_check_*` functions as the CHECKS functions `check_*`)
 MOVED = {
     linalg: ("vec", "kron", "commutation_matrix", "check_projector", "DEFAULT_SIZE_GUARD"),
-    estimator: ("fourth_moment_cov_dense",),
+    estimator: ("fourth_moment_cov_dense", "project"),
     oracle: ("gaussian_fourth_moment_dense", "check_quadratic_form_tail",
              "true_variance_factor"),
     cli: ("_random_projector", "_check_vec_kron", "_check_kron_trace", "_check_commutation",

@@ -296,6 +296,7 @@ class TestRunExperiment:
     def test_each_batch_is_freed_before_the_next_draw(self, monkeypatch):
         import weakref
 
+        import covsel._kernels as kernels
         import covsel._mc as mc
         import covsel._reference as reference
         import covsel.oracle as oracle
@@ -311,6 +312,14 @@ class TestRunExperiment:
 
         for module in (sim, oracle, reference):
             monkeypatch.setattr(module, "draw_batch", watching_draw)
+        # and each batch goes through one kernel call, statistics and
+        # deviation together
+        calls = []
+        for name in ("model_stats_batch", "deviation_batch"):
+            def counting(*args, _kernel=getattr(kernels, name)):
+                calls.append(args[0].shape[0])  # not the batch: it must be freed
+                return _kernel(*args)
+            monkeypatch.setattr(kernels, name, counting)
         # p = 4, n = 40: 10_000 replications span several chunks, drawn once
         # for the selection and once for the diagnostics
         chunks = len(list(mc.iter_chunks(10_000, 40, 4)))
@@ -318,10 +327,12 @@ class TestRunExperiment:
         cfg = small_config(n=40, reps=10_000, diagnostics=True, diagnostics_reps=10_000)
         run_experiment(cfg)
         assert len(batches) == 2 * chunks
+        assert len(calls) == 2 * chunks
         truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
         model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2).models[-1]
         reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
         assert len(batches) == 3 * chunks
+        assert len(calls) == 3 * chunks
 
     def test_manyreps_peak_stays_within_six_chunks(self):
         # the simulate-manyreps shape: ten histogram models share one table of
