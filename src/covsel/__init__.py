@@ -15,11 +15,11 @@ from .dictionary import (
 )
 from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .oracle import (
+    PlugInFactors,
     TruthSpec,
     check_underestimation_prob,
     check_variance_factor_mean,
     oracle_model,
-    plug_in_factors,
     true_fourth_moment_trace,
 )
 from .selection import SelectionReport, select
@@ -40,6 +40,7 @@ __all__ = [
     "KernelSpec",
     "ModelCollection",
     "ModelSpec",
+    "PlugInFactors",
     "SampleSet",
     "SelectionReport",
     "TruthSpec",
@@ -51,7 +52,6 @@ __all__ = [
     "fit_all",
     "kernel_to_sigma",
     "oracle_model",
-    "plug_in_factors",
     "run_experiment",
     "select",
     "true_fourth_moment_trace",

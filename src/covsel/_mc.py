@@ -44,11 +44,11 @@ def draw_batch(factor, n, seed, start, stop):
     return out
 
 
-def iter_chunks(reps, n, p, target_floats=CHUNK_FLOATS):
+def iter_chunks(reps, n, p):
     """Yield (start, stop) ranges of whole RNG blocks, at least one, keeping
-    each batch of draws near target_floats numbers (or one block, if larger)."""
+    each batch of draws near CHUNK_FLOATS numbers (or one block, if larger)."""
     size = block_reps(n, p)
-    chunk = size * max(1, target_floats // (size * n * p))
+    chunk = size * max(1, CHUNK_FLOATS // (size * n * p))
     for start in range(0, reps, chunk):
         yield start, min(start + chunk, reps)
 

@@ -20,6 +20,7 @@ from numpy.polynomial import legendre
 from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
+MAX_MODELS = 10_000  # the most models a collection may hold, checked before building
 
 
 class DegenerateCollectionError(ValueError):
@@ -143,14 +144,14 @@ class ModelCollection:
         return iter(self.models)
 
 
-def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=10_000):
+def collection_index_sets(family, scheme="nested", d_max=None, k=2):
     """Index sets of the collection that `build_collection` builds from these
     arguments, in its order.
 
     nested yields {0}, {0,1}, ..., {0..d_max-1} (d_max defaults to
     max_index + 1); all_subsets yields every nonempty subset of
     0..max_index of size <= k. Raises ValueError for an unknown scheme, a
-    depth or size cap `family` cannot meet, or more than `max_models` sets.
+    depth or size cap `family` cannot meet, or more than MAX_MODELS sets.
     """
     pool = family.max_index + 1
     if scheme == "nested":
@@ -166,9 +167,8 @@ def collection_index_sets(family, scheme="nested", d_max=None, k=2, max_models=1
         count = sum(math.comb(pool, size) for size in sizes)
     else:
         raise ValueError(f"unknown collection scheme {scheme!r}")
-    # counted before any set is built, so an oversized request costs nothing
-    if count > max_models:
-        raise ValueError(f"collection would contain {count} models (cap {max_models})")
+    if count > MAX_MODELS:
+        raise ValueError(f"collection would contain {count} models (cap {MAX_MODELS})")
     if scheme == "nested":
         return [tuple(range(d)) for d in range(1, d_max + 1)]
     return [c for size in sizes for c in itertools.combinations(range(pool), size)]
@@ -196,7 +196,7 @@ def _nested_tables(table):
     return [(q, tuple(range(rank))) for rank in ranks]
 
 
-def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=10_000):
+def build_collection(family, grid, scheme="nested", d_max=None, k=2):
     """Build a finite model collection over `family` on `grid`, with the
     index sets of :func:`collection_index_sets` (keep k small for
     all_subsets so the collection stays small).
@@ -209,7 +209,7 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2, max_models=
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d array")
     check_in_domain(family, grid)
-    index_sets = collection_index_sets(family, scheme, d_max, k, max_models)
+    index_sets = collection_index_sets(family, scheme, d_max, k)
 
     # each basis function is evaluated once: both schemes use every index up
     # to their largest, so a model's design is the table's columns `indices`

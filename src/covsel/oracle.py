@@ -1,8 +1,8 @@
 """Ground-truth quantities available only in simulation: the true
 fourth-moment trace of each model under a Gaussian truth, the exact risk
 decomposition as two columns that do not depend on n, the risk-optimal
-model, and Monte Carlo checks of the assumptions behind the data-driven
-penalty.
+model, and checks of the assumptions behind the data-driven penalty on the
+plug-in variance factors of `simulate`'s Monte Carlo replications.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from ._mc import draw_batch, iter_chunks, wilson_interval
+from ._mc import wilson_interval
 from .linalg import frob_norm_sq, psd_factor
 from .selection import decide
 
@@ -112,27 +111,8 @@ class PlugInFactors:
     true: np.ndarray = field(repr=False)
 
 
-def plug_in_factors(truth, models, chains, trace, n, reps, seed=0):
-    """Draw `reps` replications of n paths once and return every model's
-    plug-in variance factor in each: the table both diagnostics read.
-
-    `chains` is `_kernels.chains(models)` and `trace` the trace column of
-    `risk_table(truth, models)`.
-    """
-    if reps < MIN_DIAGNOSTICS_REPS:
-        raise ValueError(f"need reps >= {MIN_DIAGNOSTICS_REPS}")
-    dims = np.array([model.dim for model in models])
-    values = np.empty((reps, len(dims)))
-    for start, stop in iter_chunks(reps, n, truth.p):
-        # the batch is freed when the kernel returns, before the next draw
-        _, proj_norm4, fit_sq = _kernels.model_stats_batch(
-            draw_batch(truth.factor, n, seed, start, stop), *chains)
-        values[start:stop] = (proj_norm4 - fit_sq) / dims
-    return PlugInFactors(models=tuple(models), n=n, values=values, true=trace / dims)
-
-
 def check_variance_factor_mean(factors):
-    """Monte Carlo check, on a `plug_in_factors` table, that the plug-in
+    """Monte Carlo check, on a `PlugInFactors` table, that the plug-in
     variance factor has mean (n-1)/n times the true factor (and hence never
     overshoots it).
 
@@ -155,7 +135,7 @@ def check_variance_factor_mean(factors):
 
 
 def check_underestimation_prob(factors, alpha):
-    """Estimate, on a `plug_in_factors` table, the probability that any
+    """Estimate, on a `PlugInFactors` table, the probability that any
     model's plug-in variance factor falls below (1 - alpha) times its true
     value.
 

@@ -1,8 +1,8 @@
 """Named covariance kernels on a grid, and the Monte Carlo experiment driver
 tying Gaussian sampling, estimation, selection, and the oracle together.
 
-Sample size n_grid[i] draws its replications from the RNG blocks of key
-(seed, i) and both diagnostics from those of (seed, i, 1) (`_mc.draw_batch`);
+Sample size n_grid[i] draws its replications once, from the RNG blocks of
+key (seed, i) (`_mc.draw_batch`), for both the risk and the diagnostics;
 chunks hold whole blocks, so reports are identical for any chunking.
 """
 
@@ -147,25 +147,30 @@ def uniform_grid(p, t_min=0.0, t_max=1.0):
     return t_min + (np.arange(p) + 0.5) * (t_max - t_min) / p
 
 
-def _run_block(truth, models, chains, bias, trace, cfg, n, seed_key):
-    """Monte Carlo block for one sample size, reading the n-free `chains` and
-    `risk_table` columns of `models`.
+def _run_block(truth, models, chains, bias, trace, cfg, n, i_n):
+    """Monte Carlo block for the i_n-th sample size n, reading the n-free
+    `chains` and `risk_table` columns of `models`: one draw of max(reps,
+    diagnostics_reps) replications of key (seed, i_n).
 
-    Returns (selected, err_sq), each of shape (2, reps): the selected model's
-    index and squared error per replication, row 0 under the data-driven
-    penalty and row 1 under the known-factor penalty.
+    Returns (selected, err_sq, plug_in): the selected model's index and
+    squared error per replication, each (2, reps), under the data-driven (row
+    0) and known-factor (row 1) penalty, and every model's data-driven trace
+    in the first diagnostics_reps replications ((0, M) without diagnostics).
     """
-    selected = np.empty((2, cfg.reps), dtype=np.int64)
-    err = np.empty((2, cfg.reps))
-    for start, stop in iter_chunks(cfg.reps, n, truth.p):
+    plug_in = np.empty((cfg.diagnostics_reps if cfg.diagnostics else 0, len(models)))
+    total = max(cfg.reps, len(plug_in))
+    selected = np.empty((2, total), dtype=np.int64)
+    err = np.empty((2, total))
+    for start, stop in iter_chunks(total, n, truth.p):
         # the batch is freed when the kernel returns, before the next draw
         norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(
-            draw_batch(truth.factor, n, seed_key, start, stop), *chains, truth.sigma)
+            draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop), *chains, truth.sigma)
         traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
         pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
         selected[:, start:stop] = pick
         err[:, start:stop] = bias[pick] + dev_sq[np.arange(stop - start), pick]
-    return selected, err
+        plug_in[start:stop] = traces[0, :len(plug_in[start:stop])]
+    return selected[:, :cfg.reps], err[:, :cfg.reps], plug_in
 
 
 def _mode_summary(labels, order, sel, err, sel_dims, oracle_risk, reps):
@@ -214,7 +219,7 @@ def run_experiment(cfg):
         best_model, risk = oracle.oracle_model(models, bias, trace, n)
         oracle_risk = float(risk.min())
 
-        selected, err = _run_block(truth, models, chains, bias, trace, cfg, n, (cfg.seed, i_n))
+        selected, err, plug_in = _run_block(truth, models, chains, bias, trace, cfg, n, i_n)
         sel_dims = dims[selected]
         dd, kn = (_mode_summary(labels, order, selected[i], err[i], sel_dims[i], oracle_risk,
                                 cfg.reps) for i in range(2))
@@ -249,8 +254,7 @@ def run_experiment(cfg):
                 "err_sq_known": err[1],
             })
         if cfg.diagnostics:
-            factors = oracle.plug_in_factors(truth, models, chains, trace, n,
-                                             cfg.diagnostics_reps, seed=(cfg.seed, i_n, 1))
+            factors = oracle.PlugInFactors(models, n, plug_in / dims, trace / dims)
             vf = oracle.check_variance_factor_mean(factors)
             under = oracle.check_underestimation_prob(factors, cfg.alpha)
             run["diagnostics"] = {"variance_factor_mean": vf, "underestimation_prob": under}

@@ -31,7 +31,6 @@ from covsel.oracle import (
     TruthSpec,
     check_underestimation_prob,
     check_variance_factor_mean,
-    plug_in_factors,
     risk_table,
 )
 from covsel.simulate import (
@@ -41,6 +40,7 @@ from covsel.simulate import (
     run_experiment,
     uniform_grid,
 )
+from test_oracle import plug_in
 
 FOURIER = BasisFamily("fourier", 0.0, 1.0, 12)
 
@@ -93,12 +93,6 @@ def _mc_risk_z_scores(truth, collection, n, reps, seed):
     return list((mean - (bias + trace / n)) / se)
 
 
-def _plug_in(truth, collection, n, reps, seed):
-    models = collection.models
-    return plug_in_factors(truth, models, _kernels.chains(models), risk_table(truth, models)[1],
-                           n, reps, seed)
-
-
 def test_criterion_3_risk_decomposition():
     started = time.time()
     n, reps = 50, 2000
@@ -129,7 +123,7 @@ def test_criterion_4_variance_factor_mean_exact_factor():
     truth = TruthSpec(sigma=np.eye(2))
     fam = BasisFamily("histogram", 0.0, 1.0, 1)
     coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-    records = check_variance_factor_mean(_plug_in(truth, coll, n=10, reps=100_000, seed=41))
+    records = check_variance_factor_mean(plug_in(truth, coll, n=10, reps=100_000, seed=41))
     # target embeds the exact (n-1)/n = 0.9 factor
     for rec in records:
         model = next(m for m in coll if m.indices == rec["indices"])
@@ -151,7 +145,7 @@ def test_criterion_5_underestimation_probability_trend():
     estimates = []
     for i, n in enumerate((20, 50, 100, 200)):
         out = check_underestimation_prob(
-            _plug_in(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
+            plug_in(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
         )
         estimates.append(out)
     ok = True

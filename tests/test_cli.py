@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covsel.oracle
 import covsel.simulate
 from covsel import cli
 from covsel._reference import project
@@ -674,14 +673,12 @@ class TestSimulateCommand:
     def test_bad_config_exits_2_before_sampling(
         self, tmp_path, capsys, monkeypatch, command, body, message
     ):
-        import covsel.oracle
         import covsel.simulate
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
         monkeypatch.setattr(covsel.simulate, "draw_batch", no_sampling)
-        monkeypatch.setattr(covsel.oracle, "draw_batch", no_sampling)
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[basis]\nfamily = fourier\nmax_index = 4\n" + body)
         args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -830,8 +827,7 @@ def test_out_of_range_config_exits_2_before_sampling(case):
         raise AssertionError("sampling started")
 
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(covsel.simulate, "draw_batch", no_sampling), \
-            mock.patch.object(covsel.oracle, "draw_batch", no_sampling):
+            mock.patch.object(covsel.simulate, "draw_batch", no_sampling):
         tmp = Path(tmp)
         (tmp / "bad.ini").write_text(body)
         err = io.StringIO()

@@ -309,6 +309,37 @@ FINGERPRINTS = {
                 "d09f253114a97d78c7f6bac01e2ac2b1ee8028a31cfd5da2cc8ed9017d0c08c6",
         },
     },
+    # v10: simulate draws once per n, max(reps, diagnostics_reps) replications
+    # of key (seed, n index), and both diagnostics read the plug-in traces of
+    # its first diagnostics_reps rows, not a second draw of key
+    # (seed, n index, 1). Only variance_factor_mean.csv,
+    # underestimation_prob.csv and the report's runs[*].diagnostics move;
+    # every risk output keeps its v9 bytes, and the select report differs
+    # from v9 only in report_version
+    10: {
+        "numpy": "2.4.6",
+        "openblas": "0.3.31.188.0",
+        "sha256": {
+            "simulate/experiment_report.json":
+                "383bdc363eede31ed3be849464360f25f2b1cf683b51358fd1da3f05508505cd",
+            "simulate/risk_vs_n.csv":
+                "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
+            "simulate/selection_frequencies.csv":
+                "4e4e23dc414d3f9f6a76ef73013e4c45a5ea256116f027b64299659e786bd435",
+            "simulate/variance_factor_mean.csv":
+                "17404c934a91e8c7017547fbbb7b8cb3d66b0e784bbe4344f3e4bb566b703be4",
+            "simulate/underestimation_prob.csv":
+                "00f08f6b6d673e8ed1223e4f9387e836fe80302aefe937f974d80e741b0860ec",
+            "simulate-keep/replications.csv":
+                "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
+            "select/selection_report.json":
+                "64d45006d55316885add5876c937ad0cc08e1413f3f120500a4dbadea2713f1b",
+            "select/criterion_table.csv":
+                "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
+            "select/sigma_hat.csv":
+                "d09f253114a97d78c7f6bac01e2ac2b1ee8028a31cfd5da2cc8ed9017d0c08c6",
+        },
+    },
 }
 
 

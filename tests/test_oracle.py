@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covsel import _kernels
-from covsel._mc import wilson_interval
+from covsel._mc import draw_batch, iter_chunks, wilson_interval
 from covsel._reference import (
     check_quadratic_form_tail,
     gaussian_fourth_moment_dense,
@@ -12,11 +12,11 @@ from covsel._reference import (
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.linalg import frob_norm_sq, projector_from_basis
 from covsel.oracle import (
+    PlugInFactors,
     TruthSpec,
     bias_sq,
     check_underestimation_prob,
     check_variance_factor_mean,
-    plug_in_factors,
     oracle_model,
     risk_table,
     true_fourth_moment_trace,
@@ -47,10 +47,16 @@ def oracle_at(truth, models, n):
 
 
 def plug_in(truth, models, n, reps, seed=0):
-    """plug_in_factors with the chains and trace column it reads."""
+    """The PlugInFactors table of `reps` replications of key `seed`: every
+    model's (proj_norm4 - fit_sq) / dim, as simulate's risk loop forms it."""
     models = tuple(models)
-    return plug_in_factors(truth, models, _kernels.chains(models),
-                           risk_table(truth, models)[1], n, reps, seed)
+    chains = _kernels.chains(models)
+    dims = np.array([model.dim for model in models])
+    traces = np.concatenate([
+        np.subtract(*_kernels.model_stats_batch(
+            draw_batch(truth.factor, n, seed, start, stop), *chains)[1:])
+        for start, stop in iter_chunks(reps, n, truth.p)])
+    return PlugInFactors(models, n, traces / dims, risk_table(truth, models)[1] / dims)
 
 
 class TestTruthSpec:
@@ -207,13 +213,6 @@ class TestVarianceFactorMean:
             assert abs(rec["z"]) < 4.0
             assert not rec["flagged"]
 
-    def test_rejects_tiny_rep_counts(self):
-        truth = TruthSpec(sigma=np.eye(2))
-        fam = BasisFamily("histogram", 0.0, 1.0, 1)
-        coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=1)
-        with pytest.raises(ValueError, match="reps"):
-            plug_in(truth, coll, n=5, reps=0)
-
 
 class TestUnderestimationProb:
     def _setup(self):
@@ -236,8 +235,6 @@ class TestUnderestimationProb:
 
     def test_input_validation(self):
         truth, coll = self._setup()
-        with pytest.raises(ValueError, match="reps"):
-            plug_in(truth, coll, n=10, reps=10)
         with pytest.raises(ValueError, match="alpha"):
             check_underestimation_prob(plug_in(truth, coll, n=10, reps=200), alpha=1.5)
 

@@ -206,9 +206,9 @@ class TestRunExperiment:
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         import covsel._mc as mc
-        import covsel.oracle as oracle
-        import covsel.simulate as sim
 
+        # diagnostics_reps > reps: the one draw per n serves both, so the
+        # diagnostics rows run past the risk rows across several chunks
         cfg = small_config(
             reps=64, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200,
             keep_replications=True,
@@ -216,18 +216,15 @@ class TestRunExperiment:
         # blocks of 2_000 floats: 16 replications of 30 x 4 and 10 of 50 x 4,
         # so 64 replications span 4 and 7 blocks
         monkeypatch.setattr(mc, "BLOCK_FLOATS", 2_000)
+        for n in cfg.n_grid:
+            assert cfg.reps >= 3 * mc.block_reps(n, 4)
+            assert len(list(mc.iter_chunks(cfg.diagnostics_reps, n, 4))) == 1
         whole, whole_tables = run_experiment(cfg)
 
         # 4_000 floats is 2 blocks per chunk, against one chunk at the default size
-        def small_chunks(reps, n, p):
-            return mc.iter_chunks(reps, n, p, target_floats=4_000)
-
+        monkeypatch.setattr(mc, "CHUNK_FLOATS", 4_000)
         for n in cfg.n_grid:
-            assert cfg.reps >= 3 * mc.block_reps(n, 4)
-            assert len(list(small_chunks(cfg.reps, n, 4))) >= 2
-            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
-        monkeypatch.setattr(sim, "iter_chunks", small_chunks)
-        monkeypatch.setattr(oracle, "iter_chunks", small_chunks)
+            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) >= 2
         report, tables = run_experiment(cfg)
         assert report == whole
         reps, whole_reps = tables["replications.csv"], whole_tables["replications.csv"]
@@ -237,7 +234,6 @@ class TestRunExperiment:
 
     def test_diagnostics_share_one_draw_per_n(self, monkeypatch):
         import covsel._mc as mc
-        import covsel.oracle as oracle
         import covsel.simulate as sim
 
         drawn = []
@@ -247,11 +243,29 @@ class TestRunExperiment:
             return mc.draw_batch(factor, n, seed, start, stop)
 
         monkeypatch.setattr(sim, "draw_batch", counting_draw)
-        monkeypatch.setattr(oracle, "draw_batch", counting_draw)
-        cfg = small_config(reps=40, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200)
-        run_experiment(cfg)
-        for n in cfg.n_grid:
-            assert sum(count for m, count in drawn if m == n) == cfg.reps + cfg.diagnostics_reps
+        for reps, diagnostics_reps in ((40, 200), (300, 100)):
+            drawn.clear()
+            cfg = small_config(reps=reps, n_grid=(30, 50), diagnostics=True,
+                               diagnostics_reps=diagnostics_reps)
+            run_experiment(cfg)
+            for n in cfg.n_grid:
+                assert sum(count for m, count in drawn if m == n) == max(reps, diagnostics_reps)
+
+    @pytest.mark.parametrize("reps, diagnostics_reps", [(40, 150), (300, 120)])
+    def test_variance_factor_mean_reads_the_risk_draws(self, reps, diagnostics_reps):
+        # each model's mean plug-in factor is (proj_norm4 - fit_sq) / dim
+        # averaged over rows 0..diagnostics_reps-1 of the risk loop's key
+        from test_oracle import plug_in
+
+        cfg = small_config(reps=reps, n_grid=(30, 50), diagnostics=True,
+                           diagnostics_reps=diagnostics_reps)
+        report, _ = run_experiment(cfg)
+        truth = TruthSpec(sigma=cfg.sigma)
+        models = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=3)
+        for i_n, (n, run) in enumerate(zip(cfg.n_grid, report["runs"])):
+            want = plug_in(truth, models, n, diagnostics_reps, seed=(cfg.seed, i_n)).values
+            got = [rec["mean"] for rec in run["diagnostics"]["variance_factor_mean"]]
+            np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-12, atol=0)
 
     def test_truth_constants_computed_once_per_experiment(self, monkeypatch):
         # squared bias, true trace, factor and chains do not depend on n, so
@@ -299,7 +313,6 @@ class TestRunExperiment:
         import covsel._kernels as kernels
         import covsel._mc as mc
         import covsel._reference as reference
-        import covsel.oracle as oracle
         import covsel.simulate as sim
 
         batches = []
@@ -310,7 +323,7 @@ class TestRunExperiment:
             batches.append(weakref.ref(x))
             return x
 
-        for module in (sim, oracle, reference):
+        for module in (sim, reference):
             monkeypatch.setattr(module, "draw_batch", watching_draw)
         # and each batch goes through one kernel call, statistics and
         # deviation together
@@ -321,18 +334,18 @@ class TestRunExperiment:
                 return _kernel(*args)
             monkeypatch.setattr(kernels, name, counting)
         # p = 4, n = 40: 10_000 replications span several chunks, drawn once
-        # for the selection and once for the diagnostics
+        # for the selection and the diagnostics together
         chunks = len(list(mc.iter_chunks(10_000, 40, 4)))
         assert chunks >= 2
         cfg = small_config(n=40, reps=10_000, diagnostics=True, diagnostics_reps=10_000)
         run_experiment(cfg)
-        assert len(batches) == 2 * chunks
-        assert len(calls) == 2 * chunks
+        assert len(batches) == chunks
+        assert len(calls) == chunks
         truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
         model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2).models[-1]
         reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
-        assert len(batches) == 3 * chunks
-        assert len(calls) == 3 * chunks
+        assert len(batches) == 2 * chunks
+        assert len(calls) == 2 * chunks
 
     def test_manyreps_peak_stays_within_six_chunks(self):
         # the simulate-manyreps shape: ten histogram models share one table of
