@@ -9,13 +9,11 @@ penalty is computed entirely from the data.
 from .dictionary import (
     BasisFamily,
     DegenerateCollectionError,
-    ModelCollection,
     ModelSpec,
     build_collection,
 )
 from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .oracle import (
-    PlugInFactors,
     TruthSpec,
     check_underestimation_prob,
     check_variance_factor_mean,
@@ -38,9 +36,7 @@ __all__ = [
     "DegenerateCollectionError",
     "ExperimentConfig",
     "KernelSpec",
-    "ModelCollection",
     "ModelSpec",
-    "PlugInFactors",
     "SampleSet",
     "SelectionReport",
     "TruthSpec",

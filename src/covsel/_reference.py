@@ -246,16 +246,16 @@ def check_kron_free_trace(key, cases=17):
                          for p in (2, 3, 4) for n in (5, 10) for c in range(cases)], 1e-8)
 
 
-def check_gaussian_closed_form(key, cases=100, sign=1.0):
+def check_gaussian_closed_form(key, cases=100):
     """oracle.true_fourth_moment_trace on a model basis against the dense
-    Gaussian Tr((P kron P) F); `sign` -1 flips the closed form's sign."""
+    Gaussian Tr((P kron P) F)."""
     def error(gen):
         p = int(gen.integers(2, 5))
         a = gen.standard_normal((p, p))
         sigma = a @ a.T
         basis, rank = basis_from_design(gen.standard_normal((p, gen.integers(1, p + 1))))
         model = ModelSpec((), basis, tuple(range(rank)), uniform_grid(p))
-        closed = sign * true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
+        closed = true_fourth_moment_trace(TruthSpec(sigma=sigma), model)
         phi, proj = gaussian_fourth_moment_dense(sigma), projector_from_basis(basis)
         return _rel_err(closed, np.sum(kron(proj, proj) * phi))
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-10)

@@ -131,19 +131,6 @@ def make_model(family, indices, grid):
     return ModelSpec(tuple(int(i) for i in indices), q, tuple(range(rank)), grid) if rank else None
 
 
-@dataclass(frozen=True, eq=False)
-class ModelCollection:
-    models: tuple
-    family: BasisFamily
-    grid: np.ndarray = field(repr=False)
-
-    def __len__(self):
-        return len(self.models)
-
-    def __iter__(self):
-        return iter(self.models)
-
-
 def collection_index_sets(family, scheme="nested", d_max=None, k=2):
     """Index sets of the collection that `build_collection` builds from these
     arguments, in its order.
@@ -197,8 +184,8 @@ def _nested_tables(table):
 
 
 def build_collection(family, grid, scheme="nested", d_max=None, k=2):
-    """Build a finite model collection over `family` on `grid`, with the
-    index sets of :func:`collection_index_sets` (keep k small for
+    """The tuple of ModelSpecs over `family` on `grid`, one per index set of
+    :func:`collection_index_sets` in its order (keep k small for
     all_subsets so the collection stays small).
 
     A histogram collection shares one table, its design over the column
@@ -232,4 +219,4 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2):
         raise DegenerateCollectionError(
             "model collection is empty after dropping degenerate designs"
         )
-    return ModelCollection(models=tuple(models), family=family, grid=grid)
+    return tuple(models)

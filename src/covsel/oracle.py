@@ -100,30 +100,19 @@ def oracle_model(models, bias, trace, n):
     return models[decide(risk, models)[0]], risk
 
 
-@dataclass(frozen=True, eq=False)
-class PlugInFactors:
-    """Plug-in variance factor `values[r, j]` of model j in replication r at
-    sample size n, and model j's true factor `true[j]` (0 if unreached)."""
-
-    models: tuple
-    n: int
-    values: np.ndarray = field(repr=False)
-    true: np.ndarray = field(repr=False)
-
-
-def check_variance_factor_mean(factors):
-    """Monte Carlo check, on a `PlugInFactors` table, that the plug-in
-    variance factor has mean (n-1)/n times the true factor (and hence never
-    overshoots it).
+def check_variance_factor_mean(models, n, values, true):
+    """Monte Carlo check that the plug-in variance factor has mean (n-1)/n
+    times the true factor (and hence never overshoots it), from the plug-in
+    factor `values[r, j]` of model j in replication r at sample size n and
+    model j's true factor `true[j]` (0 if unreached).
 
     Returns one record per model with the estimated mean, the exact target,
     the standard error, and a z-score; |z| > 4 marks a hard failure. A model
     the truth does not reach has target 0 and z = 0.
     """
-    n, values = factors.n, factors.values
     records = []
-    for j, model in enumerate(factors.models):
-        target = (n - 1) / n * factors.true[j]
+    for j, model in enumerate(models):
+        target = (n - 1) / n * true[j]
         mean = float(values[:, j].mean())
         se = float(values[:, j].std(ddof=1) / np.sqrt(values.shape[0]))
         diff = mean - target
@@ -134,19 +123,19 @@ def check_variance_factor_mean(factors):
     return records
 
 
-def check_underestimation_prob(factors, alpha):
-    """Estimate, on a `PlugInFactors` table, the probability that any
-    model's plug-in variance factor falls below (1 - alpha) times its true
-    value.
+def check_underestimation_prob(n, values, true, alpha):
+    """Estimate the probability that any model's plug-in variance factor
+    `values[r, j]` at sample size n falls below (1 - alpha) times its true
+    value `true[j]`.
 
     Models the truth does not reach never undershoot and are left out.
     Returns the point estimate with a 95% Wilson confidence interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    reached = factors.true > 0.0
-    bad = np.any(factors.values[:, reached] < (1.0 - alpha) * factors.true[reached], axis=1)
-    count, reps = int(bad.sum()), factors.values.shape[0]
+    reached = true > 0.0
+    bad = np.any(values[:, reached] < (1.0 - alpha) * true[reached], axis=1)
+    count, reps = int(bad.sum()), values.shape[0]
     lo, hi = wilson_interval(count, reps)
     return {
         "estimate": count / reps,
@@ -155,5 +144,5 @@ def check_underestimation_prob(factors, alpha):
         "violations": count,
         "reps": reps,
         "alpha": alpha,
-        "n": factors.n,
+        "n": n,
     }

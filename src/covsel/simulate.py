@@ -200,8 +200,7 @@ def run_experiment(cfg):
     labelled "i;j". Identical configs give identical results.
     """
     truth = oracle.TruthSpec(sigma=cfg.sigma)
-    models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
-                              k=cfg.k).models
+    models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max, k=cfg.k)
     # models stay in build order; the report lists them in tie-break order
     order = sorted(range(len(models)), key=lambda j: tie_break_key(models[j]))
     labels = np.array([";".join(str(i) for i in m.indices) for m in models], dtype=object)
@@ -254,9 +253,9 @@ def run_experiment(cfg):
                 "err_sq_known": err[1],
             })
         if cfg.diagnostics:
-            factors = oracle.PlugInFactors(models, n, plug_in / dims, trace / dims)
-            vf = oracle.check_variance_factor_mean(factors)
-            under = oracle.check_underestimation_prob(factors, cfg.alpha)
+            values, true = plug_in / dims, trace / dims
+            vf = oracle.check_variance_factor_mean(models, n, values, true)
+            under = oracle.check_underestimation_prob(n, values, true, cfg.alpha)
             run["diagnostics"] = {"variance_factor_mean": vf, "underestimation_prob": under}
             rows["variance_factor_mean.csv"] += [
                 {"n": int(n), "model": ";".join(str(i) for i in rec["indices"]),

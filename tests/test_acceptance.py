@@ -123,7 +123,7 @@ def test_criterion_4_variance_factor_mean_exact_factor():
     truth = TruthSpec(sigma=np.eye(2))
     fam = BasisFamily("histogram", 0.0, 1.0, 1)
     coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-    records = check_variance_factor_mean(plug_in(truth, coll, n=10, reps=100_000, seed=41))
+    records = check_variance_factor_mean(*plug_in(truth, coll, n=10, reps=100_000, seed=41))
     # target embeds the exact (n-1)/n = 0.9 factor
     for rec in records:
         model = next(m for m in coll if m.indices == rec["indices"])
@@ -145,7 +145,7 @@ def test_criterion_5_underestimation_probability_trend():
     estimates = []
     for i, n in enumerate((20, 50, 100, 200)):
         out = check_underestimation_prob(
-            plug_in(truth, coll, n=n, reps=5000, seed=(51, i)), alpha=0.5
+            *plug_in(truth, coll, n=n, reps=5000, seed=(51, i))[1:], alpha=0.5
         )
         estimates.append(out)
     ok = True

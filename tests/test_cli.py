@@ -233,27 +233,32 @@ def test_reports_carry_report_version(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "command, body, csv, message",
+    "command, body, csv, flags, message",
     [
         # ||sigma||^2 = inf floored every bias and trace to 0: a risk ratio of 0 / 0
         ("simulate", "[basis]\nt_max = 1e200\n[kernel]\nkind = brownian\n[experiment]\np = 4\n",
-         None, "the kernel's covariance is zero on the grid or overflows float64"),
+         None, [], "the kernel's covariance is zero on the grid or overflows float64"),
         # a finite ||sigma||^2 whose square overflows: risk_se and the risk
         # variance overflowed, and the report's Infinity stopped the JSON write
         ("simulate", "[basis]\nfamily = fourier\nmax_index = 3\nt_max = 1e77\n"
          "[kernel]\nkind = brownian\n[experiment]\np = 4\nn = 20\nreps = 100\n",
-         None, "fourth moments of the kernel's covariance overflow float64"),
+         None, [], "fourth moments of the kernel's covariance overflow float64"),
         # finite entries whose fourth moments overflow made every criterion NaN
         ("select", "[basis]\nfamily = histogram\nmax_index = 1\n[collection]\nd_max = 2\n",
-         "0.25,0.75\n1e80,0\n0,1e80\n3e79,1e79\n",
-         "toy.csv: fourth moments of the data overflow float64"),
+         "0.25,0.75\n1e80,0\n0,1e80\n3e79,1e79\n", [],
+         "toy.csv: fourth moments of the data or theta overflow float64"),
+        # modest data, but (1 + theta) * trace / n overflows to an infinite penalty
+        ("select", "[basis]\nfamily = histogram\nmax_index = 1\n[collection]\nd_max = 2\n",
+         "0.25,0.75\n3,0\n0,3\n1,2\n", ["--theta", "1e308"],
+         "toy.csv: fourth moments of the data or theta overflow float64"),
     ],
-    ids=["simulate", "simulate-fourth-moments", "select"],
+    ids=["simulate", "simulate-fourth-moments", "select", "select-theta"],
 )
-def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body, csv, message):
+def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body, csv, flags,
+                                                 message):
     cfg = tmp_path / "big.ini"
     cfg.write_text(body)
-    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *flags]
     if csv is not None:
         args += ["--input", str(write_toy(tmp_path, body=csv))]
     assert main(args) == 2
@@ -263,10 +268,14 @@ def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body
 
 
 def test_dump_json_rejects_non_finite_values(tmp_path):
+    # a rejected payload makes neither the file nor its missing directory
+    path = tmp_path / "missing" / "report.json"
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            cli.dump_json(tmp_path / "report.json", {"value": value})
-        assert not (tmp_path / "report.json").exists()
+            cli.dump_json(path, {"value": value})
+        assert not path.parent.exists()
+    cli.dump_json(path, {"value": 1.5})
+    assert json.loads(path.read_text()) == {"value": 1.5}
 
 
 def traced_peak(fn, *args):
@@ -918,11 +927,16 @@ class TestValidateCommand:
         names = [line.split(" ", 1)[1] for line in out.strip().splitlines()]
         assert len(names) == len(set(names))
 
-    def test_injected_fault_detected(self, capsys):
-        code = main(["validate", "--inject-fault", "gaussian-closed-form-sign"])
-        assert code == 1
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        import covsel._reference as reference
+
+        closed_form = reference.true_fourth_moment_trace
+        monkeypatch.setattr(reference, "true_fourth_moment_trace",
+                            lambda truth, model: -closed_form(truth, model))
+        assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL gaussian fourth-moment closed form vs dense" in out
+        assert out.count("PASS") == 7
 
     @pytest.mark.parametrize(
         "flags", [["--config", "missing.ini"], ["--out", "somewhere"], ["--theta", "-5"]]

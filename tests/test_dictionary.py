@@ -105,7 +105,7 @@ class TestBuildCollection:
     def test_histogram_full_model_is_identity(self):
         fam = BasisFamily("histogram", 0.0, 1.0, 3)
         coll = build_collection(fam, uniform_grid(4), scheme="nested", d_max=4)
-        np.testing.assert_allclose(projector_from_basis(coll.models[-1].basis), np.eye(4),
+        np.testing.assert_allclose(projector_from_basis(coll[-1].basis), np.eye(4),
                                    atol=1e-12)
 
     def test_nested_count(self):
@@ -142,7 +142,7 @@ class TestBuildCollection:
     def test_nested_projector_ranges(self):
         fam = BasisFamily("fourier", 0.0, 1.0, 6)
         coll = build_collection(fam, uniform_grid(16), scheme="nested", d_max=6)
-        projs = [projector_from_basis(m.basis) for m in coll.models]
+        projs = [projector_from_basis(m.basis) for m in coll]
         for i, small in enumerate(projs):
             for large in projs[i:]:
                 np.testing.assert_allclose(small @ large, small, atol=1e-10)
@@ -204,19 +204,20 @@ NESTED_CASES = [("polynomial", 17, 20), ("fourier", 16, 15), ("histogram", 4, 7)
 
 
 def nested(kind, p, max_index):
+    """(family, grid, the family's nested collection on the grid)."""
+    family, grid = BasisFamily(kind, 0.0, 1.0, max_index), uniform_grid(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # histogram models with only empty cells
-        return build_collection(BasisFamily(kind, 0.0, 1.0, max_index), uniform_grid(p),
-                                scheme="nested")
+        return family, grid, build_collection(family, grid, scheme="nested")
 
 
 class TestNestedCollection:
     @pytest.mark.parametrize("case", NESTED_CASES, ids=lambda c: "%s-p%d-%d" % c)
     def test_matches_per_model_svd(self, case):
         # same ranks as each design's own SVD, projectors within 100 eps kappa
-        coll = nested(*case)
+        family, grid, coll = nested(*case)
         for model in coll:
-            design = build_design(coll.family, model.indices, coll.grid)
+            design = build_design(family, model.indices, grid)
             basis, rank = basis_from_design(design)
             assert rank == model.rank
             sv = np.linalg.svd(design, compute_uv=False)
@@ -224,21 +225,21 @@ class TestNestedCollection:
             assert np.abs(projector_from_basis(model.basis) - basis @ basis.T).max() <= tol
 
     def test_bases_are_leading_columns_of_one_table(self):
-        coll = nested("fourier", 16, 15)
-        widest = coll.models[-1].basis
+        _, _, coll = nested("fourier", 16, 15)
+        widest = coll[-1].basis
         for model in coll:
-            assert model.table is coll.models[-1].table
+            assert model.table is coll[-1].table
             assert np.array_equal(model.basis, widest[:, :model.rank])
         # the Nyquist column is an exact dependency: the last two share a basis
-        assert coll.models[-1].rank == coll.models[-2].rank == 15
+        assert coll[-1].rank == coll[-2].rank == 15
 
     def test_near_cutoff_rank_ends_the_chain(self):
         # sigma_40 / sigma_1 = 1.8e-11: a basis of the first 39 columns would
         # miss the SVD's projector by 4e-3, so model 40 takes its own SVD
-        coll = nested("polynomial", 40, 39)
-        assert coll.models[-1].rank == 39
-        assert coll.models[0].table is not coll.models[-1].table
-        _, s, _ = np.linalg.svd(build_design(coll.family, range(40), coll.grid))
+        family, grid, coll = nested("polynomial", 40, 39)
+        assert coll[-1].rank == 39
+        assert coll[0].table is not coll[-1].table
+        _, s, _ = np.linalg.svd(build_design(family, range(40), grid))
         assert 1e-12 < s[-1] / s[0] < RANK_RTOL
 
     def test_rank_zero_prefix_is_dropped_and_the_chain_goes_on(self):
@@ -247,4 +248,4 @@ class TestNestedCollection:
             coll = build_collection(BasisFamily("histogram", 0.0, 1.0, 7), uniform_grid(4),
                                     scheme="nested")
         assert [m.rank for m in coll] == [1, 1, 2, 2, 3, 3, 4]
-        assert all(m.table is coll.models[-1].table for m in coll)
+        assert all(m.table is coll[-1].table for m in coll)

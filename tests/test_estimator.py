@@ -201,28 +201,28 @@ def dense_fit_all(samples, s, collection):
 def nyquist_fourier():
     # on the p=16 midpoint grid, index 15 is cos(pi (j + 1/2)): a zero column
     # up to rounding, so the last two nested models share one projector
-    grid = uniform_grid(16)
-    coll = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), grid, scheme="nested")
-    assert coll.models[-1].rank == coll.models[-2].rank == 15
-    return coll
+    family, grid = BasisFamily("fourier", 0.0, 1.0, 15), uniform_grid(16)
+    coll = build_collection(family, grid, scheme="nested")
+    assert coll[-1].rank == coll[-2].rank == 15
+    return family, grid, coll
 
 
 def rank_deficient_polynomial():
     # ten Legendre polynomials on six points: every model past index 5 has rank 6
-    coll = build_collection(BasisFamily("polynomial", 0.0, 1.0, 9), uniform_grid(6),
-                            scheme="nested")
+    family, grid = BasisFamily("polynomial", 0.0, 1.0, 9), uniform_grid(6)
+    coll = build_collection(family, grid, scheme="nested")
     assert [m.rank for m in coll][-5:] == [6] * 5
-    return coll
+    return family, grid, coll
 
 
 def histogram_with_empty_cells():
     # eight cells, five points: three cells are empty, so their singleton
     # models are dropped and pairs with one empty cell have rank 1
+    family, grid = BasisFamily("histogram", 0.0, 1.0, 7), uniform_grid(5)
     with pytest.warns(UserWarning, match="rank 0"):
-        coll = build_collection(BasisFamily("histogram", 0.0, 1.0, 7), uniform_grid(5),
-                                scheme="all_subsets", k=2)
+        coll = build_collection(family, grid, scheme="all_subsets", k=2)
     assert any(m.rank < len(m.indices) for m in coll)
-    return coll
+    return family, grid, coll
 
 
 COORDINATE_CASES = [nyquist_fourier, rank_deficient_polynomial, histogram_with_empty_cells]
@@ -231,9 +231,9 @@ COORDINATE_CASES = [nyquist_fourier, rank_deficient_polynomial, histogram_with_e
 @pytest.mark.parametrize("make_collection", COORDINATE_CASES)
 class TestCoordinatePath:
     def test_fit_all_matches_dense_projector_route(self, make_collection):
-        coll = make_collection()
+        _, grid, coll = make_collection()
         gen = np.random.default_rng(len(coll))
-        samples = samples_from(gen.standard_normal((40, coll.grid.size)), coll.grid)
+        samples = samples_from(gen.standard_normal((40, grid.size)), grid)
         s = empirical_cov(samples)
         loss, trace = fit_all(samples, coll)
         dense_loss, dense_trace = dense_fit_all(samples, s, coll)
@@ -248,8 +248,8 @@ class TestCoordinatePath:
         for module in [m for key, m in sys.modules.items() if key.startswith("covsel.")]:
             if vars(module).get("projector_from_basis") is projector_from_basis:
                 monkeypatch.setattr(module, "projector_from_basis", no_projector)
-        coll = make_collection()
-        samples = samples_from(rng.standard_normal((5, coll.grid.size)), coll.grid)
+        _, grid, coll = make_collection()
+        samples = samples_from(rng.standard_normal((5, grid.size)), grid)
         fit_all(samples, coll)
 
     def test_lazy_projector_equals_projector_from_design(self, make_collection):
@@ -257,12 +257,12 @@ class TestCoordinatePath:
         # is leading columns of one QR table, not its design's SVD, so the two
         # projectors agree to 100 eps kappa(design); every other model's, on a
         # table of its own or a histogram's normalised design, is bit for bit
-        coll = make_collection()
+        family, grid, coll = make_collection()
         for model in coll:
-            design = build_design(coll.family, model.indices, coll.grid)
+            design = build_design(family, model.indices, grid)
             expected, rank = projector_from_design(design)
             assert rank == model.rank
-            if coll.family.kind != "histogram" and any(
+            if family.kind != "histogram" and any(
                     model.table is other.table for other in coll if other is not model):
                 sv = np.linalg.svd(design, compute_uv=False)
                 tol = 100 * np.finfo(float).eps * sv[0] / sv[rank - 1]
@@ -271,7 +271,7 @@ class TestCoordinatePath:
                 assert np.array_equal(projector_from_basis(model.basis), expected)
 
     def test_basis_is_orthonormal(self, make_collection):
-        for model in make_collection():
+        for model in make_collection()[2]:
             assert model.basis.shape == (model.grid.size, model.rank)
             np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(model.rank),
                                        atol=1e-13)

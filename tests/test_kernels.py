@@ -115,7 +115,7 @@ def simulate_kernel_setup(reps):
 
 def test_simulate_kernel_shape_matches_direct():
     X, sigma, _, collection = simulate_kernel_setup(reps=3)
-    assert_kernels_match_direct(X, collection.models, sigma, rtol=1e-12, atol=0)
+    assert_kernels_match_direct(X, collection, sigma, rtol=1e-12, atol=0)
 
 
 def test_single_replication_matches_fit_all():

@@ -12,7 +12,6 @@ from covsel._reference import (
 from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
 from covsel.linalg import frob_norm_sq, projector_from_basis
 from covsel.oracle import (
-    PlugInFactors,
     TruthSpec,
     bias_sq,
     check_underestimation_prob,
@@ -47,8 +46,10 @@ def oracle_at(truth, models, n):
 
 
 def plug_in(truth, models, n, reps, seed=0):
-    """The PlugInFactors table of `reps` replications of key `seed`: every
-    model's (proj_norm4 - fit_sq) / dim, as simulate's risk loop forms it."""
+    """The diagnostics' arguments (models, n, values, true) for `reps`
+    replications of key `seed`: values[r, j] is model j's
+    (proj_norm4 - fit_sq) / dim, as simulate's risk loop forms it, and
+    true[j] its true variance factor."""
     models = tuple(models)
     chains = _kernels.chains(models)
     dims = np.array([model.dim for model in models])
@@ -56,7 +57,7 @@ def plug_in(truth, models, n, reps, seed=0):
         np.subtract(*_kernels.model_stats_batch(
             draw_batch(truth.factor, n, seed, start, stop), *chains)[1:])
         for start, stop in iter_chunks(reps, n, truth.p)])
-    return PlugInFactors(models, n, traces / dims, risk_table(truth, models)[1] / dims)
+    return models, n, traces / dims, risk_table(truth, models)[1] / dims
 
 
 class TestTruthSpec:
@@ -128,7 +129,7 @@ class TestTrueRisk:
 
     def test_columns_follow_model_order(self):
         truth = TruthSpec(sigma=random_psd(rng, 6))
-        models = build_collection(FOURIER, uniform_grid(6), scheme="all_subsets", k=2).models
+        models = build_collection(FOURIER, uniform_grid(6), scheme="all_subsets", k=2)
         bias, trace = risk_table(truth, models)
         assert bias.shape == trace.shape == (len(models),)
         assert bias.tolist() == [bias_sq(truth, m) for m in models]
@@ -142,12 +143,12 @@ class TestOracleModel:
         coll = build_collection(fam, uniform_grid(3), scheme="nested", d_max=3)
         best, risk = oracle_at(truth, coll, n=50)
         assert len(risk) == 3
-        assert best in coll.models
+        assert best in coll
 
     def test_representable_truth_has_zero_bias_at_its_model(self):
         grid = uniform_grid(8)
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=4)
-        target = coll.models[2]
+        target = coll[2]
         psi = np.diag([2.0, 1.0, 0.5])
         design = build_design(FOURIER, target.indices, grid)
         sigma = design @ psi @ design.T
@@ -161,7 +162,7 @@ class TestOracleModel:
         # duplicated-projector models (aliasing) give exactly tied risks
         grid = uniform_grid(4)
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=4)
-        assert coll.models[2].dim == coll.models[3].dim  # aliased pair
+        assert coll[2].dim == coll[3].dim  # aliased pair
         truth = TruthSpec(sigma=np.eye(4))
         best, risk = oracle_at(truth, coll, n=20)
         risks = dict(zip((m.indices for m in coll), risk))
@@ -172,7 +173,7 @@ class TestOracleModel:
         grid = uniform_grid(6)
         coll = build_collection(FOURIER, grid, scheme="nested", d_max=4)
         truth = TruthSpec(sigma=random_psd(rng, 6))
-        reversed_models = coll.models[::-1]
+        reversed_models = coll[::-1]
 
         best_fwd, risk_fwd = oracle_at(truth, coll, 30)
         best_rev, risk_rev = oracle_at(truth, reversed_models, 30)
@@ -191,7 +192,7 @@ class TestMinFourthMomentTrace:
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        assert true_fourth_moment_trace(truth, coll.models[-1]) == pytest.approx(6.0)
+        assert true_fourth_moment_trace(truth, coll[-1]) == pytest.approx(6.0)
 
 
 class TestVarianceFactorMean:
@@ -199,7 +200,7 @@ class TestVarianceFactorMean:
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        records = check_variance_factor_mean(plug_in(truth, coll, n=2, reps=200, seed=5))
+        records = check_variance_factor_mean(*plug_in(truth, coll, n=2, reps=200, seed=5))
         for rec in records:
             model = next(m for m in coll if m.indices == rec["indices"])
             assert rec["target"] == pytest.approx(0.5 * true_variance_factor(truth, model))
@@ -208,7 +209,7 @@ class TestVarianceFactorMean:
         truth = TruthSpec(sigma=np.eye(2))
         fam = BasisFamily("histogram", 0.0, 1.0, 1)
         coll = build_collection(fam, uniform_grid(2), scheme="nested", d_max=2)
-        records = check_variance_factor_mean(plug_in(truth, coll, n=10, reps=4000, seed=11))
+        records = check_variance_factor_mean(*plug_in(truth, coll, n=10, reps=4000, seed=11))
         for rec in records:
             assert abs(rec["z"]) < 4.0
             assert not rec["flagged"]
@@ -222,13 +223,13 @@ class TestUnderestimationProb:
 
     def test_alpha_near_one_gives_tiny_probability(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(plug_in(truth, coll, n=10, reps=500, seed=3),
+        out = check_underestimation_prob(*plug_in(truth, coll, n=10, reps=500, seed=3)[1:],
                                          alpha=0.999)
         assert out["estimate"] <= 0.01
 
     def test_valid_probability_even_at_n2(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(plug_in(truth, coll, n=2, reps=200, seed=4),
+        out = check_underestimation_prob(*plug_in(truth, coll, n=2, reps=200, seed=4)[1:],
                                          alpha=0.5)
         assert 0.0 <= out["estimate"] <= 1.0
         assert 0.0 <= out["ci_low"] <= out["estimate"] <= out["ci_high"] <= 1.0
@@ -236,11 +237,11 @@ class TestUnderestimationProb:
     def test_input_validation(self):
         truth, coll = self._setup()
         with pytest.raises(ValueError, match="alpha"):
-            check_underestimation_prob(plug_in(truth, coll, n=10, reps=200), alpha=1.5)
+            check_underestimation_prob(*plug_in(truth, coll, n=10, reps=200)[1:], alpha=1.5)
 
     def test_zero_violations_lie_inside_interval(self):
         truth, coll = self._setup()
-        out = check_underestimation_prob(plug_in(truth, coll, n=10, reps=200, seed=3),
+        out = check_underestimation_prob(*plug_in(truth, coll, n=10, reps=200, seed=3)[1:],
                                          alpha=0.999)
         assert out["violations"] == 0
         assert out["ci_low"] == 0.0
@@ -262,7 +263,7 @@ class TestModelsTheTruthDoesNotReach:
 
     def test_unreached_models_are_not_flagged(self):
         truth, coll = self._setup()
-        records = check_variance_factor_mean(plug_in(truth, coll, n=20, reps=200,
+        records = check_variance_factor_mean(*plug_in(truth, coll, n=20, reps=200,
                                                      seed=(1, 0, 1)))
         assert [rec["indices"] for rec in records] == [(0,), (1,), (2,), (3,)]
         assert records[0]["target"] > 100.0 and not records[0]["flagged"]
@@ -272,9 +273,9 @@ class TestModelsTheTruthDoesNotReach:
     def test_unreached_models_are_left_out_of_the_event(self):
         truth, coll = self._setup()
         out = check_underestimation_prob(
-            plug_in(truth, coll, n=20, reps=200, seed=(1, 0, 1)), alpha=0.5)
+            *plug_in(truth, coll, n=20, reps=200, seed=(1, 0, 1))[1:], alpha=0.5)
         reached = check_underestimation_prob(
-            plug_in(truth, coll.models[:1], n=20, reps=200, seed=(1, 0, 1)), alpha=0.5)
+            *plug_in(truth, coll[:1], n=20, reps=200, seed=(1, 0, 1))[1:], alpha=0.5)
         assert out == reached
         assert out["violations"] < 200
 
@@ -287,11 +288,11 @@ def test_risk_table_reports_exact_zeros():
     family = BasisFamily("fourier", 0.0, 1.0, 5)
     kernel = KernelSpec("finite_rank", family=family, indices=(0, 1, 2))
     truth = TruthSpec(sigma=kernel_to_sigma(kernel, grid))
-    subsets = build_collection(family, grid, scheme="all_subsets", k=2).models
+    subsets = build_collection(family, grid, scheme="all_subsets", k=2)
     traces = dict(zip((m.indices for m in subsets), risk_table(truth, subsets)[1]))
     assert traces[(3,)] == 0.0 and traces[(3,)] / 50 == 0.0
     assert traces[(0, 1)] > 0.0
-    nested = build_collection(family, grid, scheme="nested").models
+    nested = build_collection(family, grid, scheme="nested")
     bias, trace = risk_table(truth, nested)
     assert [b == 0.0 for b in bias] == [False, False, True, True, True, True]
     _, risk = oracle_model(nested, bias, trace, 50)
@@ -411,7 +412,7 @@ class TestKnownPenaltySelectionAgainstOracle:
 
         samples = SampleSet(grid=grid, data=gen.standard_normal((25, 4)))
         loss, _ = fit_all(samples, coll)
-        report = select(coll.models, loss, true_traces, 1.0, samples.n)
+        report = select(coll, loss, true_traces, 1.0, samples.n)
         crits = {
             m.indices: loss[j] + 2.0 * true_variance_factor(truth, m) * m.dim / samples.n
             for j, m in enumerate(coll)

@@ -22,7 +22,7 @@ def fitted_collection(data, family=FOURIER, **kwargs):
     grid = uniform_grid(data.shape[1])
     samples = SampleSet(grid=grid, data=data)
     coll = build_collection(family, grid, **kwargs)
-    return (samples, coll.models, *fit_all(samples, coll))
+    return (samples, coll, *fit_all(samples, coll))
 
 
 class TestPenaltyValues:
@@ -58,7 +58,7 @@ class TestPenaltyValues:
         # the known-factor penalty is select on the true traces factor * dim:
         # theta=1, factor 1.5, dim 4, n=100 -> 2 * 1.5 * 4 / 100 = 0.12
         coll = build_collection(HIST, uniform_grid(2), scheme="nested", d_max=2)
-        model = coll.models[-1]
+        model = coll[-1]
         assert model.dim == 4.0
 
         def penalty(factor, theta):
@@ -173,7 +173,7 @@ class TestSelect:
                 BasisFamily("histogram", 0.0, 1.0, 3), grid, scheme="all_subsets", k=1
             )
         loss, trace = fit_all(samples, coll)
-        report = select(coll.models, loss, trace, 1.0, samples.n)
+        report = select(coll, loss, trace, 1.0, samples.n)
         assert report.selected.indices == (0,)
         assert set(report.ties) == {(0,), (2,)}
 
@@ -274,7 +274,7 @@ class TestMetamorphic:
         gen = np.random.default_rng(seed)
         data = finite_rank_data(gen, 40, 16, int(gen.integers(1, 6)))
         models = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), uniform_grid(16),
-                                  scheme=scheme, k=2).models
+                                  scheme=scheme, k=2)
         assert self.decide_on(data[gen.permutation(40)], models) == self.decide_on(data, models)
 
     @settings(max_examples=40, deadline=None)
@@ -283,6 +283,6 @@ class TestMetamorphic:
         gen = np.random.default_rng(seed)
         data = finite_rank_data(gen, 40, 16, int(gen.integers(1, 6)))
         models = build_collection(BasisFamily("fourier", 0.0, 1.0, 15), uniform_grid(16),
-                                  scheme=scheme, k=2).models
+                                  scheme=scheme, k=2)
         shuffled = [models[j] for j in gen.permutation(len(models))]
         assert self.decide_on(data, shuffled) == self.decide_on(data, models)

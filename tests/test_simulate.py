@@ -187,7 +187,7 @@ class TestRunExperiment:
         cfg = small_config(kernel=kernel, family=family, grid=uniform_grid(3),
                            scheme="all_subsets", k=3, n_grid=(4, 30), reps=20)
         report, _ = run_experiment(cfg)
-        built = build_collection(family, cfg.grid, scheme="all_subsets", k=3).models
+        built = build_collection(family, cfg.grid, scheme="all_subsets", k=3)
         listed = [tuple(m["indices"]) for m in report["collection"]]
         assert listed == [m.indices for m in sorted(built, key=tie_break_key)]
         assert listed != [m.indices for m in built]
@@ -263,7 +263,7 @@ class TestRunExperiment:
         truth = TruthSpec(sigma=cfg.sigma)
         models = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=3)
         for i_n, (n, run) in enumerate(zip(cfg.n_grid, report["runs"])):
-            want = plug_in(truth, models, n, diagnostics_reps, seed=(cfg.seed, i_n)).values
+            want = plug_in(truth, models, n, diagnostics_reps, seed=(cfg.seed, i_n))[2]
             got = [rec["mean"] for rec in run["diagnostics"]["variance_factor_mean"]]
             np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-12, atol=0)
 
@@ -342,7 +342,7 @@ class TestRunExperiment:
         assert len(batches) == chunks
         assert len(calls) == chunks
         truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
-        model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2).models[-1]
+        model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2)[-1]
         reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
         assert len(batches) == 2 * chunks
         assert len(calls) == 2 * chunks
@@ -435,7 +435,7 @@ class TestRunExperiment:
         sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
         truth = TruthSpec(sigma=sigma)
         models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
-                                  k=cfg.k).models
+                                  k=cfg.k)
         true_traces = [true_fourth_moment_trace(truth, m) for m in models]
         for i_n, n in enumerate(cfg.n_grid or (cfg.n,)):
             x = draw_batch(psd_factor(sigma), n, (cfg.seed, i_n), 0, cfg.reps)
