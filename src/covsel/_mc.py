@@ -53,7 +53,7 @@ def iter_chunks(reps, n, p):
         yield start, min(start + chunk, reps)
 
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+def wilson_interval(successes, trials):
     """95% Wilson score interval for a binomial proportion, as plain floats.
 
     The lower bound at zero successes is exactly 0.0 and the upper bound at
@@ -62,6 +62,7 @@ def wilson_interval(successes, trials, z=1.959963984540054):
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
+    z = 1.959963984540054  # the standard normal 0.975 quantile
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * np.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom

@@ -36,23 +36,25 @@ def vec(a):
     return a.ravel(order="F")
 
 
-def kron(a, b, size_guard=DEFAULT_SIZE_GUARD):
+def kron(a, b):
     """Dense Kronecker product, guarded against oversized outputs; satisfies
     (a kron b) vec(X) = vec(b X a^T)."""
     a = require_finite(a, "first factor")
     b = require_finite(b, "second factor")
     out_entries = a.size * b.size
-    if out_entries > size_guard:
-        raise ValueError(f"kron output would have {out_entries} entries (guard is {size_guard})")
+    if out_entries > DEFAULT_SIZE_GUARD:
+        raise ValueError(
+            f"kron output would have {out_entries} entries (guard is {DEFAULT_SIZE_GUARD})")
     return np.kron(a, b)
 
 
-def commutation_matrix(p, size_guard=DEFAULT_SIZE_GUARD):
+def commutation_matrix(p):
     """Permutation matrix K with K vec(A) = vec(A^T) for all p x p A."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if p ** 4 > size_guard:
-        raise ValueError(f"commutation matrix would have {p ** 4} entries (guard is {size_guard})")
+    if p ** 4 > DEFAULT_SIZE_GUARD:
+        raise ValueError(
+            f"commutation matrix would have {p ** 4} entries (guard is {DEFAULT_SIZE_GUARD})")
     k = np.zeros((p * p, p * p))
     for i in range(p):
         for j in range(p):
@@ -61,34 +63,35 @@ def commutation_matrix(p, size_guard=DEFAULT_SIZE_GUARD):
     return k
 
 
-def check_projector(proj, sym_tol=1e-12, idem_tol=1e-10):
+def check_projector(proj):
     """Validate the projector invariants; raises ValueError on failure."""
     proj = np.asarray(proj, dtype=float)
     sym_err = np.max(np.abs(proj - proj.T)) if proj.size else 0.0
-    if sym_err > sym_tol:
+    if sym_err > 1e-12:
         raise ValueError(f"projector not symmetric: max |P - P^T| = {sym_err:.3e}")
     idem_err = np.max(np.abs(proj @ proj - proj)) if proj.size else 0.0
-    if idem_err > idem_tol:
+    if idem_err > 1e-10:
         raise ValueError(f"projector not idempotent: max |P^2 - P| = {idem_err:.3e}")
     return proj
 
 
-def fourth_moment_cov_dense(samples, size_guard=DEFAULT_SIZE_GUARD):
+def fourth_moment_cov_dense(samples):
     """Dense p^2 x p^2 empirical covariance of vec(x x^T).
 
     Returns (1/n) sum_i y_i y_i^T - m m^T with y_i = vec(x_i x_i^T) and m the
     mean of the y_i; symmetric and non-negative definite.
     """
     p = samples.p
-    if p ** 4 > size_guard:
-        raise ValueError(f"dense fourth-moment covariance needs {p ** 4} entries (guard {size_guard})")
+    if p ** 4 > DEFAULT_SIZE_GUARD:
+        raise ValueError(
+            f"dense fourth-moment covariance needs {p ** 4} entries (guard {DEFAULT_SIZE_GUARD})")
     y = np.stack([np.outer(x, x).ravel(order="F") for x in samples.data])
     mean = y.mean(axis=0)
     phi = y.T @ y / samples.n - np.outer(mean, mean)
     return 0.5 * (phi + phi.T)
 
 
-def gaussian_fourth_moment_dense(sigma, size_guard=DEFAULT_SIZE_GUARD):
+def gaussian_fourth_moment_dense(sigma):
     """Dense covariance of vec(x x^T) for x ~ N(0, sigma): (I + K)(sigma kron sigma).
 
     Brute-force oracle for the closed form in
@@ -96,8 +99,7 @@ def gaussian_fourth_moment_dense(sigma, size_guard=DEFAULT_SIZE_GUARD):
     """
     sigma = np.asarray(sigma, dtype=float)
     p = sigma.shape[0]
-    k = commutation_matrix(p, size_guard=size_guard)
-    return (np.eye(p * p) + k) @ kron(sigma, sigma, size_guard=size_guard)
+    return (np.eye(p * p) + commutation_matrix(p)) @ kron(sigma, sigma)
 
 
 def project(s, model):
@@ -111,13 +113,13 @@ def true_variance_factor(truth, model):
     return true_fourth_moment_trace(truth, model) / model.dim
 
 
-def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
+def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0):
     """Empirical tail of the in-model quadratic deviation against the
     deviation-bound threshold dim + 2 sqrt(dim x) + x, all scaled by the
     true variance factor.
 
     The statistic per replication is n ||P (S - sigma) P||^2.  Returns a
-    per-x table plus a fitted envelope c x^(-beta/2) anchored at the
+    per-x table plus a fitted envelope c x^(-beta/2), beta = 4, anchored at the
     smallest x with positive exceedance; `decay_ok` says whether every
     larger x stays below that envelope.
     """
@@ -143,14 +145,14 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0, beta=4.0):
                      "exceedance": float(np.mean(quad >= threshold))})
 
     anchor = next((row for row in rows if row["exceedance"] > 0 and row["x"] > 0), None)
-    c = 0.0 if anchor is None else anchor["exceedance"] * anchor["x"] ** (beta / 2.0)
+    c = 0.0 if anchor is None else anchor["exceedance"] * anchor["x"] ** 2.0
     decay_ok = True
     for row in rows:
-        bound = c * row["x"] ** (-beta / 2.0) if row["x"] > 0 else np.inf
+        bound = c * row["x"] ** -2.0 if row["x"] > 0 else np.inf
         row["bound"] = float(bound)
         if anchor is not None and row["x"] > anchor["x"]:
             decay_ok = decay_ok and row["exceedance"] <= bound + 1e-12
-    return {"rows": rows, "c": float(c), "beta": float(beta), "decay_ok": bool(decay_ok)}
+    return {"rows": rows, "c": float(c), "beta": 4.0, "decay_ok": bool(decay_ok)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import (
-    BasisFamily,
-    DegenerateCollectionError,
-    build_collection,
-    check_in_domain,
-    collection_index_sets,
-)
+from .dictionary import BasisFamily, DegenerateCollectionError, build_collection
 from .estimator import SampleSet, estimate, fit_all
 from .selection import check_theta, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
@@ -41,8 +35,8 @@ FLOAT_FMT = "%.17g"
 # rows write_table_csv formats at a time: its strings never outgrow one block
 TABLE_BLOCK_ROWS = 4096
 
-# Bumped on any change to the bytes a given seed and config produce; the
-# SHA-256 table in tests/test_fingerprint.py is keyed by it.
+# Bumped on any change to the bytes a given seed and config produce, together
+# with re-recording tests/test_fingerprint.py's digest row and tests/golden/.
 REPORT_VERSION = 10
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
@@ -260,16 +254,20 @@ def cmd_select(args):
     t_max = float(grid.max()) if basis["t_max"] is None else basis["t_max"]
     try:
         family = BasisFamily(basis["family"], t_min, t_max, basis["max_index"])
-        check_in_domain(family, grid)
-        collection_index_sets(family, **coll_args)
         check_theta(theta)
+        collection = build_collection(family, grid, **coll_args)
+    except DegenerateCollectionError:
+        raise  # exits 3, not 2
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    collection = build_collection(family, grid, **coll_args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, trace = fit_all(samples, collection)
-        report = select(collection, loss, trace, theta, samples.n)
+    try:  # before any file: an overflow leaves no output behind
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, trace = fit_all(samples, collection)
+            report = select(collection, loss, trace, theta, samples.n)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"{input_path}: fourth moments of the data or theta overflow float64") from exc
     digest = hashlib.sha256()  # by hand: hashlib.file_digest needs Python 3.11
     with open(input_path, "rb") as fh:
         while block := fh.read(1 << 16):
@@ -296,11 +294,8 @@ def cmd_select(args):
             for j, m in enumerate(collection)
         ],
     }
-    try:  # first: a criterion that overflowed leaves no file behind
-        dump_json(out_dir / "selection_report.json", report_json)
-    except ValueError as exc:
-        raise ConfigError(
-            f"{input_path}: fourth moments of the data or theta overflow float64") from exc
+    # every criterion is finite, so every float of the report is too
+    dump_json(out_dir / "selection_report.json", report_json)
     write_matrix_csv(out_dir / "sigma_hat.csv", grid, estimate(samples, report.selected))
     labels = [";".join(str(i) for i in m.indices) for m in collection]
     write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
@@ -336,12 +331,16 @@ def cmd_simulate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        report, tables = run_experiment(cfg)
+    overflow = "fourth moments of the kernel's covariance or theta overflow float64"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, tables = run_experiment(cfg)
+    except FloatingPointError as exc:  # a criterion overflowed
+        raise ConfigError(overflow) from exc
     try:  # before any file: each table float is in the report or in one of its means
         dump_json(out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report})
     except ValueError as exc:
-        raise ConfigError("fourth moments of the kernel's covariance overflow float64") from exc
+        raise ConfigError(overflow) from exc
     for name, table in tables.items():
         write_table_csv(out_dir / name, table)
     print(f"experiment reports written to {out_dir}")

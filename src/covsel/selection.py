@@ -34,12 +34,15 @@ def decide(criteria, models):
     and any leading shape. An entry is tied when it lies within
     TIE_RTOL * max(1, |best|) of its row's minimum `best`; among the tied
     models the first by `tie_break_key` wins. `select`, the Monte Carlo loop
-    and the oracle all take their argmin here.
+    and the oracle all take their argmin here. A NaN or infinite criterion
+    (an overflowed fourth moment or penalty) raises FloatingPointError.
 
     Returns (pick, tied): the winner's index along the last axis, with the
     leading shape, and the boolean tie mask, with the shape of `criteria`.
     """
     criteria = np.asarray(criteria, dtype=float)
+    if not np.isfinite(criteria).all():
+        raise FloatingPointError("a model selection criterion is NaN or infinite")
     best = criteria.min(axis=-1, keepdims=True)
     tied = criteria <= best + TIE_RTOL * np.maximum(1.0, np.abs(best))
     order = np.array(sorted(range(len(models)), key=lambda j: tie_break_key(models[j])))

@@ -173,7 +173,7 @@ def _run_block(truth, models, chains, bias, trace, cfg, n, i_n):
     return selected[:, :cfg.reps], err[:, :cfg.reps], plug_in
 
 
-def _mode_summary(labels, order, sel, err, sel_dims, oracle_risk, reps):
+def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
     mean_err = float(err.mean())
     se = float(err.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
     counts = np.bincount(sel, minlength=len(labels)).tolist()
@@ -183,7 +183,7 @@ def _mode_summary(labels, order, sel, err, sel_dims, oracle_risk, reps):
         "risk_ratio": mean_err / oracle_risk,
         "risk_ratio_se": se / oracle_risk,
         "mean_selected_dim": float(sel_dims.mean()),
-        "selection_freq": {labels[j]: counts[j] / reps for j in order if counts[j]},
+        "selection_freq": {labels[j]: count / reps for j, count in enumerate(counts) if count},
     }
 
 
@@ -220,8 +220,8 @@ def run_experiment(cfg):
 
         selected, err, plug_in = _run_block(truth, models, chains, bias, trace, cfg, n, i_n)
         sel_dims = dims[selected]
-        dd, kn = (_mode_summary(labels, order, selected[i], err[i], sel_dims[i], oracle_risk,
-                                cfg.reps) for i in range(2))
+        dd, kn = (_mode_summary(labels, selected[i], err[i], sel_dims[i], oracle_risk, cfg.reps)
+                  for i in range(2))
 
         run = {
             "n": int(n),

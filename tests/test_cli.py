@@ -242,7 +242,11 @@ def test_reports_carry_report_version(tmp_path):
         # variance overflowed, and the report's Infinity stopped the JSON write
         ("simulate", "[basis]\nfamily = fourier\nmax_index = 3\nt_max = 1e77\n"
          "[kernel]\nkind = brownian\n[experiment]\np = 4\nn = 20\nreps = 100\n",
-         None, [], "fourth moments of the kernel's covariance overflow float64"),
+         None, [], "fourth moments of the kernel's covariance or theta overflow float64"),
+        # a modest kernel, but (1 + theta) * trace / n overflows: every criterion was
+        # inf, every model tied and the run wrote a report that picked model 0
+        ("simulate", "[experiment]\np = 4\nn = 20\nreps = 10\n", None, ["--theta", "1e308"],
+         "fourth moments of the kernel's covariance or theta overflow float64"),
         # finite entries whose fourth moments overflow made every criterion NaN
         ("select", "[basis]\nfamily = histogram\nmax_index = 1\n[collection]\nd_max = 2\n",
          "0.25,0.75\n1e80,0\n0,1e80\n3e79,1e79\n", [],
@@ -252,7 +256,7 @@ def test_reports_carry_report_version(tmp_path):
          "0.25,0.75\n3,0\n0,3\n1,2\n", ["--theta", "1e308"],
          "toy.csv: fourth moments of the data or theta overflow float64"),
     ],
-    ids=["simulate", "simulate-fourth-moments", "select", "select-theta"],
+    ids=["simulate", "simulate-fourth-moments", "simulate-theta", "select", "select-theta"],
 )
 def test_overflowing_input_exits_2_with_one_line(tmp_path, capsys, command, body, csv, flags,
                                                  message):

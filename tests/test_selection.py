@@ -141,6 +141,19 @@ class TestDecide:
         perm_pick, _ = decide(crits[..., perm], [models[j] for j in perm])
         assert np.array_equal(np.asarray(perm)[perm_pick], pick)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_criterion_raises(self, bad):
+        # a NaN row would pick the first model in tie-break order, a +inf row tie them all
+        models = singletons(3)
+        for shape in ((3,), (2, 4, 3)):
+            for where in np.ndindex(shape):
+                crits = np.arange(np.prod(shape), dtype=float).reshape(shape)
+                crits[where] = bad
+                with pytest.raises(FloatingPointError):
+                    decide(crits, models)
+            with pytest.raises(FloatingPointError):
+                decide(np.full(shape, bad), models)
+
 
 class TestSelect:
     def test_single_model(self):
