@@ -4,8 +4,11 @@ call: every model's statistics on a batch ``X`` of shape (reps, n, p).
 Both kernels take the `chains` of a model list: the models that name one
 table Q (`ModelSpec.table`) share one W = X Q and Gram C = W^T W / n, and
 model m keeps the columns it declares through the 0/1 mask ``mask[k, m]``.
-No p x p matrix is formed per replication; a chain of M_c models and width k
-costs O(reps k (n p + n M_c + k M_c)), however replications are chunked.
+No p x p matrix is formed per replication. A chain of M_c models and width k
+reads proj_norm4 off a (reps, M_c, n) table of ||P x_i||^2 when M_c <= k, and
+off a second Gram D = V^T V / n of the elementwise square V = W * W when
+M_c > k. It costs O(reps k (n p + n M_c + k M_c)) on the first route and
+O(reps k (n p + n k + k M_c)) on the second, however replications are chunked.
 """
 
 from __future__ import annotations
@@ -47,12 +50,20 @@ def _chain_stats(X, ranks, tables, sigma):
         fit_sq[:, members] = _border_sq(c, mask)
         if dev_sq is not None:
             dev_sq[:, members] = _border_sq(np.subtract(c, q.T @ sigma @ q, out=c), mask)
-        del c  # before the row table below
-        # row m is ||P x_i||^2 over i, contiguous along n (a pairwise mean);
+        del c
+        # ||P x_i||^2 is the sum of V = W * W over the model's columns;
         # squaring in place and `del` keep one chain's W alive at a time
-        rows = np.matmul(mask.T, np.square(w, out=w).transpose(0, 2, 1))
-        proj_norm4[:, members] = np.mean(np.square(rows, out=rows), axis=2)
-        del w, rows
+        np.square(w, out=w)
+        if len(members) > q.shape[1]:
+            # more members than columns: proj_norm4[m] is the sum of the
+            # second Gram D = V^T V / n over the model's columns
+            d = np.matmul(w.transpose(0, 2, 1), w) / n
+            proj_norm4[:, members] = np.sum((d @ mask) * mask, axis=-2)
+        else:
+            # row m is ||P x_i||^2 over i, contiguous along n (a pairwise mean)
+            rows = np.matmul(mask.T, w.transpose(0, 2, 1))
+            proj_norm4[:, members] = np.mean(np.square(rows, out=rows), axis=2)
+        del w
     return norm4, proj_norm4, fit_sq, dev_sq
 
 
@@ -67,7 +78,7 @@ def deviation_batch(X, ranks, tables, sigma):
     p x p S = X_r^T X_r / n is never formed):
 
     * norm4_mean[r]         = (1/n) sum_i ||x_i||^4
-    * proj_norm4_mean[r, m] = (1/n) sum_i ||P x_i||^4, from the rows of W
+    * proj_norm4_mean[r, m] = (1/n) sum_i ||P x_i||^4, from W * W
     * fit_norm_sq[r, m]     = ||P S P||^2 = ||C||^2
     * dev_sq[r, m]          = ||P (S - sigma) P||^2 = ||C - U^T sigma U||^2
 

@@ -11,8 +11,9 @@ import numpy as np
 
 # floats per RNG block: one generator serves max(1, BLOCK_FLOATS // (n p)) replications
 BLOCK_FLOATS = 2 ** 16
-# floats per chunk of draws; the kernel buffers grow with a table's width and members
-CHUNK_FLOATS = 2 ** 18
+# floats per chunk of draws: one RNG block, so a chunk's draws, W = X Q and the
+# kernel's per-chain Grams stay near 0.5 MB each whatever the collection
+CHUNK_FLOATS = 2 ** 16
 
 
 def rep_rng(seed, index):
@@ -26,21 +27,25 @@ def block_reps(n, p):
     return max(1, BLOCK_FLOATS // (n * p))
 
 
-def draw_batch(factor, n, seed, start, stop):
+def draw_batch(factor, n, seed, start, stop, out=None):
     """Draw replications start..stop-1 of n paths each: X[r] = Z_r factor^T.
 
     `start` must open a block; a last, partial block is a prefix of its full
-    stream. Each block goes through factor^T in one matmul.
+    stream. Each block's normals go into one scratch block and through
+    factor^T in one matmul. The batch is written to `out[:stop - start]`, a
+    C-contiguous (at least stop - start, n, p) array, and that view is
+    returned; without `out` a new array is.
     """
     p = factor.shape[0]
     size = block_reps(n, p)
     if start % size:
         raise ValueError(f"start {start} does not open a block of {size} replications")
-    out = np.empty((stop - start, n, p))
+    out = np.empty((stop - start, n, p)) if out is None else out[:stop - start]
+    z = np.empty((min(size, stop - start), n, p))
     for first in range(start, stop, size):
         block = out[first - start:min(first + size, stop) - start]
-        z = rep_rng(seed, first // size).standard_normal(block.shape)
-        np.matmul(z.reshape(-1, p), factor.T, out=block.reshape(-1, p))
+        rep_rng(seed, first // size).standard_normal(out=z[:len(block)])
+        np.matmul(z[:len(block)].reshape(-1, p), factor.T, out=block.reshape(-1, p))
     return out
 
 

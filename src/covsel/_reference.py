@@ -1,8 +1,9 @@
 """Brute-force references and the checks that hold covsel to them.
 
 Dense constructions (vec, Kronecker products, the commutation matrix, the
-empirical and Gaussian fourth-moment covariances, the estimate P S P) and
-the Monte Carlo tail check serve `covsel validate` and the tests only;
+empirical and Gaussian fourth-moment covariances, the estimate P S P, the
+kernels' statistics one replication and one model at a time) and the Monte
+Carlo tail check serve `covsel validate` and the tests only;
 `select` and `simulate` never import this module.
 
 Each check in CHECKS takes a key (a tuple of ints), draws its case c from
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, rep_rng
-from .dictionary import BasisFamily, ModelSpec, make_model
+from .dictionary import BasisFamily, ModelSpec, build_collection, make_model
 from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
                      require_finite)
@@ -108,6 +109,43 @@ def project(s, model):
     return proj @ s @ proj
 
 
+def direct_model_stats(X, projs):
+    """`_kernels.model_stats_batch`'s (norm4_mean, proj_norm4_mean, fit_norm_sq)
+    for a batch X (reps, n, p) and dense projectors projs (M, p, p), one
+    replication, model and path at a time."""
+    reps, n, p = X.shape
+    m_count = projs.shape[0]
+    norm4 = np.empty(reps)
+    proj_norm4 = np.empty((reps, m_count))
+    fit_sq = np.empty((reps, m_count))
+    for r in range(reps):
+        x = X[r]
+        norm4[r] = np.mean([np.sum(xi ** 2) ** 2 for xi in x])
+        s = x.T @ x / n
+        for m in range(m_count):
+            proj = projs[m]
+            proj_norm4[r, m] = np.mean([np.sum((proj @ xi) ** 2) ** 2 for xi in x])
+            a = proj @ s @ proj
+            fit_sq[r, m] = np.sum(a * a)
+    return norm4, proj_norm4, fit_sq
+
+
+def direct_deviation(X, projs, sigma):
+    """(||sigma - P S P||^2, ||P S P - P sigma P||^2) per replication and model."""
+    reps, n, p = X.shape
+    m_count = projs.shape[0]
+    err_sq = np.empty((reps, m_count))
+    proj_dev_sq = np.empty((reps, m_count))
+    for r in range(reps):
+        s = X[r].T @ X[r] / n
+        for m in range(m_count):
+            proj = projs[m]
+            a = proj @ s @ proj
+            err_sq[r, m] = np.sum((sigma - a) ** 2)
+            proj_dev_sq[r, m] = np.sum((a - proj @ sigma @ proj) ** 2)
+    return err_sq, proj_dev_sq
+
+
 def true_variance_factor(truth, model):
     """True per-dimension variance factor Tr((P kron P) F) / dim."""
     return true_fourth_moment_trace(truth, model) / model.dim
@@ -131,10 +169,12 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0):
 
     chains = _kernels.chains([model])
     quad = np.empty(reps)
-    for start, stop in iter_chunks(reps, n, truth.p):
-        # the batch is freed when the kernel returns, before the next draw; [3] is dev_sq
+    chunks = list(iter_chunks(reps, n, truth.p))
+    x = np.empty((chunks[0][1], n, truth.p))  # one buffer for every chunk's draws
+    for start, stop in chunks:
+        # [3] is dev_sq
         quad[start:stop] = n * _kernels.deviation_batch(
-            draw_batch(truth.factor, n, seed, start, stop), *chains, truth.sigma)[3][:, 0]
+            draw_batch(truth.factor, n, seed, start, stop, x), *chains, truth.sigma)[3][:, 0]
 
     vf = true_variance_factor(truth, model)
     dim = model.dim
@@ -280,6 +320,30 @@ def check_loss_expansion(key, cases=30):
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-9)
 
 
+def check_collection_kernel(key, reps=3, n=10):
+    """deviation_batch over whole collections against `direct_model_stats`
+    and `direct_deviation` on dense projectors, to within rtol 1e-10 and atol
+    1e-12 per entry: the 21 histogram all_subsets models of 6 cells, which
+    share one table of width 6 (more members than columns), and a nested
+    fourier chain of 9 models, each under a random sigma and factor."""
+    cases = [(BasisFamily("histogram", 0.0, 1.0, 5), "all_subsets", 12),
+             (BasisFamily("fourier", 0.0, 1.0, 8), "nested", 16)]
+    worst = 0.0
+    for c, (family, scheme, p) in enumerate(cases):
+        gen = rep_rng(key, c)
+        models = build_collection(family, uniform_grid(p), scheme=scheme)
+        a = gen.standard_normal((p, p))
+        X = gen.standard_normal((reps, n, p)) @ a.T
+        sigma = a @ a.T
+        projs = np.stack([projector_from_basis(m.basis) for m in models])
+        got = _kernels.deviation_batch(X, *_kernels.chains(models), sigma)
+        want = (*direct_model_stats(X, projs), direct_deviation(X, projs, sigma)[1])
+        for value, reference in zip(got, want):
+            worst = max(worst, float(np.max(
+                np.abs(value - reference) / (1e-12 + 1e-10 * np.abs(reference)))))
+    return worst <= 1.0, f"worst error {worst:.2e} of the tolerance"
+
+
 # (name `covsel validate` prints, check), in the order it runs them
 CHECKS = [
     ("vec-kron identity", check_vec_kron),
@@ -290,4 +354,5 @@ CHECKS = [
     ("kron-free fourth-moment trace vs dense", check_kron_free_trace),
     ("gaussian fourth-moment closed form vs dense", check_gaussian_closed_form),
     ("expanded loss vs direct residual sum", check_loss_expansion),
+    ("collection kernel vs per-model direct", check_collection_kernel),
 ]

@@ -37,7 +37,7 @@ TABLE_BLOCK_ROWS = 4096
 
 # Bumped on any change to the bytes a given seed and config produce, together
 # with re-recording tests/test_fingerprint.py's digest row and tests/golden/.
-REPORT_VERSION = 10
+REPORT_VERSION = 11
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901
@@ -105,11 +105,14 @@ def read_samples_csv(path):
 
 
 def write_matrix_csv(path, header_values, matrix):
-    """Dense row-major CSV with a numeric header row."""
+    """Dense row-major CSV with a numeric header row. Each row is formatted
+    by one `%` over its plain floats, one row at a time."""
+    matrix = np.atleast_2d(matrix)
+    row_fmt = ",".join([FLOAT_FMT] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(FLOAT_FMT % v for v in header_values) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        for row in matrix:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def write_table_csv(path, table):

@@ -161,10 +161,12 @@ def _run_block(truth, models, chains, bias, trace, cfg, n, i_n):
     total = max(cfg.reps, len(plug_in))
     selected = np.empty((2, total), dtype=np.int64)
     err = np.empty((2, total))
-    for start, stop in iter_chunks(total, n, truth.p):
-        # the batch is freed when the kernel returns, before the next draw
+    chunks = list(iter_chunks(total, n, truth.p))
+    # every chunk is drawn into one buffer, sized by the first (largest) chunk
+    x = np.empty((chunks[0][1], n, truth.p))
+    for start, stop in chunks:
         norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(
-            draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop), *chains, truth.sigma)
+            draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop, x), *chains, truth.sigma)
         traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
         pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
         selected[:, start:stop] = pick

@@ -303,6 +303,19 @@ class TestCsvRoundTrip:
         np.testing.assert_allclose(samples.grid, grid, rtol=1e-15)
         np.testing.assert_allclose(samples.data, data, rtol=1e-15)
 
+    def test_matrix_writer_equals_per_cell_format(self, tmp_path):
+        # one % per row writes what "%.17g" per cell writes: signed zeros,
+        # subnormals, extremes and integers included
+        rng = np.random.default_rng(2)
+        data = rng.standard_normal((5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+        data[0, :6] = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308]
+        data[1, :3] = [1.0, -3.0, 0.1]
+        grid = np.array([-0.0, 5e-324, 0.25, 1e308, 1.0, 2.0, 3.0])
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(path, grid, data)
+        per_cell = "".join(",".join("%.17g" % v for v in row) + "\n" for row in [grid, *data])
+        assert path.read_bytes() == per_cell.encode("utf-8")
+
     def test_parse_equals_per_cell_float(self, tmp_path):
         # short and long digit strings, exponents, signs, padding and CRLF
         rng = np.random.default_rng(1)
@@ -923,7 +936,7 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
 
     def test_each_check_listed_once(self, capsys):
         main(["validate"])
@@ -940,7 +953,7 @@ class TestValidateCommand:
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL gaussian fourth-moment closed form vs dense" in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
 
     @pytest.mark.parametrize(
         "flags", [["--config", "missing.ini"], ["--out", "somewhere"], ["--theta", "-5"]]

@@ -47,12 +47,12 @@ GOLDEN_RTOL = 1e-12
 # one row, of the current report_version; earlier rows and golden trees are
 # in the git history
 FINGERPRINT = {
-    "report_version": 10,
+    "report_version": 11,
     "numpy": "2.4.6",
     "openblas": "0.3.31.188.0",
     "sha256": {
         "simulate/experiment_report.json":
-            "383bdc363eede31ed3be849464360f25f2b1cf683b51358fd1da3f05508505cd",
+            "6f102ede691e139fe87bfee4ccbcc3a1fed5f499598becb04552509c36665e2c",
         "simulate/risk_vs_n.csv":
             "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
         "simulate/selection_frequencies.csv":
@@ -64,7 +64,7 @@ FINGERPRINT = {
         "simulate-keep/replications.csv":
             "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
         "select/selection_report.json":
-            "64d45006d55316885add5876c937ad0cc08e1413f3f120500a4dbadea2713f1b",
+            "66ae6ec224f12453f1da412808d6c88a812528eb2ae920e35694e253d3dcc50d",
         "select/criterion_table.csv":
             "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
         "select/sigma_hat.csv":

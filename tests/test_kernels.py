@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from covsel import _kernels
+from covsel._reference import direct_deviation, direct_model_stats
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, fit_all
 from covsel.linalg import basis_from_design, frob_norm_sq, psd_factor
@@ -39,40 +40,6 @@ def random_models(p, count):
 
 def projectors(models):
     return np.stack([m.basis @ m.basis.T for m in models])
-
-
-def direct_model_stats(X, projs):
-    reps, n, p = X.shape
-    m_count = projs.shape[0]
-    norm4 = np.empty(reps)
-    proj_norm4 = np.empty((reps, m_count))
-    fit_sq = np.empty((reps, m_count))
-    for r in range(reps):
-        x = X[r]
-        norm4[r] = np.mean([np.sum(xi ** 2) ** 2 for xi in x])
-        s = x.T @ x / n
-        for m in range(m_count):
-            proj = projs[m]
-            proj_norm4[r, m] = np.mean([np.sum((proj @ xi) ** 2) ** 2 for xi in x])
-            a = proj @ s @ proj
-            fit_sq[r, m] = np.sum(a * a)
-    return norm4, proj_norm4, fit_sq
-
-
-def direct_deviation(X, projs, sigma):
-    """(||sigma - P S P||^2, ||P S P - P sigma P||^2) per replication and model."""
-    reps, n, p = X.shape
-    m_count = projs.shape[0]
-    err_sq = np.empty((reps, m_count))
-    proj_dev_sq = np.empty((reps, m_count))
-    for r in range(reps):
-        s = X[r].T @ X[r] / n
-        for m in range(m_count):
-            proj = projs[m]
-            a = proj @ s @ proj
-            err_sq[r, m] = np.sum((sigma - a) ** 2)
-            proj_dev_sq[r, m] = np.sum((a - proj @ sigma @ proj) ** 2)
-    return err_sq, proj_dev_sq
 
 
 def assert_kernels_match_direct(X, models, sigma, rtol, atol):

@@ -53,6 +53,7 @@ def test_checks_are_the_validate_listing():
         "kron-free fourth-moment trace vs dense",
         "gaussian fourth-moment closed form vs dense",
         "expanded loss vs direct residual sum",
+        "collection kernel vs per-model direct",
     ]
 
 
@@ -92,3 +93,19 @@ def test_gaussian_closed_form_check_holds_the_pipeline_function(monkeypatch):
 
     monkeypatch.setattr(_reference, "true_fourth_moment_trace", doubled)
     assert not _reference.check_gaussian_closed_form((2,), cases=20)[0]
+
+
+@pytest.mark.parametrize("stat", range(4))
+def test_collection_kernel_check_holds_the_pipeline_kernel(monkeypatch, stat):
+    # the check runs _kernels.deviation_batch itself over both routes, so a
+    # relative error of 1e-9 in any one of its four outputs fails it
+    assert _reference.check_collection_kernel((3,))[0]
+    kernel = _reference._kernels.deviation_batch
+
+    def skewed(*args):
+        out = list(kernel(*args))
+        out[stat] = out[stat] * (1.0 + 1e-9)
+        return tuple(out)
+
+    monkeypatch.setattr(_reference._kernels, "deviation_batch", skewed)
+    assert not _reference.check_collection_kernel((3,))[0]

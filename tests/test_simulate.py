@@ -232,15 +232,43 @@ class TestRunExperiment:
         for key, column in reps.items():
             assert np.array_equal(column, whole_reps[key]), key
 
+    def test_reused_draw_buffer_leaks_no_stale_rows(self, monkeypatch):
+        import covsel._mc as mc
+
+        # ten histogram models on a table of width 4 (the second-Gram route);
+        # a block holds 409 replications at n = 40 and 655 at n = 25, so 1000
+        # replications end in a partial chunk drawn into the buffer that the
+        # full chunks filled
+        cfg = small_config(kernel=KernelSpec("brownian"),
+                           family=BasisFamily("histogram", 0.0, 1.0, 3), scheme="all_subsets",
+                           k=2, n_grid=(40, 25), reps=1000, diagnostics=True,
+                           diagnostics_reps=700, keep_replications=True)
+        assert mc.CHUNK_FLOATS == 2 ** 16
+        for n in cfg.n_grid:
+            assert cfg.reps % mc.block_reps(n, 4)
+            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) >= 2
+        report, tables = run_experiment(cfg)
+
+        # whole blocks fill past the last replication: one chunk per n
+        monkeypatch.setattr(mc, "CHUNK_FLOATS", 2 * cfg.reps * max(cfg.n_grid) * 4)
+        for n in cfg.n_grid:
+            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
+        whole, whole_tables = run_experiment(cfg)
+        assert report == whole
+        reps, whole_reps = tables["replications.csv"], whole_tables["replications.csv"]
+        assert list(reps) == list(whole_reps)
+        for key, column in reps.items():
+            assert np.array_equal(column, whole_reps[key]), key
+
     def test_diagnostics_share_one_draw_per_n(self, monkeypatch):
         import covsel._mc as mc
         import covsel.simulate as sim
 
         drawn = []
 
-        def counting_draw(factor, n, seed, start, stop):
+        def counting_draw(factor, n, seed, start, stop, out=None):
             drawn.append((n, stop - start))
-            return mc.draw_batch(factor, n, seed, start, stop)
+            return mc.draw_batch(factor, n, seed, start, stop, out)
 
         monkeypatch.setattr(sim, "draw_batch", counting_draw)
         for reps, diagnostics_reps in ((40, 200), (300, 100)):
@@ -315,11 +343,15 @@ class TestRunExperiment:
         import covsel._reference as reference
         import covsel.simulate as sim
 
-        batches = []
+        # every draw of one key and n is a view of one buffer, the first
+        # draw's, and no earlier batch array is alive when the next is drawn
+        batches, buffers = [], {}
 
-        def watching_draw(factor, n, seed, start, stop):
+        def watching_draw(factor, n, seed, start, stop, out=None):
             assert all(ref() is None for ref in batches), "a previous batch is still alive"
-            x = mc.draw_batch(factor, n, seed, start, stop)
+            x = mc.draw_batch(factor, n, seed, start, stop, out)
+            buffer = buffers.setdefault((seed, n), x.base)
+            assert buffer is not None and np.shares_memory(x, buffer), "a new buffer was drawn"
             batches.append(weakref.ref(x))
             return x
 
@@ -349,10 +381,11 @@ class TestRunExperiment:
 
     def test_manyreps_peak_stays_within_six_chunks(self):
         # the simulate-manyreps shape: ten histogram models share one table of
-        # width 4, and a chunk's draws, W = X Q and (reps, members, n) rows are
-        # what the run holds at its peak: 11.6 MB here, against 15.9 MB with
-        # one SVD per model and 37.9 MB with a shared table at a chunk target
-        # of 1M floats
+        # width 4, and the run's peak is one RNG block's draw buffer, W = X Q
+        # and the per-replication tables: 2.7 MB here, against 11.7 MB with
+        # (reps, members, n) rows of ||P x_i||^2 and four blocks per chunk,
+        # 15.9 MB with one SVD per model and 37.9 MB with a shared table at a
+        # chunk target of 1M floats
         import tracemalloc
 
         from covsel._mc import CHUNK_FLOATS
