@@ -5,15 +5,25 @@ Both kernels take the `chains` of a model list: the models that name one
 table Q (`ModelSpec.table`) share one W = X Q and Gram C = W^T W / n, and
 model m keeps the columns it declares through the 0/1 mask ``mask[k, m]``.
 No p x p matrix is formed per replication. A chain of M_c models and width k
-reads proj_norm4 off a (reps, M_c, n) table of ||P x_i||^2 when M_c <= k, and
+reads proj_norm4 off a (reps, M_c, rows) table of ||P x_i||^2 when M_c <= k, and
 off a second Gram D = V^T V / n of the elementwise square V = W * W when
 M_c > k. It costs O(reps k (n p + n M_c + k M_c)) on the first route and
 O(reps k (n p + n k + k M_c)) on the second, however replications are chunked.
+
+Every sum over the n rows is taken over row blocks of at most CHUNK_FLOATS
+floats per replication (`row_blocks`): each block adds its part of
+sum ||x_i||^4, of each chain's Gram W^T W and of sum ||P x_i||^4 or V^T V,
+and each is divided by n once after the last block. So W and the row table
+never outgrow one block of rows, and a Monte Carlo chunk, which holds at most
+CHUNK_FLOATS floats or one replication, is one block unless n p is larger.
+`gram` is the same blocked Gram for `estimator.estimate`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ._mc import CHUNK_FLOATS
 
 
 def chains(models):
@@ -37,33 +47,69 @@ def _border_sq(c, mask):
     return np.sum((np.square(c) @ mask) * mask, axis=-2)
 
 
+def row_blocks(X):
+    """Views X[:, a:b] of consecutive rows of the (reps, n, p) array X, in
+    order, each of at most CHUNK_FLOATS floats per replication but at least
+    one row. The rows do not depend on reps, so a replication's statistics
+    do not depend on how many others share its batch."""
+    n, p = X.shape[1:]
+    rows = max(1, CHUNK_FLOATS // p)
+    return [X[:, a:a + rows] for a in range(0, n, rows)]
+
+
+def _add(total, part):
+    """part, or total + part in place once there is a total."""
+    return part if total is None else np.add(total, part, out=total)
+
+
+def _add_gram(total, w):
+    return _add(total, np.matmul(w.transpose(0, 2, 1), w))
+
+
+def gram(X, q):
+    """C = W^T W / n for W = X q, the Gram `_chain_stats` forms, summed over
+    the row blocks of the (reps, n, p) array X."""
+    total = None
+    for x in row_blocks(X):
+        total = _add_gram(total, x @ q)
+    return np.divide(total, X.shape[1], out=total)
+
+
 def _chain_stats(X, ranks, tables, sigma):
     """The chain loop of both kernels; dev_sq is None when sigma is None."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     reps, n, p = X.shape
-    norm4 = np.mean(np.square(np.einsum("rij,rij->ri", X, X)), axis=1)
+    blocks = row_blocks(X)
+    norm4 = None
+    for x in blocks:
+        norm4 = _add(norm4, np.sum(np.square(np.einsum("rij,rij->ri", x, x)), axis=1))
+    norm4 /= n
     proj_norm4, fit_sq = np.empty((2, reps, ranks.size))
     dev_sq = None if sigma is None else np.empty((reps, ranks.size))
     for members, q, mask in tables:
-        w = X @ q
-        c = np.matmul(w.transpose(0, 2, 1), w) / n
+        # more members than columns: proj_norm4[m] is the sum of the second
+        # Gram D = V^T V / n over the model's columns; otherwise row m of the
+        # row table is ||P x_i||^2 over the block's rows, contiguous along them
+        second = len(members) > q.shape[1]
+        c = fourth = None
+        for x in blocks:
+            w = x @ q
+            c = _add_gram(c, w)
+            # ||P x_i||^2 is the sum of V = W * W over the model's columns;
+            # squaring in place and `del` keep one block's W alive at a time
+            np.square(w, out=w)
+            if second:
+                fourth = _add_gram(fourth, w)
+            else:
+                rows = np.matmul(mask.T, w.transpose(0, 2, 1))
+                fourth = _add(fourth, np.sum(np.square(rows, out=rows), axis=2))
+            del w
+        c /= n
+        fourth /= n
         fit_sq[:, members] = _border_sq(c, mask)
         if dev_sq is not None:
             dev_sq[:, members] = _border_sq(np.subtract(c, q.T @ sigma @ q, out=c), mask)
-        del c
-        # ||P x_i||^2 is the sum of V = W * W over the model's columns;
-        # squaring in place and `del` keep one chain's W alive at a time
-        np.square(w, out=w)
-        if len(members) > q.shape[1]:
-            # more members than columns: proj_norm4[m] is the sum of the
-            # second Gram D = V^T V / n over the model's columns
-            d = np.matmul(w.transpose(0, 2, 1), w) / n
-            proj_norm4[:, members] = np.sum((d @ mask) * mask, axis=-2)
-        else:
-            # row m is ||P x_i||^2 over i, contiguous along n (a pairwise mean)
-            rows = np.matmul(mask.T, w.transpose(0, 2, 1))
-            proj_norm4[:, members] = np.mean(np.square(rows, out=rows), axis=2)
-        del w
+        proj_norm4[:, members] = np.sum((fourth @ mask) * mask, axis=-2) if second else fourth
     return norm4, proj_norm4, fit_sq, dev_sq
 
 

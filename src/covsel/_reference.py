@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._mc import draw_batch, iter_chunks, rep_rng
-from .dictionary import BasisFamily, ModelSpec, build_collection, make_model
+from .dictionary import BasisFamily, ModelSpec, build_collection, build_design
 from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
                      require_finite)
@@ -103,6 +103,13 @@ def gaussian_fourth_moment_dense(sigma):
     return (np.eye(p * p) + commutation_matrix(p)) @ kron(sigma, sigma)
 
 
+def make_model(family, indices, grid):
+    """A ModelSpec on a table of its own; None when the design has numerical rank 0."""
+    grid = np.asarray(grid, dtype=float)
+    q, rank = basis_from_design(build_design(family, indices, grid))
+    return ModelSpec(tuple(int(i) for i in indices), q, tuple(range(rank)), grid) if rank else None
+
+
 def project(s, model):
     """The dense estimate P S P of one model, for a p x p covariance `s`."""
     proj = projector_from_basis(model.basis)
@@ -144,6 +151,24 @@ def direct_deviation(X, projs, sigma):
             err_sq[r, m] = np.sum((sigma - a) ** 2)
             proj_dev_sq[r, m] = np.sum((a - proj @ sigma @ proj) ** 2)
     return err_sq, proj_dev_sq
+
+
+def _residual_sum(x, a):
+    """sum_i ||x_i x_i^T - a||^2 over the rows x_i of x."""
+    d = np.multiply(x[:, :, None], x[:, None, :])
+    d -= a
+    return float(np.vdot(d, d))
+
+
+def direct_fit(samples, model):
+    """fit_all's (loss, trace) of one model as direct residual sums over the
+    rows, 64 at a time, with the dense projector P and A = P S P:
+    loss = (1/n) sum_i ||x_i x_i^T - A||^2 and trace = (1/n) sum_i
+    ||P x_i x_i^T P - A||^2, which is Tr((P kron P) F)."""
+    proj = projector_from_basis(model.basis)
+    a = proj @ empirical_cov(samples) @ proj
+    return tuple(sum(_residual_sum(z[i:i + 64], a) for i in range(0, samples.n, 64))
+                 / samples.n for z in (samples.data, samples.data @ proj))
 
 
 def true_variance_factor(truth, model):
@@ -320,6 +345,14 @@ def check_loss_expansion(key, cases=30):
     return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-9)
 
 
+def _worst_of_tolerance(pairs):
+    """The largest |value - reference| / (1e-12 + 1e-10 |reference|) over
+    the (value, reference) array pairs: at most 1 within rtol 1e-10 and atol
+    1e-12 per entry."""
+    return max(float(np.max(np.abs(value - reference) / (1e-12 + 1e-10 * np.abs(reference))))
+               for value, reference in pairs)
+
+
 def check_collection_kernel(key, reps=3, n=10):
     """deviation_batch over whole collections against `direct_model_stats`
     and `direct_deviation` on dense projectors, to within rtol 1e-10 and atol
@@ -338,9 +371,27 @@ def check_collection_kernel(key, reps=3, n=10):
         projs = np.stack([projector_from_basis(m.basis) for m in models])
         got = _kernels.deviation_batch(X, *_kernels.chains(models), sigma)
         want = (*direct_model_stats(X, projs), direct_deviation(X, projs, sigma)[1])
-        for value, reference in zip(got, want):
-            worst = max(worst, float(np.max(
-                np.abs(value - reference) / (1e-12 + 1e-10 * np.abs(reference)))))
+        worst = max(worst, _worst_of_tolerance(zip(got, want)))
+    return worst <= 1.0, f"worst error {worst:.2e} of the tolerance"
+
+
+def check_collection_fit(key, p=32, n=4200):
+    """fit_all over whole collections against `direct_fit` per model, to
+    within rtol 1e-10 and atol 1e-12 per entry, on samples of n rows that
+    span three of `_kernels.row_blocks`: a nested fourier chain of 16 models
+    (no more members than columns, the row-table route) and the 10 histogram
+    all_subsets models of 4 cells, which share one table of width 4 (the
+    second-Gram route), each under a random factor."""
+    cases = [(BasisFamily("fourier", 0.0, 1.0, 15), "nested"),
+             (BasisFamily("histogram", 0.0, 1.0, 3), "all_subsets")]
+    worst = 0.0
+    for c, (family, scheme) in enumerate(cases):
+        gen = rep_rng(key, c)
+        grid = uniform_grid(p)
+        models = build_collection(family, grid, scheme=scheme)
+        samples = SampleSet(grid, gen.standard_normal((n, p)) @ gen.standard_normal((p, p)).T)
+        want = np.array([direct_fit(samples, model) for model in models]).T
+        worst = max(worst, _worst_of_tolerance(zip(fit_all(samples, models), want)))
     return worst <= 1.0, f"worst error {worst:.2e} of the tolerance"
 
 
@@ -355,4 +406,5 @@ CHECKS = [
     ("gaussian fourth-moment closed form vs dense", check_gaussian_closed_form),
     ("expanded loss vs direct residual sum", check_loss_expansion),
     ("collection kernel vs per-model direct", check_collection_kernel),
+    ("collection fit vs per-model direct", check_collection_fit),
 ]

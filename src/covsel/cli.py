@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -34,10 +36,12 @@ FLOAT_FMT = "%.17g"
 
 # rows write_table_csv formats at a time: its strings never outgrow one block
 TABLE_BLOCK_ROWS = 4096
+# encoder pieces dump_json joins into one write
+JSON_BATCH = 4096
 
 # Bumped on any change to the bytes a given seed and config produce, together
 # with re-recording tests/test_fingerprint.py's digest row and tests/golden/.
-REPORT_VERSION = 11
+REPORT_VERSION = 12
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901
@@ -135,14 +139,31 @@ def write_table_csv(path, table):
             fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
+def _require_finite_json(value):
+    """ValueError on a NaN or infinite float anywhere in a JSON payload."""
+    if isinstance(value, dict):
+        for item in value.items():
+            _require_finite_json(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _require_finite_json(item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"out of range float value in JSON: {value!r}")
+
+
 def dump_json(path, payload):
     """Strict JSON, in a directory made as needed: a NaN or infinity raises
-    ValueError before the directory or the file is made."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    ValueError before the directory or the file is made. The text is the
+    bytes of json.dumps(payload, indent=2, sort_keys=True) and a newline,
+    written JSON_BATCH pieces at a time, so it is never held whole."""
+    _require_finite_json(payload)
+    pieces = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(payload)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        for batch in iter(lambda: list(itertools.islice(pieces, JSON_BATCH)), []):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +258,21 @@ def load_config(path, schema):
 # select
 # ---------------------------------------------------------------------------
 
-def cmd_select(args):
-    # imported here: hashlib loads OpenSSL (~3 ms), which simulate never needs
-    import hashlib
+def _sha256():
+    """A new SHA-256 object from CPython's builtin module, or from hashlib
+    where the interpreter has none: `import hashlib` maps OpenSSL's
+    libcrypto (about 3.5 MB resident) for one digest."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
 
+
+def cmd_select(args):
     config = load_config(args.config, CONFIG_KEYS["select"])
     basis, coll_args = config["basis"], config["collection"]
     input_path = args.input or config["data"]["input"]
@@ -271,7 +303,7 @@ def cmd_select(args):
     except FloatingPointError as exc:
         raise ConfigError(
             f"{input_path}: fourth moments of the data or theta overflow float64") from exc
-    digest = hashlib.sha256()  # by hand: hashlib.file_digest needs Python 3.11
+    digest = _sha256()  # by hand: hashlib.file_digest needs Python 3.11 and loads OpenSSL
     with open(input_path, "rb") as fh:
         while block := fh.read(1 << 16):
             digest.update(block)

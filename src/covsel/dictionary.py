@@ -124,13 +124,6 @@ class ModelSpec:
         return self.table[:, :self.rank] if lead else self.table[:, list(self.columns)]
 
 
-def make_model(family, indices, grid):
-    """A ModelSpec on a table of its own; None when the design has numerical rank 0."""
-    grid = np.asarray(grid, dtype=float)
-    q, rank = basis_from_design(build_design(family, indices, grid))
-    return ModelSpec(tuple(int(i) for i in indices), q, tuple(range(rank)), grid) if rank else None
-
-
 def collection_index_sets(family, scheme="nested", d_max=None, k=2):
     """Index sets of the collection that `build_collection` builds from these
     arguments, in its order.

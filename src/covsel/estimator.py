@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import chains, model_stats_batch
+from ._kernels import chains, gram, model_stats_batch
 from .linalg import require_finite
 
 
@@ -58,10 +58,10 @@ def empirical_cov(samples):
 
 def estimate(samples, model):
     """The estimate of one model, P S P = U C U^T with C = W^T W / n and
-    W = X U, symmetrised; neither S nor P is formed."""
+    W = X U, symmetrised; C is `_kernels.gram`, summed over row blocks of X,
+    and neither S nor P is formed."""
     u = model.basis
-    w = samples.data @ u
-    shat = u @ (w.T @ w / samples.n) @ u.T
+    shat = u @ gram(samples.data[None], u)[0] @ u.T
     return 0.5 * (shat + shat.T)
 
 

@@ -21,10 +21,11 @@ from covsel._reference import (
     check_projectors,
     check_quadratic_form_tail,
     check_trace_range,
+    make_model,
     true_variance_factor,
 )
 from covsel.cli import main
-from covsel.dictionary import BasisFamily, build_collection, make_model
+from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, empirical_cov, estimate
 from covsel.linalg import projector_from_basis
 from covsel.oracle import (

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -155,6 +157,30 @@ class TestSelectCommand:
             "sha256": hashlib.sha256(TOY_CSV.encode()).hexdigest(),
         }
 
+    def test_digest_loads_no_openssl(self, tmp_path):
+        # the input is hashed with CPython's builtin SHA-256, over several
+        # 64 KiB reads, and `_hashlib` (OpenSSL) is never imported
+        grid = (0.5 + np.arange(16)) / 16
+        rows = [grid, *np.random.default_rng(5).standard_normal((600, 16))]
+        data = tmp_path / "samples.csv"
+        data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        assert data.stat().st_size > 2 * (1 << 16)
+        script = (
+            "import sys\n"
+            "from covsel import cli\n"
+            f"assert cli.main(['select', '--input', {str(data)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert '_hashlib' not in sys.modules, 'select loaded OpenSSL'\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "selection_report.json").read_text())
+        assert report["config"]["input"]["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+
     def test_sigma_hat_forms_neither_s_nor_projector(self, tmp_path, monkeypatch):
         # select writes sigma-hat = U C U^T from W = X U of the selected model:
         # every covsel name of empirical_cov and projector_from_basis fails
@@ -280,6 +306,25 @@ def test_dump_json_rejects_non_finite_values(tmp_path):
         assert not path.parent.exists()
     cli.dump_json(path, {"value": 1.5})
     assert json.loads(path.read_text()) == {"value": 1.5}
+
+
+def test_dump_json_writes_the_dumps_bytes(tmp_path):
+    # written in batches of encoder pieces, the file is json.dumps's text
+    payload = {"rows": [{"i": i, "x": i / 7.0, "tag": [str(i), None, True]}
+                        for i in range(3 * cli.JSON_BATCH)], "empty": [], "nested": {"a": {}}}
+    cli.dump_json(tmp_path / "report.json", payload)
+    assert (tmp_path / "report.json").read_text() == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_non_finite_deep_in_report_exits_2_before_any_file(tmp_path, monkeypatch, capsys):
+    # the finiteness walk finds a NaN deep in a nested list before the
+    # output directory is made
+    report = {"runs": [{"n": 10, "values": [[1.0, 2.0], [3.0, [4.0, float("nan")]]]}]}
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: (report, {}))
+    assert main(["simulate", "--out", str(tmp_path / "out")]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def traced_peak(fn, *args):
@@ -936,7 +981,7 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 9
+        assert out.count("PASS") == 10
 
     def test_each_check_listed_once(self, capsys):
         main(["validate"])
@@ -953,7 +998,7 @@ class TestValidateCommand:
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL gaussian fourth-moment closed form vs dense" in out
-        assert out.count("PASS") == 8
+        assert out.count("PASS") == 9
 
     @pytest.mark.parametrize(
         "flags", [["--config", "missing.ini"], ["--out", "somewhere"], ["--theta", "-5"]]

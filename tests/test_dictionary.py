@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from covsel import dictionary
+from covsel._reference import make_model
 from covsel.dictionary import (
     BasisFamily,
     DegenerateCollectionError,
     build_collection,
     build_design,
     eval_basis,
-    make_model,
 )
 from covsel.linalg import RANK_RTOL, basis_from_design, projector_from_basis
 from covsel.simulate import uniform_grid

@@ -1,12 +1,13 @@
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from covsel import _kernels
-from covsel._reference import fourth_moment_cov_dense, kron, project
-from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
+from covsel._reference import fourth_moment_cov_dense, kron, make_model, project
+from covsel.dictionary import BasisFamily, build_collection, build_design
 from covsel.estimator import SampleSet, empirical_cov, estimate, fit_all
 from covsel.linalg import (frob_norm_sq, projector_from_basis, projector_from_design,
                            psd_factor)
@@ -294,6 +295,28 @@ def test_fit_all_takes_models_in_any_order():
     np.testing.assert_allclose(trace[-2:], trace[[0, 2]], rtol=1e-12)
 
 
+# tracemalloc peak of fit_all and of estimate on select-wide's shape, a
+# (1000, 256) sample over the 129-model nested fourier chain: each walks the
+# sample in row blocks of at most CHUNK_FLOATS floats (2.10 and 2.05 MB with
+# one whole W = X U, 1.02 and 1.06 MB in row blocks)
+FIT_PEAK_BYTES = 1.5 * 2 ** 20
+
+
+def test_fit_and_estimate_peak_stays_bounded():
+    grid = uniform_grid(256)
+    coll = build_collection(BasisFamily("fourier", 0.0, 1.0, 128), grid, scheme="nested")
+    assert len(coll) == 129 and len({id(model.table) for model in coll}) == 1
+    samples = samples_from(rng.standard_normal((1000, 256)), grid)
+    for fn, models in ((fit_all, coll), (estimate, coll[-1])):
+        tracemalloc.start()
+        try:
+            fn(samples, models)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < FIT_PEAK_BYTES, (fn.__name__, peak)
+
+
 # Worst error of fit_all's loss and trace against a long-double recomputation
 # from the same float64 data, S and basis, in units of float64 eps times
 # (1/n) sum ||x_i||^4 (loss) and (1/n) sum ||P x_i||^4 (trace). Measured at
@@ -336,12 +359,32 @@ def budget_collections():
         yield coll, grid, np.random.default_rng((p, seed))
 
 
+# p and n of the budgets' multi-block samples: n rows span three of
+# `_kernels.row_blocks`, however many replications share a batch
+MULTI_BLOCK_P, MULTI_BLOCK_N = 64, 2100
+
+
+def budget_cases():
+    """(collection, grid, generator, n) for every sample of the error
+    budgets: each `budget_collections` case at n = 40, then a nested fourier
+    chain (the row-table route) and a histogram all_subsets collection with
+    more members than columns (the second-Gram route) at MULTI_BLOCK_N."""
+    for case in budget_collections():
+        yield (*case, 40)
+    grid = uniform_grid(MULTI_BLOCK_P)
+    assert len(_kernels.row_blocks(np.empty((1, MULTI_BLOCK_N, MULTI_BLOCK_P)))) == 3
+    for seed, (family, scheme) in enumerate([(BasisFamily("fourier", 0.0, 1.0, 15), "nested"),
+                                             (BasisFamily("histogram", 0.0, 1.0, 7), "all_subsets")]):
+        coll = build_collection(family, grid, scheme=scheme)
+        yield coll, grid, np.random.default_rng((MULTI_BLOCK_P, seed)), MULTI_BLOCK_N
+
+
 def test_fit_all_error_budget():
     eps = np.finfo(float).eps
     worst_loss = worst_trace = 0.0
-    for coll, grid, gen in budget_collections():
+    for coll, grid, gen, n in budget_cases():
         p = grid.size
-        samples = samples_from(gen.standard_normal((40, p)) @ gen.standard_normal((p, p)), grid)
+        samples = samples_from(gen.standard_normal((n, p)) @ gen.standard_normal((p, p)), grid)
         s = empirical_cov(samples)
         loss, trace = fit_all(samples, coll)
         for j, model in enumerate(coll):
@@ -359,9 +402,9 @@ def test_kernel_error_budget():
     in eps times ||C||^2 + ||G||^2 (C = U^T S U, G = U^T sigma U)."""
     eps = np.finfo(float).eps
     worst = np.zeros(3)
-    for coll, grid, gen in budget_collections():
+    for coll, grid, gen, n in budget_cases():
         sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck", length_scale=0.5), grid)
-        X = gen.standard_normal((4, 40, grid.size)) @ psd_factor(sigma).T
+        X = gen.standard_normal((4, n, grid.size)) @ psd_factor(sigma).T
         chains = _kernels.chains(coll)
         norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(X, *chains, sigma)
         xl, sl = X.astype(np.longdouble), sigma.astype(np.longdouble)
@@ -386,9 +429,9 @@ def test_estimate_error_budget():
     float64 data and basis, in eps times max |P S P|."""
     eps = np.finfo(float).eps
     worst = 0.0
-    for coll, grid, gen in budget_collections():
+    for coll, grid, gen, n in budget_cases():
         p = grid.size
-        samples = samples_from(gen.standard_normal((40, p)) @ gen.standard_normal((p, p)), grid)
+        samples = samples_from(gen.standard_normal((n, p)) @ gen.standard_normal((p, p)), grid)
         xl = samples.data.astype(np.longdouble)
         sl = xl.T @ xl / samples.n
         for model in coll:

@@ -47,12 +47,12 @@ GOLDEN_RTOL = 1e-12
 # one row, of the current report_version; earlier rows and golden trees are
 # in the git history
 FINGERPRINT = {
-    "report_version": 11,
+    "report_version": 12,
     "numpy": "2.4.6",
     "openblas": "0.3.31.188.0",
     "sha256": {
         "simulate/experiment_report.json":
-            "6f102ede691e139fe87bfee4ccbcc3a1fed5f499598becb04552509c36665e2c",
+            "0da4a73650125061fb078b517a411c5da780eab7095e47c303eb1f3f8dee4d53",
         "simulate/risk_vs_n.csv":
             "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
         "simulate/selection_frequencies.csv":
@@ -64,7 +64,7 @@ FINGERPRINT = {
         "simulate-keep/replications.csv":
             "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
         "select/selection_report.json":
-            "66ae6ec224f12453f1da412808d6c88a812528eb2ae920e35694e253d3dcc50d",
+            "89fdb51fa9af3562f485e45c4dce898b5c1da1a4710076c2d6c63236b2cd5815",
         "select/criterion_table.csv":
             "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
         "select/sigma_hat.csv":

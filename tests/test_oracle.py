@@ -7,9 +7,10 @@ from covsel._reference import (
     check_quadratic_form_tail,
     gaussian_fourth_moment_dense,
     kron,
+    make_model,
     true_variance_factor,
 )
-from covsel.dictionary import BasisFamily, build_collection, build_design, make_model
+from covsel.dictionary import BasisFamily, build_collection, build_design
 from covsel.linalg import frob_norm_sq, projector_from_basis
 from covsel.oracle import (
     TruthSpec,

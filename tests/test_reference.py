@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covsel import _reference, cli, estimator, linalg, oracle, simulate
+from covsel import _kernels, _reference, cli, dictionary, estimator, linalg, oracle, simulate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # (validate's `_check_*` functions as the CHECKS functions `check_*`)
 MOVED = {
     linalg: ("vec", "kron", "commutation_matrix", "check_projector", "DEFAULT_SIZE_GUARD"),
+    dictionary: ("make_model",),
     estimator: ("fourth_moment_cov_dense", "project"),
     oracle: ("gaussian_fourth_moment_dense", "check_quadratic_form_tail",
              "true_variance_factor"),
@@ -54,6 +55,7 @@ def test_checks_are_the_validate_listing():
         "gaussian fourth-moment closed form vs dense",
         "expanded loss vs direct residual sum",
         "collection kernel vs per-model direct",
+        "collection fit vs per-model direct",
     ]
 
 
@@ -109,3 +111,22 @@ def test_collection_kernel_check_holds_the_pipeline_kernel(monkeypatch, stat):
 
     monkeypatch.setattr(_reference._kernels, "deviation_batch", skewed)
     assert not _reference.check_collection_kernel((3,))[0]
+
+
+@pytest.mark.parametrize("stat", range(2))
+def test_collection_fit_check_holds_the_pipeline_fit(monkeypatch, stat):
+    # the check runs estimator.fit_all itself over both routes, on samples
+    # that span three row blocks, so a relative error of 1e-9 in its loss or
+    # trace fails it
+    p, n = _reference.check_collection_fit.__defaults__
+    assert len(_kernels.row_blocks(np.empty((1, n, p)))) == 3
+    assert _reference.check_collection_fit((4,))[0]
+    fit_all = _reference.fit_all
+
+    def skewed(*args):
+        out = list(fit_all(*args))
+        out[stat] = out[stat] * (1.0 + 1e-9)
+        return tuple(out)
+
+    monkeypatch.setattr(_reference, "fit_all", skewed)
+    assert not _reference.check_collection_fit((4,))[0]

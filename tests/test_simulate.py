@@ -34,7 +34,7 @@ class TestKernelToSigma:
             KernelSpec("ornstein_uhlenbeck", length_scale=0.0)
 
     def test_finite_rank_truth_has_zero_bias_at_its_model(self):
-        from covsel.dictionary import make_model
+        from covsel._reference import make_model
         from covsel.linalg import frob_norm_sq, projector_from_basis
 
         grid = uniform_grid(8)
