@@ -3,9 +3,19 @@
 Replication r of a key is row r - b B of block b = r // B, B = block_reps(n, p),
 and block b is one (B, n, p) standard normal draw from rep_rng(key, b), so
 results are identical no matter how whole blocks are batched.
+
+numpy.random is loaded on the first draw, not at import, so `select` never
+loads it, and with `_hashlib` blocked: its `secrets` -> `hmac` import would
+otherwise map OpenSSL's libcrypto (about 3.4 MB resident) to seed a
+generator from the OS, which no covsel generator is. hmac and hashlib fall
+back to CPython's builtin hashes, as on an interpreter built without OpenSSL;
+where that is hashlib's first import, the process keeps it without OpenSSL's
+extra algorithms (scrypt, sha512_256, ripemd160).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -16,11 +26,25 @@ BLOCK_FLOATS = 2 ** 16
 CHUNK_FLOATS = 2 ** 16
 
 
+def _numpy_random():
+    """numpy.random, imported the first time with `_hashlib` blocked. Where
+    either module is already loaded (or `_hashlib` blocked) nothing is
+    imported or blocked, so a loaded `_hashlib` is never dropped."""
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
+    return np.random
+
+
 def rep_rng(seed, index):
     """Generator keyed by (seed..., index): a Monte Carlo block or a reference
     check's case. The index is the SeedSequence's spawn key, which numpy keeps
     apart from the entropy, where (s, i, 1) and (s, i, 1, 0) name one stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(index),)))
+    random = _numpy_random()
+    return random.default_rng(random.SeedSequence(seed, spawn_key=(int(index),)))
 
 
 def block_reps(n, p):

@@ -2,17 +2,19 @@
 seeded Monte Carlo experiments, and `validate` for the brute-force oracle
 equivalence suite.
 
-Exit codes: 0 ok, 1 validation failure, 2 input/config error, 3 degenerate
-model collection. Configuration comes from an INI file; every flag overrides
-its config key, and an unknown section or key is a config error. The input
-CSV is self-describing: its header row carries the numeric grid values and
-each following row is one replication.
+Exit codes: 0 ok, 1 validation failure, 2 input/config error (an output
+that cannot be written and a config too large to allocate among them), 3
+degenerate model collection. Configuration comes from an INI file; every
+flag overrides its config key, and an unknown section or key is a config
+error. The input CSV is self-describing: its header row carries the
+numeric grid values and each following row is one replication.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import json
 import math
@@ -164,6 +166,16 @@ def dump_json(path, payload):
         for batch in iter(lambda: list(itertools.islice(pieces, JSON_BATCH)), []):
             fh.write("".join(batch))
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _writing(out_dir):
+    """An OSError making `out_dir` or writing a file in it is a ConfigError:
+    an --out that names a file, a directory that cannot be made, a full disk."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +341,12 @@ def cmd_select(args):
             for j, m in enumerate(collection)
         ],
     }
-    # every criterion is finite, so every float of the report is too
-    dump_json(out_dir / "selection_report.json", report_json)
-    write_matrix_csv(out_dir / "sigma_hat.csv", grid, estimate(samples, report.selected))
-    labels = [";".join(str(i) for i in m.indices) for m in collection]
-    write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
+    with _writing(out_dir):
+        # every criterion is finite, so every float of the report is too
+        dump_json(out_dir / "selection_report.json", report_json)
+        write_matrix_csv(out_dir / "sigma_hat.csv", grid, estimate(samples, report.selected))
+        labels = [";".join(str(i) for i in m.indices) for m in collection]
+        write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
     print(f"selected model {report.selected.indices} (dim {report.selected.dim:g})")
     print(f"reports written to {out_dir}")
     return EXIT_OK
@@ -372,12 +385,14 @@ def cmd_simulate(args):
             report, tables = run_experiment(cfg)
     except FloatingPointError as exc:  # a criterion overflowed
         raise ConfigError(overflow) from exc
-    try:  # before any file: each table float is in the report or in one of its means
-        dump_json(out_dir / "experiment_report.json", {"report_version": REPORT_VERSION, **report})
-    except ValueError as exc:
-        raise ConfigError(overflow) from exc
-    for name, table in tables.items():
-        write_table_csv(out_dir / name, table)
+    with _writing(out_dir):
+        try:  # before any file: each table float is in the report or in one of its means
+            dump_json(out_dir / "experiment_report.json",
+                      {"report_version": REPORT_VERSION, **report})
+        except ValueError as exc:
+            raise ConfigError(overflow) from exc
+        for name, table in tables.items():
+            write_table_csv(out_dir / name, table)
     print(f"experiment reports written to {out_dir}")
     return EXIT_OK
 
@@ -438,6 +453,9 @@ def main(argv=None):
     except DegenerateCollectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:  # numpy names the allocation: a config too large to run
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import hmac
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covsel.simulate
-from covsel import cli
+from covsel import _mc, cli
 from covsel._reference import project
 from covsel.cli import (
     CONFIG_KEYS,
@@ -63,6 +64,16 @@ def select_config(tmp_path, extra=""):
         "theta = 1.0\n" + extra
     )
     return cfg
+
+
+def run_python(script):
+    """Run `script` in a new interpreter that imports covsel from src/."""
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestSelectCommand:
@@ -159,7 +170,8 @@ class TestSelectCommand:
 
     def test_digest_loads_no_openssl(self, tmp_path):
         # the input is hashed with CPython's builtin SHA-256, over several
-        # 64 KiB reads, and `_hashlib` (OpenSSL) is never imported
+        # 64 KiB reads, and neither `_hashlib` (OpenSSL) nor numpy.random,
+        # which only the Monte Carlo draws load, is ever imported
         grid = (0.5 + np.arange(16)) / 16
         rows = [grid, *np.random.default_rng(5).standard_normal((600, 16))]
         data = tmp_path / "samples.csv"
@@ -170,13 +182,9 @@ class TestSelectCommand:
             "from covsel import cli\n"
             f"assert cli.main(['select', '--input', {str(data)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
             "assert '_hashlib' not in sys.modules, 'select loaded OpenSSL'\n"
+            "assert 'numpy.random' not in sys.modules, 'select loaded numpy.random'\n"
         )
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         report = json.loads((tmp_path / "selection_report.json").read_text())
         assert report["config"]["input"]["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
@@ -325,6 +333,89 @@ def test_non_finite_deep_in_report_exits_2_before_any_file(tmp_path, monkeypatch
     assert main(["simulate", "--out", str(tmp_path / "out")]) == 2
     assert "overflow" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "simulate"])
+@pytest.mark.parametrize("case", ["existing file", "under a file"])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, command, case):
+    # an --out that names a file, or a directory that cannot be made because
+    # a file is in its path, is a config error, not a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if case == "existing file" else blocker / "out"
+    if command == "select":
+        args = ["select", "--input", str(write_toy(tmp_path))]
+    else:
+        args = ["simulate", "--config", str(simulate_config(tmp_path))]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}")
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command,stage", [("select", "fit_all"), ("simulate", "run_experiment")])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, command, stage):
+    # `[experiment] p = 100000` asks numpy for a 74.5 GiB Sigma; the failed
+    # allocation is stood in for, never made
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, stage, allocate)
+    args = ["--input", str(write_toy(tmp_path))] if command == "select" else []
+    assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_and_validate_load_no_openssl(tmp_path):
+    # numpy.random is imported at the first draw with `_hashlib` blocked, the
+    # block is lifted afterwards, and hashlib and hmac still give the
+    # standard digests from CPython's builtin hashes
+    config = CONFIGS / "simulate_example.ini"
+    script = (
+        "import os, sys\n"
+        "from covsel import cli\n"
+        "def no_openssl(command):\n"
+        "    assert '_hashlib' not in sys.modules, f'{command} loaded OpenSSL'\n"
+        "    assert 'numpy.random' in sys.modules, command\n"
+        "    if os.path.exists('/proc/self/maps'):\n"
+        "        with open('/proc/self/maps') as fh:\n"
+        "            assert 'libcrypto' not in fh.read(), f'{command} mapped libcrypto'\n"
+        f"assert cli.main(['simulate', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "no_openssl('simulate')\n"
+        "assert cli.main(['validate']) == 0\n"
+        "no_openssl('validate')\n"
+        "assert sys.modules.get('_hashlib', 'absent') is not None, 'the block was left in place'\n"
+        "import hashlib, hmac\n"
+        "assert hashlib.sha256(b'').hexdigest() == "
+        f"{hashlib.sha256(b'').hexdigest()!r}\n"
+        "assert hmac.new(b'k', b'm', 'sha256').hexdigest() == "
+        f"{hmac.new(b'k', b'm', 'sha256').hexdigest()!r}\n"
+        "import _hashlib\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_random_loader_keeps_a_loaded_hashlib():
+    # with OpenSSL already loaded, the first load neither blocks nor drops it
+    script = (
+        "import sys\n"
+        "import _hashlib\n"
+        "from covsel import _mc\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "import numpy\n"
+        "assert _mc._numpy_random() is numpy.random\n"
+        "assert sys.modules['_hashlib'] is _hashlib\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    # in this process both modules are loaded: the loader only returns the module
+    import _hashlib
+
+    assert _mc._numpy_random() is np.random
+    assert sys.modules["_hashlib"] is _hashlib
 
 
 def traced_peak(fn, *args):
