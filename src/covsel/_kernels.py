@@ -17,6 +17,12 @@ and each is divided by n once after the last block. So W and the row table
 never outgrow one block of rows, and a Monte Carlo chunk, which holds at most
 CHUNK_FLOATS floats or one replication, is one block unless n p is larger.
 `gram` is the same blocked Gram for `estimator.estimate`.
+
+The chain loop walks a batch in sub-batches of `batch_reps` replications,
+which keep each per-chain temporary within CHUNK_FLOATS // 4 floats, so a
+chunk's working set is a fraction of the chunk, not a multiple of it. Since
+the row blocks do not depend on reps either, a replication's statistics are
+the same bytes whatever batch or sub-batch it is computed in.
 """
 
 from __future__ import annotations
@@ -75,41 +81,59 @@ def gram(X, q):
     return np.divide(total, X.shape[1], out=total)
 
 
+def batch_reps(n, p, tables):
+    """Replications per sub-batch of `_chain_stats`: as many as keep each
+    per-chain temporary, (reps, rows, k) for W, (reps, k, k) for the Grams
+    and (reps, k, members) for the masked sums, within CHUNK_FLOATS // 4
+    floats, but at least one. The (reps, members, rows) row table is only
+    formed when members <= k, so it is never larger than W."""
+    rows = min(n, max(1, CHUNK_FLOATS // p))
+    floats = max(q.shape[1] * max(rows, q.shape[1], len(members)) for members, q, _ in tables)
+    return max(1, CHUNK_FLOATS // 4 // floats)
+
+
 def _chain_stats(X, ranks, tables, sigma):
     """The chain loop of both kernels; dev_sq is None when sigma is None."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     reps, n, p = X.shape
-    blocks = row_blocks(X)
-    norm4 = None
-    for x in blocks:
-        norm4 = _add(norm4, np.sum(np.square(np.einsum("rij,rij->ri", x, x)), axis=1))
-    norm4 /= n
+    norm4 = np.empty(reps)
     proj_norm4, fit_sq = np.empty((2, reps, ranks.size))
     dev_sq = None if sigma is None else np.empty((reps, ranks.size))
-    for members, q, mask in tables:
-        # more members than columns: proj_norm4[m] is the sum of the second
-        # Gram D = V^T V / n over the model's columns; otherwise row m of the
-        # row table is ||P x_i||^2 over the block's rows, contiguous along them
-        second = len(members) > q.shape[1]
-        c = fourth = None
+    # U^T sigma U per chain, formed once for every sub-batch
+    truths = [None if sigma is None else q.T @ sigma @ q for _, q, _ in tables]
+    size = batch_reps(n, p, tables)
+    for a in range(0, reps, size):
+        batch = slice(a, a + size)
+        blocks = row_blocks(X[batch])
+        total = None
         for x in blocks:
-            w = x @ q
-            c = _add_gram(c, w)
-            # ||P x_i||^2 is the sum of V = W * W over the model's columns;
-            # squaring in place and `del` keep one block's W alive at a time
-            np.square(w, out=w)
-            if second:
-                fourth = _add_gram(fourth, w)
-            else:
-                rows = np.matmul(mask.T, w.transpose(0, 2, 1))
-                fourth = _add(fourth, np.sum(np.square(rows, out=rows), axis=2))
-            del w
-        c /= n
-        fourth /= n
-        fit_sq[:, members] = _border_sq(c, mask)
-        if dev_sq is not None:
-            dev_sq[:, members] = _border_sq(np.subtract(c, q.T @ sigma @ q, out=c), mask)
-        proj_norm4[:, members] = np.sum((fourth @ mask) * mask, axis=-2) if second else fourth
+            total = _add(total, np.sum(np.square(np.einsum("rij,rij->ri", x, x)), axis=1))
+        norm4[batch] = total / n
+        for (members, q, mask), truth in zip(tables, truths):
+            # more members than columns: proj_norm4[m] is the sum of the second
+            # Gram D = V^T V / n over the model's columns; otherwise row m of the
+            # row table is ||P x_i||^2 over the block's rows, contiguous along them
+            second = len(members) > q.shape[1]
+            c = fourth = None
+            for x in blocks:
+                w = x @ q
+                c = _add_gram(c, w)
+                # ||P x_i||^2 is the sum of V = W * W over the model's columns;
+                # squaring in place and `del` keep one block's W alive at a time
+                np.square(w, out=w)
+                if second:
+                    fourth = _add_gram(fourth, w)
+                else:
+                    rows = np.matmul(mask.T, w.transpose(0, 2, 1))
+                    fourth = _add(fourth, np.sum(np.square(rows, out=rows), axis=2))
+                del w
+            c /= n
+            fourth /= n
+            fit_sq[batch, members] = _border_sq(c, mask)
+            if truth is not None:
+                dev_sq[batch, members] = _border_sq(np.subtract(c, truth, out=c), mask)
+            proj_norm4[batch, members] = (np.sum((fourth @ mask) * mask, axis=-2) if second
+                                          else fourth)
     return norm4, proj_norm4, fit_sq, dev_sq
 
 

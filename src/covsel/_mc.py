@@ -7,10 +7,12 @@ results are identical no matter how whole blocks are batched.
 numpy.random is loaded on the first draw, not at import, so `select` never
 loads it, and with `_hashlib` blocked: its `secrets` -> `hmac` import would
 otherwise map OpenSSL's libcrypto (about 3.4 MB resident) to seed a
-generator from the OS, which no covsel generator is. hmac and hashlib fall
-back to CPython's builtin hashes, as on an interpreter built without OpenSSL;
-where that is hashlib's first import, the process keeps it without OpenSSL's
-extra algorithms (scrypt, sha512_256, ripemd160).
+generator from the OS, which no covsel generator is. The hmac and hashlib
+that numpy.random's `secrets` holds fall back to CPython's builtin hashes,
+as on an interpreter built without OpenSSL; where that import loaded them,
+they are then dropped from sys.modules, so a caller's own later `import
+hashlib` gets the whole module, OpenSSL's extra algorithms (scrypt,
+sha512_256, ripemd160) included.
 """
 
 from __future__ import annotations
@@ -29,13 +31,18 @@ CHUNK_FLOATS = 2 ** 16
 def _numpy_random():
     """numpy.random, imported the first time with `_hashlib` blocked. Where
     either module is already loaded (or `_hashlib` blocked) nothing is
-    imported or blocked, so a loaded `_hashlib` is never dropped."""
+    imported or blocked, so a loaded `_hashlib` is never dropped. hashlib and
+    hmac, where this import loaded them, leave sys.modules with the block, so
+    a later `import hashlib` loads them whole, OpenSSL included."""
     if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        fallbacks = {"hashlib", "hmac"} - sys.modules.keys()
         sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
         try:
             import numpy.random  # noqa: F401
         finally:
             del sys.modules["_hashlib"]
+            for name in fallbacks:
+                sys.modules.pop(name, None)
     return np.random
 
 
@@ -56,7 +63,9 @@ def draw_batch(factor, n, seed, start, stop, out=None):
 
     `start` must open a block; a last, partial block is a prefix of its full
     stream. Each block's normals go into one scratch block and through
-    factor^T in one matmul. The batch is written to `out[:stop - start]`, a
+    factor^T in one matmul; the same product over row slices of the block
+    rounds some rows differently (BLAS picks its kernel by the row count, as
+    at p = 32, n = 10). The batch is written to `out[:stop - start]`, a
     C-contiguous (at least stop - start, n, p) array, and that view is
     returned; without `out` a new array is.
     """

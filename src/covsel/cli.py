@@ -37,7 +37,7 @@ EXIT_DEGENERATE = 3
 FLOAT_FMT = "%.17g"
 
 # rows write_table_csv formats at a time: its strings never outgrow one block
-TABLE_BLOCK_ROWS = 4096
+TABLE_BLOCK_ROWS = 1024
 # encoder pieces dump_json joins into one write
 JSON_BATCH = 4096
 
@@ -121,24 +121,46 @@ def write_matrix_csv(path, header_values, matrix):
             fh.write(row_fmt % tuple(row.tolist()))
 
 
-def write_table_csv(path, table):
-    """CSV of a table given as {column name: values}, all columns one length.
+def _column_block(values):
+    """(format, values) for one column block as plain Python values: FLOAT_FMT
+    where every value is a float, %s where none is, and %s over cells
+    formatted one by one (FLOAT_FMT or str) where the column mixes them."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    floats = sum(isinstance(v, float) for v in values)
+    if floats == len(values):
+        return FLOAT_FMT, values
+    if not floats:
+        return "%s", values
+    return "%s", [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values]
+
+
+def _table_lines(table, start):
+    """CSV lines of rows start..start + TABLE_BLOCK_ROWS - 1 of `table`, each
+    formatted by one `%`; the block's values are freed with the lines."""
+    formats, columns = zip(*(_column_block(values[start:start + TABLE_BLOCK_ROWS])
+                             for values in table.values()))
+    row_fmt = ",".join(formats) + "\n"
+    return (row_fmt % row for row in zip(*columns))
+
+
+def write_table_csv(path, tables):
+    """CSV of a table given as {column name: values}, all columns one length,
+    or of a sequence of such tables with the same columns, written in turn
+    under one header.
 
     Floats are written in FLOAT_FMT and every other value through str; an
     array column is read with tolist(), which gives plain Python values. Rows
-    are formatted and written TABLE_BLOCK_ROWS at a time.
+    are written TABLE_BLOCK_ROWS at a time, each formatted by one `%`.
     """
-    rows = len(next(iter(table.values())))
+    if isinstance(tables, dict):
+        tables = (tables,)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(table) + "\n")
-        for start in range(0, rows, TABLE_BLOCK_ROWS):
-            cells = []
-            for values in table.values():
-                values = values[start:start + TABLE_BLOCK_ROWS]
-                if isinstance(values, np.ndarray):
-                    values = values.tolist()
-                cells.append([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values])
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.write(",".join(tables[0]) + "\n")
+        for table in tables:
+            rows = len(next(iter(table.values())))
+            for start in range(0, rows, TABLE_BLOCK_ROWS):
+                fh.writelines(_table_lines(table, start))
 
 
 def _require_finite_json(value):

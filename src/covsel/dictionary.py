@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, require_finite
 
@@ -56,6 +55,23 @@ def check_in_domain(family, t):
     return t
 
 
+def _legendre(index, x):
+    """The Legendre polynomial P_index at x, by the Clenshaw recursion that
+    `numpy.polynomial.legendre.legval` runs on the unit coefficient vector,
+    operation for operation, so each value is legval's to the bit without
+    importing numpy.polynomial (nine modules)."""
+    c = [0.0] * index + [1.0]
+    if index < 2:
+        c0, c1 = c[0], c[1] if index else 0
+    else:
+        c0, c1 = c[-2], c[-1]
+        nd = len(c)
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def eval_basis(family, index, t):
     """Evaluate basis function `index` of `family` at point(s) `t`.
 
@@ -76,9 +92,7 @@ def eval_basis(family, index, t):
         return np.sqrt(2.0) * np.sin(2.0 * np.pi * freq * u)
 
     if family.kind == "polynomial":
-        coeffs = np.zeros(index + 1)
-        coeffs[index] = 1.0
-        return legendre.legval(2.0 * u - 1.0, coeffs)
+        return _legendre(index, 2.0 * u - 1.0)
 
     # histogram: indicator of cell `index` among max_index+1 equal cells,
     # right-closed in the last cell so t_max belongs to the partition

@@ -3,7 +3,10 @@ tying Gaussian sampling, estimation, selection, and the oracle together.
 
 Sample size n_grid[i] draws its replications once, from the RNG blocks of
 key (seed, i) (`_mc.draw_batch`), for both the risk and the diagnostics;
-chunks hold whole blocks, so reports are identical for any chunking.
+chunks hold whole blocks, so reports are identical for any chunking. What a
+run holds per replication is bounded: each chunk's arrays are freed before
+the next draw, and replications.csv is kept as each n's own arrays, one
+table per n, never concatenated.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ def kernel_to_sigma(kernel, grid):
     if kernel.kind == "brownian":
         sigma = np.minimum(grid[:, None], grid[None, :])
     elif kernel.kind == "ornstein_uhlenbeck":
-        sigma = np.exp(-np.abs(grid[:, None] - grid[None, :]) / kernel.length_scale)
+        # a tiny length scale overflows |s - t| / length_scale to inf off the
+        # diagonal, where exp(-inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            sigma = np.exp(-np.abs(grid[:, None] - grid[None, :]) / kernel.length_scale)
     else:
         design = build_design(kernel.family, kernel.indices, grid)
         sigma = design @ kernel.psi @ design.T
@@ -165,14 +171,26 @@ def _run_block(truth, models, chains, bias, trace, cfg, n, i_n):
     # every chunk is drawn into one buffer, sized by the first (largest) chunk
     x = np.empty((chunks[0][1], n, truth.p))
     for start, stop in chunks:
-        norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(
-            draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop, x), *chains, truth.sigma)
-        traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
-        pick, _ = decide((norm4[:, None] - fit_sq) + (1.0 + cfg.theta) * traces / n, models)
-        selected[:, start:stop] = pick
-        err[:, start:stop] = bias[pick] + dev_sq[np.arange(stop - start), pick]
-        plug_in[start:stop] = traces[0, :len(plug_in[start:stop])]
+        _select_chunk(draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop, x), models,
+                      chains, truth.sigma, bias, trace, cfg.theta,
+                      selected[:, start:stop], err[:, start:stop], plug_in[start:stop])
     return selected[:, :cfg.reps], err[:, :cfg.reps], plug_in
+
+
+def _select_chunk(x, models, chains, sigma, bias, trace, theta, selected, err, plug_in):
+    """One chunk x of `_run_block`, written into its slices of selected, err
+    and plug_in; every per-chunk array is freed on return, before the next
+    draw. The criterion loss + (1 + theta) traces / n is formed in place,
+    each operation the plain expression's, so it keeps its bytes."""
+    norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(x, *chains, sigma)
+    traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])
+    criteria = np.multiply(traces, 1.0 + theta)
+    criteria /= x.shape[1]
+    criteria += norm4[:, None] - fit_sq
+    pick, _ = decide(criteria, models)
+    selected[...] = pick
+    err[...] = bias[pick] + dev_sq[np.arange(len(x)), pick]
+    plug_in[...] = traces[0, :len(plug_in)]
 
 
 def _mode_summary(labels, sel, err, sel_dims, oracle_risk, reps):
@@ -197,9 +215,11 @@ def run_experiment(cfg):
     Returns (report, tables). The report is a JSON-ready dict embedding the
     resolved configuration and holds no per-replication data. `tables` maps
     each CSV file name to its {column: values} table; cfg.diagnostics adds
-    two, and cfg.keep_replications adds replications.csv, one row per
-    replication over every n in turn, which the report names. Models are
-    labelled "i;j". Identical configs give identical results.
+    two, and cfg.keep_replications adds replications.csv, which the report
+    names, as a list of one table per n in turn, each with one row per
+    replication and the same columns (`cli.write_table_csv` writes them under
+    one header). Models are labelled "i;j". Identical configs give identical
+    results.
     """
     truth = oracle.TruthSpec(sigma=cfg.sigma)
     models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max, k=cfg.k)
@@ -212,7 +232,8 @@ def run_experiment(cfg):
     bias, trace = oracle.risk_table(truth, models)
 
     runs = []
-    blocks = []
+    replications = []  # one table per n, sharing one column of replication numbers
+    rep = np.arange(cfg.reps)
     rows = {name: [] for name in ("risk_vs_n.csv", "selection_frequencies.csv",
                                   "variance_factor_mean.csv", "underestimation_prob.csv")}
     n_values = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
@@ -245,11 +266,11 @@ def run_experiment(cfg):
             for model, freq in sorted(summary["selection_freq"].items())
         ]
         if cfg.keep_replications:
-            blocks.append({
+            replications.append({
                 "n": np.full(cfg.reps, int(n)),
-                "rep": np.arange(cfg.reps),
+                "rep": rep,
                 "selected": labels[selected[0]],
-                "dim": sel_dims[0],
+                "dim": dims[selected[0]],
                 "err_sq": err[0],
                 "selected_known": labels[selected[1]],
                 "err_sq_known": err[1],
@@ -268,6 +289,8 @@ def run_experiment(cfg):
                 key: under[key] for key in ("alpha", "estimate", "ci_low", "ci_high",
                                             "violations", "reps")}})
         runs.append(run)
+        # what this n's tables do not keep is freed before the next n draws
+        del selected, err, sel_dims, plug_in
 
     report = {
         "config": _describe_config(cfg),
@@ -280,9 +303,8 @@ def run_experiment(cfg):
     }
     tables = {name: {key: [row[key] for row in table] for key in table[0]}
               for name, table in rows.items() if table}
-    if blocks:
-        tables["replications.csv"] = {key: np.concatenate([b[key] for b in blocks])
-                                      for key in blocks[0]}
+    if replications:
+        tables["replications.csv"] = replications
         report["replications_file"] = "replications.csv"
     return report, tables
 

@@ -418,6 +418,42 @@ def test_numpy_random_loader_keeps_a_loaded_hashlib():
     assert sys.modules["_hashlib"] is _hashlib
 
 
+def test_drawing_first_leaves_hashlib_whole():
+    # a library caller that draws before its own `import hashlib` gets the
+    # whole module: OpenSSL's sha512_256 and scrypt, which the builtin
+    # fallbacks lack, work after the draw
+    script = (
+        "import sys\n"
+        "from covsel import _mc\n"
+        "_mc.rep_rng(1, 0).standard_normal(3)\n"
+        "assert '_hashlib' not in sys.modules and 'hashlib' not in sys.modules\n"
+        "import hashlib\n"
+        "assert hashlib.new('sha512_256', b'abc').hexdigest() == "
+        f"{hashlib.new('sha512_256', b'abc').hexdigest()!r}\n"
+        "assert hashlib.scrypt(b'pw', salt=b'salt', n=2, r=1, p=1) == "
+        f"{hashlib.scrypt(b'pw', salt=b'salt', n=2, r=1, p=1)!r}\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_load_no_numpy_polynomial(tmp_path):
+    # dictionary evaluates Legendre polynomials itself
+    config = CONFIGS / "simulate_example.ini"
+    data = write_toy(tmp_path)
+    script = (
+        "import sys\n"
+        "from covsel import cli\n"
+        f"assert cli.main(['select', '--config', {str(select_config(tmp_path))!r}, "
+        f"'--input', {str(data)!r}, '--out', {str(tmp_path / 'select')!r}]) == 0\n"
+        f"assert cli.main(['simulate', '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'simulate')!r}]) == 0\n"
+        "assert not [m for m in sys.modules if m.startswith('numpy.polynomial')], 'loaded'\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def traced_peak(fn, *args):
     """(tracemalloc peak of fn(*args), its result)."""
     tracemalloc.start()
@@ -494,6 +530,23 @@ class TestCsvRoundTrip:
         assert "\n-2,0.10000000000000001,True,0,1,0\n" in expected
         assert ",4,False,0;1,2.5,10\n" in expected
 
+    def test_sequence_of_tables_is_one_table(self, tmp_path):
+        # tables written in turn under one header give the bytes of their
+        # concatenation, across TABLE_BLOCK_ROWS boundaries
+        rng = np.random.default_rng(7)
+        sizes = (cli.TABLE_BLOCK_ROWS + 5, 3, 2 * cli.TABLE_BLOCK_ROWS)
+        labels = np.array(["0", "1;2", "3"], dtype=object)
+        tables = [{"n": np.full(size, i), "rep": np.arange(size),
+                   "selected": labels[rng.integers(0, 3, size)],
+                   "err_sq": rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)}
+                  for i, size in enumerate(sizes)]
+        whole = {key: np.concatenate([t[key] for t in tables]) for key in tables[0]}
+        write_table_csv(tmp_path / "parts.csv", tables)
+        write_table_csv(tmp_path / "whole.csv", whole)
+        text = (tmp_path / "parts.csv").read_text()
+        assert text == (tmp_path / "whole.csv").read_text()
+        assert text.count("\n") == 1 + sum(sizes)
+
     def test_blank_lines_skipped(self, tmp_path):
         plain = read_samples_csv(write_toy(tmp_path))
         spaced = read_samples_csv(
@@ -558,6 +611,29 @@ class TestCsvRoundTrip:
         assert table_peak < 1.5 * block_peak
         assert (tmp_path / "table.csv").read_text().startswith(
             (tmp_path / "block.csv").read_text())
+
+    def test_manyreps_run_and_writes_peak_within_five_chunks(self, tmp_path):
+        # simulate-manyreps' own shape, its tables written as cmd_simulate
+        # writes them: 3.8 MB before replications.csv was kept per n, the
+        # kernel worked in sub-batches and each chunk's arrays were freed
+        # before the next draw; 2.4 MB after
+        from covsel._mc import CHUNK_FLOATS
+        from covsel.dictionary import BasisFamily
+        from covsel.simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
+
+        cfg = ExperimentConfig(kernel=KernelSpec("brownian"),
+                               family=BasisFamily("histogram", 0.0, 1.0, 3), grid=uniform_grid(4),
+                               scheme="all_subsets", k=2, n_grid=(10, 20, 40), reps=10_000,
+                               seed=1, keep_replications=True)
+
+        def run_and_write():
+            _, tables = run_experiment(cfg)
+            for name, table in tables.items():
+                write_table_csv(tmp_path / name, table)
+
+        peak, _ = traced_peak(run_and_write)
+        assert (tmp_path / "replications.csv").read_text().count("\n") == 1 + 30_000
+        assert peak <= 5 * CHUNK_FLOATS * 8, peak
 
     @pytest.mark.parametrize(
         "body, message",
@@ -692,6 +768,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "replications.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + one row per replication
+
+    def test_subnormal_ou_length_scale_exits_0(self, tmp_path, capsys):
+        # |s - t| / 1e-320 overflows off the diagonal; the truth is the identity
+        # and no RuntimeWarning (an error under pytest's filterwarnings) escapes
+        cfg = simulate_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("length_scale = 0.5", "length_scale = 1e-320"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "experiment_report.json").read_text())
+        assert report["sigma"] == np.eye(4).tolist()
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_replications_written_once(self, tmp_path, keep):

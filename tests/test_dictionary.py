@@ -44,6 +44,20 @@ class TestEvalBasis:
         off = gram - np.diag(diag)
         assert np.abs(off).max() / diag.min() < 1e-6
 
+    def test_legendre_is_legval_bit_for_bit(self):
+        # the package evaluates P_i itself; numpy.polynomial stays a test import
+        from numpy.polynomial import legendre
+
+        x = np.concatenate([np.linspace(-1.0, 1.0, 401), rng.uniform(-1.0, 1.0, 400),
+                            [-0.0, 0.0, -1.0, 1.0]])
+        for i in range(41):
+            unit = np.zeros(i + 1)
+            unit[i] = 1.0
+            assert dictionary._legendre(i, x).tobytes() == legendre.legval(x, unit).tobytes(), i
+            for v in (np.float64(0.3), np.float64(-0.0)):
+                assert np.float64(dictionary._legendre(i, v)).tobytes() == \
+                    np.float64(legendre.legval(v, unit)).tobytes(), (i, v)
+
     def test_index_out_of_range(self):
         fam = BasisFamily("fourier", 0.0, 1.0, 2)
         with pytest.raises(ValueError, match="out of range"):

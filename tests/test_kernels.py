@@ -108,6 +108,29 @@ def test_single_replication_matches_fit_all():
         np.testing.assert_allclose(proj_norm4[r] - fit_sq[r], trace, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("family, scheme, p, n", [
+    (BasisFamily("histogram", 0.0, 1.0, 3), "all_subsets", 4, 10),  # second Gram
+    (BasisFamily("fourier", 0.0, 1.0, 7), "nested", 16, 30),  # row table
+])
+def test_replication_rows_do_not_depend_on_the_batch(family, scheme, p, n):
+    """Each replication's row of every kernel output is the same bytes in a
+    batch that spans several sub-batches as computed alone."""
+    grid = uniform_grid(p)
+    chains = _kernels.chains(build_collection(family, grid, scheme=scheme))
+    routes = {len(members) > q.shape[1] for members, q, _ in chains[1]}
+    assert routes == {scheme == "all_subsets"}
+    size = _kernels.batch_reps(n, p, chains[1])
+    X = rng.standard_normal((2 * size + 3, n, p))
+    sigma = kernel_to_sigma(KernelSpec("brownian"), grid)
+    batch = (_kernels.model_stats_batch(X, *chains), _kernels.deviation_batch(X, *chains, sigma))
+    for r in range(len(X)):
+        alone = (_kernels.model_stats_batch(X[r:r + 1], *chains),
+                 _kernels.deviation_batch(X[r:r + 1], *chains, sigma))
+        for got, want in zip(batch, alone):
+            for a, b in zip(got, want):
+                assert a[r:r + 1].tobytes() == b.tobytes(), r
+
+
 def test_deviation_forms_no_matrix_per_replication():
     """dev_sq is read off each chain's Gram C = W^T W / n: at p = 256 and a
     chain of width 3, deviation_batch's traced peak stays below an eighth of

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ from covsel.simulate import (
 
 FOURIER = BasisFamily("fourier", 0.0, 1.0, 8)
 
+REPLICATION_COLUMNS = ["n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"]
+
+
+def assert_same_replications(got, want):
+    """Two replications.csv values, one table per n, hold the same columns
+    and values, n by n."""
+    assert len(got) == len(want)
+    for table, whole in zip(got, want):
+        assert list(table) == list(whole) == REPLICATION_COLUMNS
+        for key, column in table.items():
+            assert np.array_equal(column, whole[key]), key
+
 
 class TestKernelToSigma:
     def test_brownian_entries(self):
@@ -28,6 +42,19 @@ class TestKernelToSigma:
         sigma = kernel_to_sigma(KernelSpec("ornstein_uhlenbeck", length_scale=0.3), grid)
         np.testing.assert_allclose(np.diag(sigma), 1.0)
         np.testing.assert_allclose(sigma, sigma.T)
+
+    def test_ou_subnormal_length_scale_is_the_identity(self):
+        # |s - t| / 1e-320 overflows to inf off the diagonal, and exp(-inf) = 0
+        # is the exact limit: no RuntimeWarning (an error under pytest's
+        # filterwarnings), the identity, and a config that accepts it
+        grid = uniform_grid(6)
+        kernel = KernelSpec("ornstein_uhlenbeck", length_scale=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = kernel_to_sigma(kernel, grid)
+            cfg = small_config(kernel=kernel, grid=grid, reps=3)
+        assert sigma.tobytes() == np.eye(6).tobytes()
+        assert cfg.sigma.tobytes() == np.eye(6).tobytes()
 
     def test_ou_requires_positive_length_scale(self):
         with pytest.raises(ValueError, match="length_scale"):
@@ -227,10 +254,8 @@ class TestRunExperiment:
             assert len(list(mc.iter_chunks(cfg.reps, n, 4))) >= 2
         report, tables = run_experiment(cfg)
         assert report == whole
-        reps, whole_reps = tables["replications.csv"], whole_tables["replications.csv"]
-        assert list(reps) == list(whole_reps)
-        for key, column in reps.items():
-            assert np.array_equal(column, whole_reps[key]), key
+        assert len(tables["replications.csv"]) == len(cfg.n_grid)
+        assert_same_replications(tables["replications.csv"], whole_tables["replications.csv"])
 
     def test_reused_draw_buffer_leaks_no_stale_rows(self, monkeypatch):
         import covsel._mc as mc
@@ -255,10 +280,8 @@ class TestRunExperiment:
             assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
         whole, whole_tables = run_experiment(cfg)
         assert report == whole
-        reps, whole_reps = tables["replications.csv"], whole_tables["replications.csv"]
-        assert list(reps) == list(whole_reps)
-        for key, column in reps.items():
-            assert np.array_equal(column, whole_reps[key]), key
+        assert len(tables["replications.csv"]) == len(cfg.n_grid)
+        assert_same_replications(tables["replications.csv"], whole_tables["replications.csv"])
 
     def test_diagnostics_share_one_draw_per_n(self, monkeypatch):
         import covsel._mc as mc
@@ -379,13 +402,15 @@ class TestRunExperiment:
         assert len(batches) == 2 * chunks
         assert len(calls) == 2 * chunks
 
-    def test_manyreps_peak_stays_within_six_chunks(self):
+    def test_manyreps_peak_stays_within_three_chunks(self):
         # the simulate-manyreps shape: ten histogram models share one table of
-        # width 4, and the run's peak is one RNG block's draw buffer, W = X Q
-        # and the per-replication tables: 2.7 MB here, against 11.7 MB with
-        # (reps, members, n) rows of ||P x_i||^2 and four blocks per chunk,
-        # 15.9 MB with one SVD per model and 37.9 MB with a shared table at a
-        # chunk target of 1M floats
+        # width 4, and the run's peak is one RNG block's draw buffer and its
+        # factor scratch, with the kernel's sub-batch temporaries: 1.46 MB
+        # here, against 1.77 MB with the kernel's temporaries over a whole
+        # chunk and each chunk's arrays alive across the next draw, 11.7 MB
+        # with (reps, members, n) rows of ||P x_i||^2 and four blocks per
+        # chunk, 15.9 MB with one SVD per model and 37.9 MB with a shared
+        # table at a chunk target of 1M floats
         import tracemalloc
 
         from covsel._mc import CHUNK_FLOATS
@@ -399,7 +424,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * CHUNK_FLOATS * 8
+        assert peak <= 3 * CHUNK_FLOATS * 8, peak
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
@@ -410,22 +435,29 @@ class TestRunExperiment:
         assert 0.0 <= diag["underestimation_prob"]["estimate"] <= 1.0
 
     def test_per_replication_records_when_requested(self):
-        report, tables = run_experiment(small_config(reps=12, keep_replications=True))
-        reps = tables["replications.csv"]
-        assert "replications" not in report["runs"][0]
-        assert list(reps) == [
-            "n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"
-        ]
-        assert all(len(column) == 12 for column in reps.values())
-        assert reps["rep"].tolist() == list(range(12))
-        assert reps["n"].tolist() == [30] * 12
-        freq = report["runs"][0]["data_driven"]["selection_freq"]
-        recomputed = {}
-        for key in reps["selected"]:
-            recomputed[key] = recomputed.get(key, 0) + 1 / 12
-        assert {k: pytest.approx(v) for k, v in recomputed.items()} == freq
+        # one table per n, in n_grid order, each with every column and one
+        # row per replication, matching that n's run in the report
+        report, tables = run_experiment(small_config(reps=12, n_grid=(30, 20),
+                                                     keep_replications=True))
+        assert report["replications_file"] == "replications.csv"
         dims = {";".join(str(i) for i in m["indices"]): m["dim"] for m in report["collection"]}
-        assert reps["dim"].tolist() == [dims[key] for key in reps["selected"]]
+        assert len(tables["replications.csv"]) == 2
+        for reps, run in zip(tables["replications.csv"], report["runs"]):
+            assert "replications" not in run
+            assert list(reps) == REPLICATION_COLUMNS
+            assert all(len(column) == 12 for column in reps.values())
+            assert reps["rep"].tolist() == list(range(12))
+            assert reps["n"].tolist() == [run["n"]] * 12
+            for mode, column, err in (("data_driven", "selected", "err_sq"),
+                                      ("known_penalty", "selected_known", "err_sq_known")):
+                recomputed = {}
+                for key in reps[column]:
+                    recomputed[key] = recomputed.get(key, 0) + 1 / 12
+                assert {k: pytest.approx(v) for k, v in recomputed.items()} == \
+                    run[mode]["selection_freq"]
+                assert float(np.mean(reps[err])) == pytest.approx(run[mode]["risk_mean"],
+                                                                  rel=1e-12)
+            assert reps["dim"].tolist() == [dims[key] for key in reps["selected"]]
 
     def test_replications_none_unless_requested(self):
         assert "replications.csv" not in run_experiment(small_config(reps=3))[1]
@@ -464,17 +496,19 @@ class TestRunExperiment:
         # each replication, redrawn from its seed key, is handed to `select`
         # with the empirical traces and with the true ones
         cfg = small_config(reps=25, keep_replications=True, **overrides)
-        reps = run_experiment(cfg)[1]["replications.csv"]
+        tables = run_experiment(cfg)[1]["replications.csv"]
         sigma = kernel_to_sigma(cfg.kernel, cfg.grid)
         truth = TruthSpec(sigma=sigma)
         models = build_collection(cfg.family, cfg.grid, scheme=cfg.scheme, d_max=cfg.d_max,
                                   k=cfg.k)
         true_traces = [true_fourth_moment_trace(truth, m) for m in models]
-        for i_n, n in enumerate(cfg.n_grid or (cfg.n,)):
+        n_values = cfg.n_grid or (cfg.n,)
+        assert len(tables) == len(n_values)
+        for i_n, (n, reps) in enumerate(zip(n_values, tables)):
             x = draw_batch(psd_factor(sigma), n, (cfg.seed, i_n), 0, cfg.reps)
-            mine = reps["n"] == n
+            assert reps["n"].tolist() == [n] * cfg.reps
             for r, (selected, selected_known) in enumerate(
-                zip(reps["selected"][mine], reps["selected_known"][mine])
+                zip(reps["selected"], reps["selected_known"], strict=True)
             ):
                 samples = SampleSet(grid=cfg.grid, data=x[r])
                 loss, trace = fit_all(samples, models)
