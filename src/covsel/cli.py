@@ -24,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import block_rows
 from .dictionary import BasisFamily, DegenerateCollectionError, build_collection
-from .estimator import SampleSet, estimate, fit_all
+from .estimator import check_grid, fit_all, sigma_hat
+from .linalg import require_finite
 from .selection import check_theta, select
 from .simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
@@ -43,7 +45,7 @@ JSON_BATCH = 4096
 
 # Bumped on any change to the bytes a given seed and config produce, together
 # with re-recording tests/test_fingerprint.py's digest row and tests/golden/.
-REPORT_VERSION = 12
+REPORT_VERSION = 13
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901
@@ -57,12 +59,13 @@ class ConfigError(Exception):
 # CSV and JSON plumbing
 # ---------------------------------------------------------------------------
 
-def _read_file(path, what, read):
-    """read(fh) on the UTF-8 text file at `path`; a missing, unreadable or
-    non-UTF-8 file is a ConfigError naming `what`."""
+@contextlib.contextmanager
+def _reading(path, what):
+    """The UTF-8 text file at `path`, open for reading; a missing, unreadable
+    or non-UTF-8 file is a ConfigError naming `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return read(fh)
+            yield fh
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -86,28 +89,57 @@ def _rows(fh, path):
         raise ConfigError(f"{path}: need a grid header plus at least 2 replications")
 
 
+def _parse(path, lines):
+    """The lines' comma-separated floats as a (lines, columns) array."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # _reading reports it as an unreadable file
+    except ValueError as exc:
+        raise ConfigError(f"{path}: non-numeric entry ({exc})") from exc
+
+
+def _sample_blocks(path):
+    """The header row of the replication file at `path`, then its body rows
+    in (rows, p) blocks of `_kernels.block_rows(p)` rows, each parsed from a
+    lazy slice of the checked lines and checked finite as it is yielded."""
+    with _reading(path, "input file") as fh:
+        lines = _rows(fh, path)
+        header = _parse(path, [next(lines)])[0]
+        yield header
+        rows, n = block_rows(header.size), 0
+        for first in lines:
+            block = _parse(path, itertools.chain([first], itertools.islice(lines, rows - 1)))
+            try:
+                require_finite(block, "data")
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            n += len(block)
+            yield block
+            del block  # the next block is parsed with this one freed, once the caller drops it
+    if n < 2:
+        raise ConfigError(f"{path}: need at least n = 2 replications")
+
+
 def read_samples_csv(path):
-    """Read a replication file: header row = grid values, body rows = x_i.
+    """A replication file, header row = grid values, body rows = x_i, as
+    (grid, blocks): the checked grid, and an iterator over the body rows in
+    the row blocks `estimator.fit_all` takes.
 
     Blank lines are skipped; every other line is a row of comma-separated
-    floats, and `#` is not a comment marker. The file is parsed as it is
-    read, one line at a time, so only the array is ever held whole.
+    floats, and `#` is not a comment marker. Only the header is read here.
+    Each block is read, parsed and checked when it is taken and can be
+    dropped before the next, so the rows are never held whole; a fault in
+    one raises ConfigError when its block is taken, and the file closes with
+    the iterator.
     """
     path = Path(path)
-
-    def parse(fh):
-        try:
-            return np.loadtxt(_rows(fh, path), delimiter=",", comments=None, ndmin=2)
-        except UnicodeDecodeError:
-            raise  # _read_file reports it as an unreadable file
-        except ValueError as exc:
-            raise ConfigError(f"{path}: non-numeric entry ({exc})") from exc
-
-    values = _read_file(path, "input file", parse)
+    blocks = _sample_blocks(path)
     try:
-        return SampleSet(grid=values[0], data=values[1:])
+        grid = check_grid(next(blocks))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return grid, blocks
 
 
 def write_matrix_csv(path, header_values, matrix):
@@ -123,10 +155,15 @@ def write_matrix_csv(path, header_values, matrix):
 
 def _column_block(values):
     """(format, values) for one column block as plain Python values: FLOAT_FMT
-    where every value is a float, %s where none is, and %s over cells
-    formatted one by one (FLOAT_FMT or str) where the column mixes them."""
+    for a float array and %s for an int or bool array, read off the dtype;
+    for any other column FLOAT_FMT where every value is a float, %s where none
+    is, and %s over cells formatted one by one (FLOAT_FMT or str) where the
+    column mixes them."""
     if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
         values = values.tolist()
+        if kind in "fiub":
+            return FLOAT_FMT if kind == "f" else "%s", values
     floats = sum(isinstance(v, float) for v in values)
     if floats == len(values):
         return FLOAT_FMT, values
@@ -260,7 +297,8 @@ def load_config(path, schema):
     parser = configparser.ConfigParser()
     if path is not None:
         try:
-            _read_file(path, "config file", parser.read_file)
+            with _reading(path, "config file") as fh:
+                parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if parser.defaults():
@@ -306,6 +344,23 @@ def _sha256():
     return sha256()
 
 
+def _select_collection(grid, basis, coll_args, theta):
+    """(family, collection) of `select` on `grid`; a config the grid cannot
+    take is a ConfigError, and a degenerate collection is raised as it is."""
+    if grid.size < 2 and basis["t_min"] is None:
+        raise ConfigError("single-point grids need an explicit [basis] t_min / t_max")
+    t_min = float(grid.min()) if basis["t_min"] is None else basis["t_min"]
+    t_max = float(grid.max()) if basis["t_max"] is None else basis["t_max"]
+    try:
+        family = BasisFamily(basis["family"], t_min, t_max, basis["max_index"])
+        check_theta(theta)
+        return family, build_collection(family, grid, **coll_args)
+    except DegenerateCollectionError:
+        raise  # exits 3, not 2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_select(args):
     config = load_config(args.config, CONFIG_KEYS["select"])
     basis, coll_args = config["basis"], config["collection"]
@@ -315,25 +370,18 @@ def cmd_select(args):
     out_dir = Path(args.out or config["output"]["dir"])
     theta = args.theta if args.theta is not None else config["selection"]["theta"]
 
-    samples = read_samples_csv(input_path)
-    grid = samples.grid
-    if grid.size < 2 and basis["t_min"] is None:
-        raise ConfigError("single-point grids need an explicit [basis] t_min / t_max")
-    t_min = float(grid.min()) if basis["t_min"] is None else basis["t_min"]
-    t_max = float(grid.max()) if basis["t_max"] is None else basis["t_max"]
+    grid, blocks = read_samples_csv(input_path)
     try:
-        family = BasisFamily(basis["family"], t_min, t_max, basis["max_index"])
-        check_theta(theta)
-        collection = build_collection(family, grid, **coll_args)
-    except DegenerateCollectionError:
-        raise  # exits 3, not 2
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:  # before any file: an overflow leaves no output behind
+        family, collection = _select_collection(grid, basis, coll_args, theta)
+    except (ConfigError, DegenerateCollectionError):
+        # every row is checked first: a malformed file exits 2, never 3
+        for _ in blocks:
+            pass
+        raise
+    try:  # before any file: a malformed row or an overflow leaves no output behind
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, trace = fit_all(samples, collection)
-            report = select(collection, loss, trace, theta, samples.n)
+            fit = fit_all((grid, blocks), collection)
+            report = select(collection, fit.loss, fit.trace, theta, fit.n)
     except FloatingPointError as exc:
         raise ConfigError(
             f"{input_path}: fourth moments of the data or theta overflow float64") from exc
@@ -351,8 +399,8 @@ def cmd_select(args):
             "family": asdict(family),
             "collection": coll_args,
         },
-        "n": samples.n,
-        "p": samples.p,
+        "n": fit.n,
+        "p": grid.size,
         "grid": grid.tolist(),
         "selected": list(report.selected.indices),
         "selected_dim": report.selected.dim,
@@ -366,7 +414,7 @@ def cmd_select(args):
     with _writing(out_dir):
         # every criterion is finite, so every float of the report is too
         dump_json(out_dir / "selection_report.json", report_json)
-        write_matrix_csv(out_dir / "sigma_hat.csv", grid, estimate(samples, report.selected))
+        write_matrix_csv(out_dir / "sigma_hat.csv", grid, sigma_hat(fit, report.selected))
         labels = [";".join(str(i) for i in m.indices) for m in collection]
         write_table_csv(out_dir / "criterion_table.csv", {"model": labels, **report.table})
     print(f"selected model {report.selected.indices} (dim {report.selected.dim:g})")

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covsel.simulate
-from covsel import _mc, cli
+from covsel import _kernels, _mc, cli
 from covsel._reference import project
 from covsel.cli import (
     CONFIG_KEYS,
@@ -28,7 +28,8 @@ from covsel.cli import (
     write_matrix_csv,
     write_table_csv,
 )
-from covsel.estimator import empirical_cov
+from covsel.dictionary import BasisFamily, build_collection
+from covsel.estimator import SampleSet, empirical_cov, estimate, fit_all, sigma_hat
 from covsel.linalg import projector_from_basis
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -49,6 +50,13 @@ def write_toy(tmp_path, name="toy.csv", body=TOY_CSV):
     return path
 
 
+def load_samples(path):
+    """The SampleSet of a replication file: read_samples_csv's grid and its
+    row blocks joined."""
+    grid, blocks = read_samples_csv(path)
+    return SampleSet(grid=grid, data=np.concatenate(list(blocks)))
+
+
 def select_config(tmp_path, extra=""):
     cfg = tmp_path / "select.ini"
     cfg.write_text(
@@ -62,6 +70,17 @@ def select_config(tmp_path, extra=""):
         "d_max = 2\n"
         "[selection]\n"
         "theta = 1.0\n" + extra
+    )
+    return cfg
+
+
+def degenerate_config(tmp_path):
+    """A nested one-cell histogram collection of the first of four cells, on
+    [0, 1]: degenerate on a grid in the last cell."""
+    cfg = tmp_path / "degenerate.ini"
+    cfg.write_text(
+        "[basis]\nfamily = histogram\nmax_index = 3\nt_min = 0\nt_max = 1\n"
+        "[collection]\nscheme = nested\nd_max = 1\n"
     )
     return cfg
 
@@ -132,16 +151,27 @@ class TestSelectCommand:
         # data grid lives entirely in the last histogram cell; the nested
         # one-cell collection only contains the empty first cell
         data = write_toy(tmp_path, body="0.9,0.95\n1,0\n0,1\n")
-        cfg = tmp_path / "degenerate.ini"
-        cfg.write_text(
-            "[basis]\nfamily = histogram\nmax_index = 3\nt_min = 0\nt_max = 1\n"
-            "[collection]\nscheme = nested\nd_max = 1\n"
-        )
         with pytest.warns(UserWarning):
-            code = main(
-                ["select", "--config", str(cfg), "--input", str(data), "--out", str(tmp_path)]
-            )
+            code = main(["select", "--config", str(degenerate_config(tmp_path)),
+                         "--input", str(data), "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.9,0.95\n1,0\n0,1\n0,1,2\n", "rows must have exactly 2 columns"),
+        ("0.9,0.95\n1,0\n", "need at least n = 2 replications"),
+    ])
+    def test_malformed_rows_exit_2_with_a_degenerate_collection(self, tmp_path, capsys, body,
+                                                                message):
+        # the collection is built from the header before the rows are read,
+        # and its fault is raised only once every row has been checked
+        data = write_toy(tmp_path, body=body)
+        with pytest.warns(UserWarning):
+            code = main(["select", "--config", str(degenerate_config(tmp_path)),
+                         "--input", str(data), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         data = write_toy(tmp_path, body="0.25,bananas\n1,0\n0,1\n")
@@ -223,7 +253,7 @@ class TestSelectCommand:
         assert len(collection) == 10
         report = json.loads((tmp_path / "selection_report.json").read_text())
         (model,) = [m for m in collection if list(m.indices) == report["selected"]]
-        dense = project(empirical_cov(read_samples_csv(path)), model)
+        dense = project(empirical_cov(load_samples(path)), model)
         sigma_hat = np.loadtxt(tmp_path / "sigma_hat.csv", delimiter=",")[1:]
         err = np.max(np.abs(sigma_hat - dense)) / np.max(np.abs(dense))
         assert err <= SIGMA_HAT_BUDGET_EPS * np.finfo(float).eps, err
@@ -454,6 +484,19 @@ def test_commands_load_no_numpy_polynomial(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# a file of WIDE_N rows of WIDE_P points, three row blocks with a partial last one
+WIDE_P = 1024
+WIDE_N = 2 * _kernels.block_rows(WIDE_P) + 22
+
+
+def last_block(cells):
+    """The bytes of a WIDE_P-point file on (0, 1) of WIDE_N rows whose last
+    row is the comma-joined `cells` and every other row is an indicator."""
+    grid = ",".join("%.17g" % ((i + 0.5) / WIDE_P) for i in range(WIDE_P))
+    row = ",".join(["1"] + ["0"] * (WIDE_P - 1))
+    return "\n".join([grid] + [row] * (WIDE_N - 1)).encode() + b"\n" + b",".join(cells) + b"\n"
+
+
 def traced_peak(fn, *args):
     """(tracemalloc peak of fn(*args), its result)."""
     tracemalloc.start()
@@ -471,7 +514,7 @@ class TestCsvRoundTrip:
         data = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-8, 8, size=(4, 5))
         path = tmp_path / "round.csv"
         write_matrix_csv(path, grid, data)
-        samples = read_samples_csv(path)
+        samples = load_samples(path)
         np.testing.assert_allclose(samples.grid, grid, rtol=1e-15)
         np.testing.assert_allclose(samples.data, data, rtol=1e-15)
 
@@ -500,13 +543,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "cells.csv"
         path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
         expected = np.array([[float(v) for v in line.split(",")] for line in lines])
-        samples = read_samples_csv(path)
+        samples = load_samples(path)
         assert samples.grid.tobytes() == expected[0].tobytes()
         assert samples.data.tobytes() == expected[1:].tobytes()
 
     def test_table_columns_equal_per_cell_format(self, tmp_path):
-        # int, float, bool and str columns, as arrays and as lists, against the
-        # per-cell rule on each element: FLOAT_FMT for floats, str otherwise
+        # int, float, bool, object and str columns, as arrays and as lists,
+        # against the per-cell rule on each plain value (an array's tolist()):
+        # FLOAT_FMT for floats, str otherwise; array columns are formatted by
+        # their dtype, other columns by their values
         rng = np.random.default_rng(3)
         floats = rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, size=5)
         floats[:3] = [0.1, 4.0, -0.0]
@@ -517,18 +562,23 @@ class TestCsvRoundTrip:
             "s": np.array(["0", "0;1", "2", "a b", ""], dtype=object),
             "mixed": [1, 2.5, True, "z", np.float64(1 / 3)],
             "ints": [0, 10, -3, 7, 2 ** 40],
+            "f32": np.array([0.1, -2.5, 1e30, 0.0, 3.0], dtype=np.float32),
+            "u8": np.array([0, 1, 7, 200, 255], dtype=np.uint8),
+            "object_floats": np.array([0.1, -0.0, 5e-324, 1e308, 2.0], dtype=object),
+            "object_mixed": np.array([1, 0.5, "w", None, np.float64(0.2)], dtype=object),
+            "str": np.array(["a", "b;c", "", "1.5", "x y"]),
         }
         expected = ",".join(table) + "\n"
         for r in range(5):
             cells = []
             for values in table.values():
-                v = values[r]
+                v = (values.tolist() if isinstance(values, np.ndarray) else values)[r]
                 cells.append(cli.FLOAT_FMT % v if isinstance(v, float) else str(v))
             expected += ",".join(cells) + "\n"
         write_table_csv(tmp_path / "t.csv", table)
         assert (tmp_path / "t.csv").read_text() == expected
-        assert "\n-2,0.10000000000000001,True,0,1,0\n" in expected
-        assert ",4,False,0;1,2.5,10\n" in expected
+        assert "\n-2,0.10000000000000001,True,0,1,0,0.10000000149011612,0,0.1" in expected
+        assert ",4,False,0;1,2.5,10,-2.5,1,-0,0.5,b;c\n" in expected
 
     def test_sequence_of_tables_is_one_table(self, tmp_path):
         # tables written in turn under one header give the bytes of their
@@ -548,8 +598,8 @@ class TestCsvRoundTrip:
         assert text.count("\n") == 1 + sum(sizes)
 
     def test_blank_lines_skipped(self, tmp_path):
-        plain = read_samples_csv(write_toy(tmp_path))
-        spaced = read_samples_csv(
+        plain = load_samples(write_toy(tmp_path))
+        spaced = load_samples(
             write_toy(tmp_path, "spaced.csv", "\n  \n0.25,0.75\n\n1,0\n\t\n0,1\n\n")
         )
         assert np.array_equal(plain.grid, spaced.grid)
@@ -569,7 +619,7 @@ class TestCsvRoundTrip:
         for name, body in bodies.items():
             path = tmp_path / f"{name}.csv"
             path.write_bytes(body.encode())
-            samples = read_samples_csv(path)
+            samples = load_samples(path)
             assert samples.grid.tobytes() == values[0].tobytes(), name
             assert samples.data.tobytes() == values[1:].tobytes(), name
         bad = {
@@ -587,14 +637,27 @@ class TestCsvRoundTrip:
             assert err.count("\n") == 1 and err.startswith("error: ") and message in err, name
             assert not (tmp_path / "out").exists()
 
-    def test_reader_peak_is_about_the_array(self, tmp_path):
-        # select-wide's shape; numpy reports its buffers to tracemalloc
+    def test_reader_peak_is_about_one_block(self, tmp_path):
+        # select-wide's shape, taken block by block as fit_all takes it: the
+        # rows arrive in blocks of block_rows(p) rows, each parsed from the
+        # lines as they are read; numpy reports its buffers to tracemalloc
         data = np.random.default_rng(5).standard_normal((1000, 256))
         path = tmp_path / "wide.csv"
         write_matrix_csv(path, np.linspace(0.0, 1.0, 256), data)
-        peak, samples = traced_peak(read_samples_csv, path)
-        assert samples.data.tobytes() == data.tobytes()
-        assert peak < 2 * samples.data.nbytes
+
+        def take_blocks():
+            grid, blocks = read_samples_csv(path)
+            sizes = []
+            for block in blocks:
+                start = sum(sizes)
+                assert np.array_equal(block, data[start:start + len(block)])
+                sizes.append(len(block))
+                del block
+            return sizes
+
+        peak, sizes = traced_peak(take_blocks)
+        assert sizes == [256, 256, 256, 232] and _kernels.block_rows(256) == 256
+        assert peak < 2 * 256 * 256 * 8, peak
 
     def test_table_writer_peak_is_one_block(self, tmp_path):
         # simulate-manyreps' replications.csv shape: 30000 rows, 7 columns
@@ -654,6 +717,14 @@ class TestCsvRoundTrip:
             (("input", None), "cannot read input file"),
             (("config", b"[selection]\ntheta = \xff\n"), "cannot read config file"),
             (("config", None), "cannot read config file"),
+            # the fault in the last row, in the last of three row blocks: the
+            # rows before it are parsed and fitted first
+            (("input", last_block([b"0"] * (WIDE_P - 1))),
+             f"rows must have exactly {WIDE_P} columns"),
+            (("input", last_block([b"0"] * (WIDE_P - 1) + [b"x"])), "non-numeric entry"),
+            (("input", last_block([b"0"] * (WIDE_P - 1) + [b"nan"])),
+             "data contains non-finite entries"),
+            (("input", last_block([b"0"] * (WIDE_P - 1) + [b"\xff1"])), "cannot read input file"),
         ],
     )
     def test_malformed_file_exits_2_with_one_line(self, tmp_path, capsys, body, message):
@@ -671,6 +742,57 @@ class TestCsvRoundTrip:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, top, scheme", [
+    ("fourier", 15, "nested"),  # a nested chain: the row-table route
+    ("histogram", 7, "all_subsets"),  # more members than columns: the second Gram
+])
+def test_streamed_fit_equals_whole_array_fit(tmp_path, kind, top, scheme):
+    # the CLI's row blocks, parsed from the file, give fit_all the bytes of
+    # the whole array in memory; sigma-hat from the fit's chain Gram is
+    # estimate's, model by model
+    p = 64
+    n = 2 * _kernels.block_rows(p) + 300  # three row blocks, the last partial
+    grid = covsel.simulate.uniform_grid(p)
+    gen = np.random.default_rng(11)
+    data = gen.standard_normal((n, p)) @ gen.standard_normal((p, p))
+    path = tmp_path / "samples.csv"
+    write_matrix_csv(path, grid, data)
+    models = build_collection(BasisFamily(kind, 0.0, 1.0, top), grid, scheme=scheme)
+    routes = {len(members) > q.shape[1] for members, q, _ in _kernels.chains(models)[1]}
+    assert routes == {scheme == "all_subsets"}
+
+    samples = SampleSet(grid=grid, data=data)
+    streamed, whole = fit_all(read_samples_csv(path), models), fit_all(samples, models)
+    assert streamed.n == whole.n == n
+    assert streamed.loss.tobytes() == whole.loss.tobytes()
+    assert streamed.trace.tobytes() == whole.trace.tobytes()
+    for model in models:
+        assert sigma_hat(streamed, model).tobytes() == estimate(samples, model).tobytes()
+
+
+def test_select_peak_does_not_grow_with_n(tmp_path):
+    # select holds one row block of its input at a time, so its traced peak
+    # over 20 row blocks stays within the bound that holds over 2 (it held
+    # all 20 blocks, 10.5 MB, when the file was read whole)
+    p = 64
+    rows = _kernels.block_rows(p)
+    grid = covsel.simulate.uniform_grid(p)
+    cfg = tmp_path / "select.ini"
+    cfg.write_text("[basis]\nfamily = fourier\nmax_index = 15\nt_min = 0\nt_max = 1\n")
+    bound = 4 * _mc.CHUNK_FLOATS * 8 + 16 * p * p * 8
+    gen = np.random.default_rng(12)
+    for blocks in (2, 20):
+        path = tmp_path / f"blocks{blocks}.csv"
+        # eighths: short, exact cells keep the file small
+        write_matrix_csv(path, grid, gen.integers(-40, 41, (blocks * rows, p)) / 8)
+        out = tmp_path / f"out{blocks}"
+        peak, code = traced_peak(main, ["select", "--config", str(cfg), "--input", str(path),
+                                        "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "selection_report.json").read_text())["n"] == blocks * rows
+        assert peak < bound, (blocks, peak)
 
 
 VALID_CSV = b"0.1,0.5,0.9\n1.5,-2,0.25\n0,1,3e-1\n-1,2.5,4\n"

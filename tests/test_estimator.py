@@ -102,7 +102,7 @@ class TestFitModel:
             samples = samples_from(x)
             s = empirical_cov(samples)
             model = make_model(FOURIER, range(int(rng.integers(1, 4))), samples.grid)
-            (loss,), _ = fit_all(samples, [model])
+            (loss,) = fit_all(samples, [model]).loss
             shat = estimate(samples, model)
             direct = np.mean([frob_norm_sq(np.outer(xi, xi) - shat) for xi in x])
             assert loss == pytest.approx(direct, rel=1e-9, abs=1e-9)
@@ -130,7 +130,7 @@ class TestFitModel:
         fits = []
         for data in (x, x[perm]):
             samples = samples_from(data)
-            fits.append(fit_all(samples, [model]))
+            fits.append(fit_all(samples, [model])[:2])
         (loss_a,), (trace_a,) = fits[0]
         (loss_b,), (trace_b,) = fits[1]
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
@@ -140,7 +140,7 @@ class TestFitModel:
         x = rng.standard_normal((12, 8))
         samples = samples_from(x, uniform_grid(8))
         coll = build_collection(FOURIER, samples.grid, scheme="nested", d_max=5)
-        losses, _ = fit_all(samples, coll)
+        losses = fit_all(samples, coll).loss
         assert losses.shape == (5,)
         for small, large in zip(losses, losses[1:]):
             assert large <= small + 1e-9
@@ -236,7 +236,7 @@ class TestCoordinatePath:
         gen = np.random.default_rng(len(coll))
         samples = samples_from(gen.standard_normal((40, grid.size)), grid)
         s = empirical_cov(samples)
-        loss, trace = fit_all(samples, coll)
+        loss, trace = fit_all(samples, coll)[:2]
         dense_loss, dense_trace = dense_fit_all(samples, s, coll)
         np.testing.assert_allclose(loss, dense_loss, rtol=1e-13, atol=0)
         np.testing.assert_allclose(trace, dense_trace, rtol=1e-13, atol=0)
@@ -286,9 +286,9 @@ def test_fit_all_takes_models_in_any_order():
     own = [make_model(FOURIER, range(d), grid) for d in (1, 3)]
     samples = samples_from(rng.standard_normal((30, 16)), grid)
     models = [*coll, *own]
-    loss, trace = fit_all(samples, models)
+    loss, trace = fit_all(samples, models)[:2]
     perm = rng.permutation(len(models))
-    perm_loss, perm_trace = fit_all(samples, [models[j] for j in perm])
+    perm_loss, perm_trace = fit_all(samples, [models[j] for j in perm])[:2]
     assert np.array_equal(perm_loss, loss[perm]) and np.array_equal(perm_trace, trace[perm])
     # a model of its own spans what the nested model of the same indices spans
     np.testing.assert_allclose(loss[-2:], loss[[0, 2]], rtol=1e-13)
@@ -386,7 +386,7 @@ def test_fit_all_error_budget():
         p = grid.size
         samples = samples_from(gen.standard_normal((n, p)) @ gen.standard_normal((p, p)), grid)
         s = empirical_cov(samples)
-        loss, trace = fit_all(samples, coll)
+        loss, trace = fit_all(samples, coll)[:2]
         for j, model in enumerate(coll):
             exact_loss, exact_trace, const, proj4 = longdouble_fit(samples.data, s, model.basis)
             worst_loss = max(worst_loss, float(abs(loss[j] - exact_loss) / (eps * const)))

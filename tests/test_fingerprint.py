@@ -47,12 +47,12 @@ GOLDEN_RTOL = 1e-12
 # one row, of the current report_version; earlier rows and golden trees are
 # in the git history
 FINGERPRINT = {
-    "report_version": 12,
+    "report_version": 13,
     "numpy": "2.4.6",
     "openblas": "0.3.31.188.0",
     "sha256": {
         "simulate/experiment_report.json":
-            "0da4a73650125061fb078b517a411c5da780eab7095e47c303eb1f3f8dee4d53",
+            "bfdfc42e2cce9c8dfc36246f361e613d402f323b8a8a9b438372c70d19a2134a",
         "simulate/risk_vs_n.csv":
             "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
         "simulate/selection_frequencies.csv":
@@ -64,11 +64,11 @@ FINGERPRINT = {
         "simulate-keep/replications.csv":
             "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
         "select/selection_report.json":
-            "89fdb51fa9af3562f485e45c4dce898b5c1da1a4710076c2d6c63236b2cd5815",
+            "50280d5e151b1f078d076651533ec9eb2a7e08827a58ec0b4dd7bb78aca519a0",
         "select/criterion_table.csv":
             "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
         "select/sigma_hat.csv":
-            "d09f253114a97d78c7f6bac01e2ac2b1ee8028a31cfd5da2cc8ed9017d0c08c6",
+            "6f93040a7f51363f6c8cfd05ac4d53097b1b009240f3c888e2285b78043ce67d",
     },
 }
 

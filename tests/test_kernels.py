@@ -1,7 +1,7 @@
 """The batched numpy kernels, fed the chains of a model list, must agree with
 a direct per-replication computation on dense projectors and with fit_all on
-each replication alone; deviation_batch's statistics must equal
-model_stats_batch's bit for bit, its dev_sq must come from each chain's Gram
+each replication alone; deviation_batch's statistics must equal those of
+model_stats_batch's running sums bit for bit, its dev_sq must come from each chain's Gram
 without a p x p matrix per replication, and the Monte Carlo loss
 bias_sq + dev_sq must agree with the direct loss."""
 
@@ -42,14 +42,23 @@ def projectors(models):
     return np.stack([m.basis @ m.basis.T for m in models])
 
 
+def streamed_stats(X, chains):
+    """(norm4, proj_norm4, fit_sq) of X from model_stats_batch's running
+    sums, one row block per call as fit_all adds them, then finish_stats."""
+    sums = None
+    for x in _kernels.row_blocks(X):
+        sums = _kernels.model_stats_batch(x, *chains, sums)
+    return _kernels.finish_stats(sums, X.shape[1], *chains)[:3]
+
+
 def assert_kernels_match_direct(X, models, sigma, rtol, atol):
     chains = _kernels.chains(models)
     projs = projectors(models)
-    for got, want in zip(_kernels.model_stats_batch(X, *chains), direct_model_stats(X, projs)):
+    for got, want in zip(streamed_stats(X, chains), direct_model_stats(X, projs)):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
     err_sq, proj_dev_sq = direct_deviation(X, projs, sigma)
     *stats, dev_sq = _kernels.deviation_batch(X, *chains, sigma)
-    for got, want in zip(stats, _kernels.model_stats_batch(X, *chains)):
+    for got, want in zip(stats, streamed_stats(X, chains)):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(dev_sq, proj_dev_sq, rtol=rtol, atol=atol)
     truth = TruthSpec(sigma=sigma)
@@ -86,9 +95,10 @@ def test_simulate_kernel_shape_matches_direct():
 
 
 def test_single_replication_matches_fit_all():
-    """select's fit_all and simulate's kernel compute the same loss and trace:
-    each replication of a batch, over models in any order and chains of any
-    length, gets what fit_all gives on it alone. The models are a nested
+    """select's fit_all and simulate's kernel compute the same loss and trace,
+    bit for bit, through the same per-chain sums: each replication of a
+    batch, over models in any order and chains of any length, gets what
+    fit_all gives on it alone. The models are a nested
     fourier chain, a nested polynomial collection whose chain breaks after 23
     models (the last three have tables of their own), and the 21 histogram
     all_subsets models, which share one table."""
@@ -101,11 +111,11 @@ def test_single_replication_matches_fit_all():
     sizes = sorted(len(members) for members, _, _ in _kernels.chains(models)[1])
     assert sizes == [1, 1, 1, 13, 21, 23]
     X = rng.standard_normal((4, 30, 24)) @ rng.standard_normal((24, 24))
-    norm4, proj_norm4, fit_sq = _kernels.model_stats_batch(X, *_kernels.chains(models))
+    norm4, proj_norm4, fit_sq, _ = _kernels.deviation_batch(X, *_kernels.chains(models), np.eye(24))
     for r, x in enumerate(X):
-        loss, trace = fit_all(SampleSet(grid=grid, data=x), models)
-        np.testing.assert_allclose(norm4[r] - fit_sq[r], loss, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(proj_norm4[r] - fit_sq[r], trace, rtol=1e-12, atol=0)
+        loss, trace = fit_all(SampleSet(grid=grid, data=x), models)[:2]
+        np.testing.assert_array_equal(norm4[r] - fit_sq[r], loss)
+        np.testing.assert_array_equal(proj_norm4[r] - fit_sq[r], trace)
 
 
 @pytest.mark.parametrize("family, scheme, p, n", [
@@ -122,9 +132,9 @@ def test_replication_rows_do_not_depend_on_the_batch(family, scheme, p, n):
     size = _kernels.batch_reps(n, p, chains[1])
     X = rng.standard_normal((2 * size + 3, n, p))
     sigma = kernel_to_sigma(KernelSpec("brownian"), grid)
-    batch = (_kernels.model_stats_batch(X, *chains), _kernels.deviation_batch(X, *chains, sigma))
+    batch = (streamed_stats(X, chains), _kernels.deviation_batch(X, *chains, sigma))
     for r in range(len(X)):
-        alone = (_kernels.model_stats_batch(X[r:r + 1], *chains),
+        alone = (streamed_stats(X[r:r + 1], chains),
                  _kernels.deviation_batch(X[r:r + 1], *chains, sigma))
         for got, want in zip(batch, alone):
             for a, b in zip(got, want):

@@ -55,8 +55,8 @@ def plug_in(truth, models, n, reps, seed=0):
     chains = _kernels.chains(models)
     dims = np.array([model.dim for model in models])
     traces = np.concatenate([
-        np.subtract(*_kernels.model_stats_batch(
-            draw_batch(truth.factor, n, seed, start, stop), *chains)[1:])
+        np.subtract(*_kernels.deviation_batch(
+            draw_batch(truth.factor, n, seed, start, stop), *chains, truth.sigma)[1:3])
         for start, stop in iter_chunks(reps, n, truth.p)])
     return models, n, traces / dims, risk_table(truth, models)[1] / dims
 
@@ -412,7 +412,7 @@ class TestKnownPenaltySelectionAgainstOracle:
         from covsel.estimator import SampleSet, fit_all
 
         samples = SampleSet(grid=grid, data=gen.standard_normal((25, 4)))
-        loss, _ = fit_all(samples, coll)
+        loss = fit_all(samples, coll).loss
         report = select(coll, loss, true_traces, 1.0, samples.n)
         crits = {
             m.indices: loss[j] + 2.0 * true_variance_factor(truth, m) * m.dim / samples.n

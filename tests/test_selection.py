@@ -22,7 +22,7 @@ def fitted_collection(data, family=FOURIER, **kwargs):
     grid = uniform_grid(data.shape[1])
     samples = SampleSet(grid=grid, data=data)
     coll = build_collection(family, grid, **kwargs)
-    return (samples, coll, *fit_all(samples, coll))
+    return (samples, coll, *fit_all(samples, coll)[:2])
 
 
 class TestPenaltyValues:
@@ -185,7 +185,7 @@ class TestSelect:
             coll = build_collection(
                 BasisFamily("histogram", 0.0, 1.0, 3), grid, scheme="all_subsets", k=1
             )
-        loss, trace = fit_all(samples, coll)
+        loss, trace = fit_all(samples, coll)[:2]
         report = select(coll, loss, trace, 1.0, samples.n)
         assert report.selected.indices == (0,)
         assert set(report.ties) == {(0,), (2,)}
@@ -277,7 +277,7 @@ class TestMetamorphic:
     @staticmethod
     def decide_on(data, models):
         samples = SampleSet(grid=uniform_grid(data.shape[1]), data=data)
-        loss, trace = fit_all(samples, models)
+        loss, trace = fit_all(samples, models)[:2]
         report = select(models, loss, trace, 1.0, samples.n)
         return report.selected.indices, report.ties
 

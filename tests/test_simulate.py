@@ -511,7 +511,7 @@ class TestRunExperiment:
                 zip(reps["selected"], reps["selected_known"], strict=True)
             ):
                 samples = SampleSet(grid=cfg.grid, data=x[r])
-                loss, trace = fit_all(samples, models)
+                loss, trace = fit_all(samples, models)[:2]
                 for traces, label in ((trace, selected), (true_traces, selected_known)):
                     pick = select(models, loss, traces, cfg.theta, n).selected
                     assert ";".join(str(i) for i in pick.indices) == label

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from covsel._kernels import block_rows
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -104,3 +106,24 @@ def test_traced_runs_find_every_function_and_count(tmp_path):
     assert {span["name"] for span in counted} == set(wanted)
     assert all(span["counts"] is not None for span in counted), [
         span["name"] for span in counted if span["counts"] is None]
+
+
+def test_traced_select_parses_its_rows_inside_the_fit(tmp_path):
+    # read_samples_csv reads the header only; fit_all takes the rows one row
+    # block at a time, each through one counted model_stats_batch span
+    p, n = 64, 2100
+    assert n // block_rows(p) == 2 and n % block_rows(p)  # three row blocks, the last partial
+    grid = (0.5 + np.arange(p)) / p
+    rows = [grid, *np.random.default_rng(8).standard_normal((n, p))]
+    data = tmp_path / "samples.csv"
+    data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    spans = traced_run(tmp_path, "select", SELECT_INI, ("--input", str(data)))["spans"]
+
+    def named(name):
+        return [span for span in spans if span["name"] == name]
+
+    (_,), (fit,) = named("cli.read_samples_csv"), named("estimator.fit_all")
+    kernels = named("_kernels.model_stats_batch")
+    assert len(kernels) == 3
+    assert all(span["parent"] == fit["id"] for span in kernels)
+    assert [span["counts"]["evals"] for span in kernels] == [5, 5, 5]
