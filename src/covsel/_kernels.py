@@ -8,33 +8,31 @@ No p x p matrix is formed per replication. A chain of M_c models and width k
 reads proj_norm4 off a (reps, M_c, rows) table of ||P x_i||^2 when M_c <= k, and
 off a second Gram D = V^T V / n of the elementwise square V = W * W when
 M_c > k. It costs O(reps k (n p + n M_c + k M_c)) on the first route and
-O(reps k (n p + n k + k M_c)) on the second, however replications are chunked.
+O(reps k (n p + n k + k M_c)) on the second, however replications are batched.
 
 Every sum over the n rows is taken over row blocks of `block_rows(p)` rows,
-at most CHUNK_FLOATS floats per replication (`row_blocks`): each block adds
+at most BLOCK_FLOATS floats per replication (`row_blocks`): each block adds
 its part of sum ||x_i||^4, of each chain's Gram W^T W and of sum ||P x_i||^4
 or V^T V (`_add_rows`), and each is divided by n once after the last block
-(`_finish`). So W and the row table never outgrow one block of rows, and a
-Monte Carlo chunk, which holds at most CHUNK_FLOATS floats or one
-replication, is one block unless n p is larger.
+(`_finish`). So W and the row table never outgrow one block of rows.
 
 `deviation_batch` takes a whole batch and walks it in sub-batches of
 `batch_reps` replications, which keep each per-chain temporary within
-CHUNK_FLOATS // 4 floats, so a chunk's working set is a fraction of the
-chunk, not a multiple of it. Since the row blocks do not depend on reps
-either, a replication's statistics are the same bytes whatever batch or
-sub-batch it is computed in. `model_stats_batch` takes rows as they come:
-it adds each call's row blocks to running sums, which `finish_stats`
-divides once the last rows are in, so `estimator.fit_all` fits a sample
-one row block at a time, never holding it whole, and gets the bytes a
-whole-array fit gets.
+BLOCK_FLOATS // 4 floats, so the working set of one RNG block's batch is a
+fraction of the block, not a multiple of it. Since the row blocks do not
+depend on reps either, a replication's statistics are the same bytes
+whatever batch or sub-batch it is computed in. `model_stats_batch` takes
+rows as they come: it adds each call's row blocks to running sums, which
+`finish_stats` divides once the last rows are in, so `estimator.fit_all`
+fits a sample one row block at a time, never holding it whole, and gets the
+bytes a whole-array fit gets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._mc import CHUNK_FLOATS
+from ._mc import BLOCK_FLOATS
 
 
 def chains(models):
@@ -59,9 +57,9 @@ def _border_sq(c, mask):
 
 
 def block_rows(p):
-    """Rows of a row block of p columns: at most CHUNK_FLOATS floats per
+    """Rows of a row block of p columns: at most BLOCK_FLOATS floats per
     replication, but at least one row."""
-    return max(1, CHUNK_FLOATS // p)
+    return max(1, BLOCK_FLOATS // p)
 
 
 def row_blocks(X):
@@ -86,12 +84,12 @@ def _add_gram(total, w):
 def batch_reps(n, p, tables):
     """Replications per sub-batch of `deviation_batch`: as many as keep each
     per-chain temporary, (reps, rows, k) for W, (reps, k, k) for the Grams
-    and (reps, k, members) for the masked sums, within CHUNK_FLOATS // 4
+    and (reps, k, members) for the masked sums, within BLOCK_FLOATS // 4
     floats, but at least one. The (reps, members, rows) row table is only
     formed when members <= k, so it is never larger than W."""
     rows = min(n, block_rows(p))
     floats = max(q.shape[1] * max(rows, q.shape[1], len(members)) for members, q, _ in tables)
-    return max(1, CHUNK_FLOATS // 4 // floats)
+    return max(1, BLOCK_FLOATS // 4 // floats)
 
 
 def _norm4(x):

@@ -1,8 +1,9 @@
-"""Shared Monte Carlo plumbing: blocked RNG streams and chunking.
+"""Shared Monte Carlo plumbing: blocked RNG streams.
 
 Replication r of a key is row r - b B of block b = r // B, B = block_reps(n, p),
 and block b is one (B, n, p) standard normal draw from rep_rng(key, b), so
-results are identical no matter how whole blocks are batched.
+results are identical no matter how whole blocks are batched. A Monte Carlo
+loop takes one block at a time from `draw_blocks`.
 
 numpy.random is loaded on the first draw, not at import, so `select` never
 loads it, and with `_hashlib` blocked: its `secrets` -> `hmac` import would
@@ -21,11 +22,10 @@ import sys
 
 import numpy as np
 
-# floats per RNG block: one generator serves max(1, BLOCK_FLOATS // (n p)) replications
+# floats per RNG block: one generator serves max(1, BLOCK_FLOATS // (n p))
+# replications, so a block's draws, W = X Q and the kernel's per-chain Grams
+# stay near 0.5 MB each whatever the collection
 BLOCK_FLOATS = 2 ** 16
-# floats per chunk of draws: one RNG block, so a chunk's draws, W = X Q and the
-# kernel's per-chain Grams stay near 0.5 MB each whatever the collection
-CHUNK_FLOATS = 2 ** 16
 
 
 def _numpy_random():
@@ -82,13 +82,15 @@ def draw_batch(factor, n, seed, start, stop, out=None):
     return out
 
 
-def iter_chunks(reps, n, p):
-    """Yield (start, stop) ranges of whole RNG blocks, at least one, keeping
-    each batch of draws near CHUNK_FLOATS numbers (or one block, if larger)."""
-    size = block_reps(n, p)
-    chunk = size * max(1, CHUNK_FLOATS // (size * n * p))
-    for start in range(0, reps, chunk):
-        yield start, min(start + chunk, reps)
+def draw_blocks(factor, n, seed, reps):
+    """Yield (start, stop, X) for each RNG block of replications 0..reps-1,
+    X being `draw_batch`'s rows start..stop-1, every block drawn into one
+    reused buffer: a caller drops its X before asking for the next."""
+    size = block_reps(n, factor.shape[0])
+    buffer = np.empty((min(size, reps), n, factor.shape[0]))
+    for start in range(0, reps, size):
+        stop = min(start + size, reps)
+        yield start, stop, draw_batch(factor, n, seed, start, stop, buffer)
 
 
 def wilson_interval(successes, trials):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._mc import draw_batch, iter_chunks, rep_rng
+from ._mc import draw_blocks, rep_rng
 from .dictionary import BasisFamily, ModelSpec, build_collection, build_design
 from .estimator import SampleSet, empirical_cov, estimate, fit_all
 from .linalg import (basis_from_design, frob_norm_sq, projector_from_basis, projector_from_design,
@@ -194,12 +194,10 @@ def check_quadratic_form_tail(truth, model, n, x_grid, reps, seed=0):
 
     chains = _kernels.chains([model])
     quad = np.empty(reps)
-    chunks = list(iter_chunks(reps, n, truth.p))
-    x = np.empty((chunks[0][1], n, truth.p))  # one buffer for every chunk's draws
-    for start, stop in chunks:
+    for start, stop, x in draw_blocks(truth.factor, n, seed, reps):
         # [3] is dev_sq
-        quad[start:stop] = n * _kernels.deviation_batch(
-            draw_batch(truth.factor, n, seed, start, stop, x), *chains, truth.sigma)[3][:, 0]
+        quad[start:stop] = n * _kernels.deviation_batch(x, *chains, truth.sigma)[3][:, 0]
+        del x  # not held across the next draw
 
     vf = true_variance_factor(truth, model)
     dim = model.dim

@@ -45,7 +45,7 @@ JSON_BATCH = 4096
 
 # Bumped on any change to the bytes a given seed and config produce, together
 # with re-recording tests/test_fingerprint.py's digest row and tests/golden/.
-REPORT_VERSION = 13
+REPORT_VERSION = 14
 
 # `validate` runs check i of _reference.CHECKS on the key (VALIDATE_SEED, i)
 VALIDATE_SEED = 20240901

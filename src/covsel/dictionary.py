@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_MARGIN, basis_from_design, numerical_rank, require_finite
+from .linalg import RANK_MARGIN, RANK_RTOL, basis_from_design, numerical_rank, require_finite
 
 FAMILY_KINDS = ("fourier", "polynomial", "histogram")
 MAX_MODELS = 10_000  # the most models a collection may hold, checked before building
@@ -195,9 +195,11 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2):
     :func:`collection_index_sets` in its order (keep k small for
     all_subsets so the collection stays small).
 
-    A histogram collection shares one table, its design over the column
-    norms (disjoint cells need no rank decision). Models of numerical rank 0
-    are dropped with a warning; an empty collection is an error.
+    A basis function of norm at most RANK_RTOL times the largest on the grid
+    is rounding (cos(8 pi u) at 8 midpoints) and counts as 0. A histogram
+    collection shares one table, its design over the column norms (disjoint
+    cells need no rank decision). Models of numerical rank 0 are dropped
+    with a warning; an empty collection is an error.
     """
     grid = require_finite(np.asarray(grid, dtype=float), "grid")
     if grid.ndim != 1 or grid.size < 1:
@@ -208,8 +210,9 @@ def build_collection(family, grid, scheme="nested", d_max=None, k=2):
     # each basis function is evaluated once: both schemes use every index up
     # to their largest, so a model's design is the table's columns `indices`
     table = build_design(family, range(max(map(max, index_sets)) + 1), grid)
-    if family.kind == "histogram":
-        norms = np.linalg.norm(table, axis=0)  # 0 for an empty cell, else >= 1
+    norms = np.linalg.norm(table, axis=0)
+    table[:, norms <= RANK_RTOL * norms.max()] = 0.0
+    if family.kind == "histogram":  # a norm is 0 for an empty cell, else >= 1
         table /= np.maximum(norms, 1.0)
         spans = [(table, tuple(i for i in indices if norms[i] > 0)) for indices in index_sets]
     else:  # a nested chain, then every other model on its design's own SVD

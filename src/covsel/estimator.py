@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import block_rows, chains, finish_stats, model_stats_batch
+from ._kernels import chains, finish_stats, model_stats_batch
 from .linalg import require_finite
 
 
@@ -100,12 +100,13 @@ def estimate(samples, model):
 
 def fit_all(samples, models):
     """The `Fit` of `models` (in any order) to `samples`, in one pass over
-    the rows: a SampleSet, or a (grid, blocks) pair whose blocks are the
-    (rows, p) row blocks of `_kernels.block_rows(p)` rows, the last one
-    shorter, that `cli.read_samples_csv` yields. Each block is added to
-    `_kernels.model_stats_batch`'s running sums as it comes, so only one is
-    held at a time, and either form gets the same bytes. No projector is
-    formed. For a model with projector P:
+    the rows: a (grid, blocks) pair whose blocks are the (rows, p) row
+    blocks of `_kernels.block_rows(p)` rows, the last one shorter, that
+    `cli.read_samples_csv` yields, or a SampleSet, taken as one block. Each
+    block is added to `_kernels.model_stats_batch`'s running sums as it
+    comes, so only one is held at a time, and the kernel splits a block at
+    the same row boundaries, so either form gets the same bytes. No
+    projector is formed. For a model with projector P:
 
     * loss = (1/n) sum_i ||x_i x_i^T - P S P||^2 = (1/n) sum_i ||x_i||^4 -
       ||P S P||^2, as P is an orthogonal projector
@@ -116,8 +117,7 @@ def fit_all(samples, models):
     """
     models = tuple(models)
     if isinstance(samples, SampleSet):
-        data, rows = samples.data, block_rows(samples.p)
-        samples = samples.grid, (data[a:a + rows] for a in range(0, len(data), rows))
+        samples = samples.grid, (samples.data,)
     grid, blocks = samples
     grids = {id(model.grid): model.grid for model in models}  # each compared once
     if not all(np.array_equal(grid, g) for g in grids.values()):

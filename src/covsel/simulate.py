@@ -1,12 +1,11 @@
 """Named covariance kernels on a grid, and the Monte Carlo experiment driver
 tying Gaussian sampling, estimation, selection, and the oracle together.
 
-Sample size n_grid[i] draws its replications once, from the RNG blocks of
-key (seed, i) (`_mc.draw_batch`), for both the risk and the diagnostics;
-chunks hold whole blocks, so reports are identical for any chunking. What a
-run holds per replication is bounded: each chunk's arrays are freed before
-the next draw, and replications.csv is kept as each n's own arrays, one
-table per n, never concatenated.
+Sample size n_grid[i] draws its replications once, one RNG block of key
+(seed, i) at a time (`_mc.draw_blocks`), for both the risk and the
+diagnostics. What a run holds per replication is bounded: each block's
+arrays are freed before the next draw, and replications.csv is kept as each
+n's own arrays, one table per n, never concatenated.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import _kernels, oracle
-from ._mc import draw_batch, iter_chunks
+from ._mc import draw_blocks
 from .dictionary import BasisFamily, build_collection, build_design, collection_index_sets
 from .linalg import frob_norm_sq, psd_eigh, require_finite
 from .selection import check_theta, decide, tie_break_key
@@ -167,20 +166,17 @@ def _run_block(truth, models, chains, bias, trace, cfg, n, i_n):
     total = max(cfg.reps, len(plug_in))
     selected = np.empty((2, total), dtype=np.int64)
     err = np.empty((2, total))
-    chunks = list(iter_chunks(total, n, truth.p))
-    # every chunk is drawn into one buffer, sized by the first (largest) chunk
-    x = np.empty((chunks[0][1], n, truth.p))
-    for start, stop in chunks:
-        _select_chunk(draw_batch(truth.factor, n, (cfg.seed, i_n), start, stop, x), models,
-                      chains, truth.sigma, bias, trace, cfg.theta,
+    for start, stop, x in draw_blocks(truth.factor, n, (cfg.seed, i_n), total):
+        _select_block(x, models, chains, truth.sigma, bias, trace, cfg.theta,
                       selected[:, start:stop], err[:, start:stop], plug_in[start:stop])
+        del x  # not held across the next draw
     return selected[:, :cfg.reps], err[:, :cfg.reps], plug_in
 
 
-def _select_chunk(x, models, chains, sigma, bias, trace, theta, selected, err, plug_in):
-    """One chunk x of `_run_block`, written into its slices of selected, err
-    and plug_in; every per-chunk array is freed on return, before the next
-    draw. The criterion loss + (1 + theta) traces / n is formed in place,
+def _select_block(x, models, chains, sigma, bias, trace, theta, selected, err, plug_in):
+    """One RNG block x of `_run_block`, written into its slices of selected,
+    err and plug_in; every per-block array is freed on return, before the
+    next draw. The criterion loss + (1 + theta) traces / n is formed in place,
     each operation the plain expression's, so it keeps its bytes."""
     norm4, proj_norm4, fit_sq, dev_sq = _kernels.deviation_batch(x, *chains, sigma)
     traces = np.stack([proj_norm4 - fit_sq, np.broadcast_to(trace, fit_sq.shape)])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from covsel import _kernels
-from covsel._mc import draw_batch, iter_chunks, rep_rng
+from covsel._mc import draw_blocks, rep_rng
 from covsel._reference import (
     check_gaussian_closed_form,
     check_kron_free_trace,
@@ -84,11 +84,8 @@ def test_criterion_2_gaussian_closed_form():
 def _mc_risk_z_scores(truth, collection, n, reps, seed):
     chains = _kernels.chains(collection)
     bias, trace = risk_table(truth, collection)
-    chunks = []
-    for start, stop in iter_chunks(reps, n, truth.p):
-        x = draw_batch(truth.factor, n, seed, start, stop)
-        chunks.append(bias + _kernels.deviation_batch(x, *chains, truth.sigma)[3])
-    err_sq = np.concatenate(chunks, axis=0)
+    err_sq = np.concatenate([bias + _kernels.deviation_batch(x, *chains, truth.sigma)[3]
+                             for _, _, x in draw_blocks(truth.factor, n, seed, reps)])
     mean = err_sq.mean(axis=0)
     se = err_sq.std(axis=0, ddof=1) / np.sqrt(reps)
     return list((mean - (bias + trace / n)) / se)

@@ -678,9 +678,9 @@ class TestCsvRoundTrip:
     def test_manyreps_run_and_writes_peak_within_five_chunks(self, tmp_path):
         # simulate-manyreps' own shape, its tables written as cmd_simulate
         # writes them: 3.8 MB before replications.csv was kept per n, the
-        # kernel worked in sub-batches and each chunk's arrays were freed
+        # kernel worked in sub-batches and each block's arrays were freed
         # before the next draw; 2.4 MB after
-        from covsel._mc import CHUNK_FLOATS
+        from covsel._mc import BLOCK_FLOATS
         from covsel.dictionary import BasisFamily
         from covsel.simulate import ExperimentConfig, KernelSpec, run_experiment, uniform_grid
 
@@ -696,7 +696,7 @@ class TestCsvRoundTrip:
 
         peak, _ = traced_peak(run_and_write)
         assert (tmp_path / "replications.csv").read_text().count("\n") == 1 + 30_000
-        assert peak <= 5 * CHUNK_FLOATS * 8, peak
+        assert peak <= 5 * BLOCK_FLOATS * 8, peak
 
     @pytest.mark.parametrize(
         "body, message",
@@ -781,7 +781,7 @@ def test_select_peak_does_not_grow_with_n(tmp_path):
     grid = covsel.simulate.uniform_grid(p)
     cfg = tmp_path / "select.ini"
     cfg.write_text("[basis]\nfamily = fourier\nmax_index = 15\nt_min = 0\nt_max = 1\n")
-    bound = 4 * _mc.CHUNK_FLOATS * 8 + 16 * p * p * 8
+    bound = 4 * _mc.BLOCK_FLOATS * 8 + 16 * p * p * 8
     gen = np.random.default_rng(12)
     for blocks in (2, 20):
         path = tmp_path / f"blocks{blocks}.csv"
@@ -1044,12 +1044,10 @@ class TestSimulateCommand:
     def test_bad_config_exits_2_before_sampling(
         self, tmp_path, capsys, monkeypatch, command, body, message
     ):
-        import covsel.simulate
-
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(covsel.simulate, "draw_batch", no_sampling)
+        monkeypatch.setattr(_mc, "draw_batch", no_sampling)
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[basis]\nfamily = fourier\nmax_index = 4\n" + body)
         args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
@@ -1198,7 +1196,7 @@ def test_out_of_range_config_exits_2_before_sampling(case):
         raise AssertionError("sampling started")
 
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(covsel.simulate, "draw_batch", no_sampling):
+            mock.patch.object(_mc, "draw_batch", no_sampling):
         tmp = Path(tmp)
         (tmp / "bad.ini").write_text(body)
         err = io.StringIO()

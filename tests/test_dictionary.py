@@ -188,6 +188,15 @@ class TestBuildCollection:
         assert (0,) not in [m.indices for m in coll]
         assert len(coll) == 3
 
+    def test_basis_function_vanishing_on_the_grid_is_dropped(self):
+        # cos(8 pi u) is about 1e-15 at the 8 midpoints: its column is zeroed,
+        # so model (7,) has rank 0 instead of a basis spanned by rounding
+        fam = BasisFamily("fourier", 0.0, 1.0, 7)
+        with pytest.warns(UserWarning, match=r"dropping model \(7,\)"):
+            coll = build_collection(fam, uniform_grid(8), scheme="all_subsets", k=1)
+        assert [m.indices for m in coll] == [(i,) for i in range(7)]
+        assert np.abs(build_design(fam, [7], uniform_grid(8))).max() < 1e-14
+
     def test_empty_collection_is_error(self):
         fam = BasisFamily("histogram", 0.0, 1.0, 3)
         grid = np.array([0.9, 0.95])  # only the last cell is populated

@@ -297,7 +297,7 @@ def test_fit_all_takes_models_in_any_order():
 
 # tracemalloc peak of fit_all and of estimate on select-wide's shape, a
 # (1000, 256) sample over the 129-model nested fourier chain: each walks the
-# sample in row blocks of at most CHUNK_FLOATS floats (2.10 and 2.05 MB with
+# sample in row blocks of at most BLOCK_FLOATS floats (2.10 and 2.05 MB with
 # one whole W = X U, 1.02 and 1.06 MB in row blocks)
 FIT_PEAK_BYTES = 1.5 * 2 ** 20
 

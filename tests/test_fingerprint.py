@@ -47,12 +47,12 @@ GOLDEN_RTOL = 1e-12
 # one row, of the current report_version; earlier rows and golden trees are
 # in the git history
 FINGERPRINT = {
-    "report_version": 13,
+    "report_version": 14,
     "numpy": "2.4.6",
     "openblas": "0.3.31.188.0",
     "sha256": {
         "simulate/experiment_report.json":
-            "bfdfc42e2cce9c8dfc36246f361e613d402f323b8a8a9b438372c70d19a2134a",
+            "359154554a690475de21783e18c6d83160c6e87466d5d32420a5fc5d1695ce61",
         "simulate/risk_vs_n.csv":
             "226e05fa97a41b235b1ce5562889ec81879c82102d0d3d52245f55eeaa90848e",
         "simulate/selection_frequencies.csv":
@@ -64,7 +64,7 @@ FINGERPRINT = {
         "simulate-keep/replications.csv":
             "1d383d11b84717f7bac73373b557534b46abb034e96f90d84c2b744b6cb5715b",
         "select/selection_report.json":
-            "50280d5e151b1f078d076651533ec9eb2a7e08827a58ec0b4dd7bb78aca519a0",
+            "7702c2fb29a8dd5250fb681fff6be8dc23e7d03440f6ec43bceefcae82de5b86",
         "select/criterion_table.csv":
             "3834245599d813daae2004ae3a45e46b7619508782bcbc18c7d651b2634a590d",
         "select/sigma_hat.csv":

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from covsel._mc import block_reps, draw_batch, rep_rng
+from covsel._mc import block_reps, draw_batch, draw_blocks, rep_rng
 from covsel.dictionary import BasisFamily, build_collection
 from covsel.estimator import SampleSet, fit_all
 from covsel.linalg import psd_factor
@@ -20,6 +20,13 @@ from covsel.simulate import (
 FOURIER = BasisFamily("fourier", 0.0, 1.0, 8)
 
 REPLICATION_COLUMNS = ["n", "rep", "selected", "dim", "err_sq", "selected_known", "err_sq_known"]
+
+
+def whole_draw(factor, n, seed, reps):
+    """`_mc.draw_blocks` as one batch: replications 0..reps-1 from one whole
+    `draw_batch` into a new array, so each n is recomputed without blocks or
+    a reused buffer."""
+    yield 0, reps, draw_batch(factor, n, seed, 0, reps)
 
 
 def assert_same_replications(got, want):
@@ -120,6 +127,26 @@ class TestDrawBatch:
         a = draw_batch(factor, 6, (42, 0), 0, 3)
         assert np.array_equal(a, draw_batch(factor, 6, (42, 0), 0, 3))
         assert not np.array_equal(a, draw_batch(factor, 6, (43, 0), 0, 3))
+
+    @pytest.mark.parametrize("block_floats, reps", [(2 ** 16, 2 * 3120 + 3), (200, 1),
+                                                     (200, 9), (200, 25)])
+    def test_draw_blocks_walks_one_batch_in_one_buffer(self, monkeypatch, block_floats, reps):
+        # n = 7, p = 3: a block holds 3120 replications at the default size
+        # and 9 at 200 floats, so 6243 and 25 end in a partial block
+        import covsel._mc as mc
+
+        monkeypatch.setattr(mc, "BLOCK_FLOATS", block_floats)
+        factor = psd_factor(kernel_to_sigma(KernelSpec("brownian"), uniform_grid(3)))
+        size = block_reps(7, 3)
+        whole = draw_batch(factor, 7, (5, 1), 0, reps)
+        stops, buffers = [0], set()
+        for start, stop, x in draw_blocks(factor, 7, (5, 1), reps):
+            assert start == stops[-1] and 0 < stop - start <= size
+            assert x.tobytes() == whole[start:stop].tobytes()
+            assert x.base is not None
+            buffers.add(id(x.base))
+            stops.append(stop)
+        assert stops[-1] == reps and len(buffers) == 1
 
     def test_sample_covariance_matches_sigma(self):
         n = 100_000
@@ -233,51 +260,46 @@ class TestRunExperiment:
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         import covsel._mc as mc
+        import covsel.simulate as sim
 
         # diagnostics_reps > reps: the one draw per n serves both, so the
-        # diagnostics rows run past the risk rows across several chunks
+        # diagnostics rows run past the risk rows across several blocks
         cfg = small_config(
             reps=64, n_grid=(30, 50), diagnostics=True, diagnostics_reps=200,
             keep_replications=True,
         )
         # blocks of 2_000 floats: 16 replications of 30 x 4 and 10 of 50 x 4,
-        # so 64 replications span 4 and 7 blocks
+        # so 64 replications span 4 and 7 blocks, and the 200 drawn span 13
+        # (the last partial) and 20
         monkeypatch.setattr(mc, "BLOCK_FLOATS", 2_000)
         for n in cfg.n_grid:
             assert cfg.reps >= 3 * mc.block_reps(n, 4)
-            assert len(list(mc.iter_chunks(cfg.diagnostics_reps, n, 4))) == 1
-        whole, whole_tables = run_experiment(cfg)
-
-        # 4_000 floats is 2 blocks per chunk, against one chunk at the default size
-        monkeypatch.setattr(mc, "CHUNK_FLOATS", 4_000)
-        for n in cfg.n_grid:
-            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) >= 2
         report, tables = run_experiment(cfg)
+
+        monkeypatch.setattr(sim, "draw_blocks", whole_draw)
+        whole, whole_tables = run_experiment(cfg)
         assert report == whole
         assert len(tables["replications.csv"]) == len(cfg.n_grid)
         assert_same_replications(tables["replications.csv"], whole_tables["replications.csv"])
 
     def test_reused_draw_buffer_leaks_no_stale_rows(self, monkeypatch):
         import covsel._mc as mc
+        import covsel.simulate as sim
 
         # ten histogram models on a table of width 4 (the second-Gram route);
         # a block holds 409 replications at n = 40 and 655 at n = 25, so 1000
-        # replications end in a partial chunk drawn into the buffer that the
-        # full chunks filled
+        # replications end in a partial block drawn into the buffer that the
+        # full blocks filled
         cfg = small_config(kernel=KernelSpec("brownian"),
                            family=BasisFamily("histogram", 0.0, 1.0, 3), scheme="all_subsets",
                            k=2, n_grid=(40, 25), reps=1000, diagnostics=True,
                            diagnostics_reps=700, keep_replications=True)
-        assert mc.CHUNK_FLOATS == 2 ** 16
+        assert mc.BLOCK_FLOATS == 2 ** 16
         for n in cfg.n_grid:
-            assert cfg.reps % mc.block_reps(n, 4)
-            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) >= 2
+            assert cfg.reps % mc.block_reps(n, 4) and cfg.reps > mc.block_reps(n, 4)
         report, tables = run_experiment(cfg)
 
-        # whole blocks fill past the last replication: one chunk per n
-        monkeypatch.setattr(mc, "CHUNK_FLOATS", 2 * cfg.reps * max(cfg.n_grid) * 4)
-        for n in cfg.n_grid:
-            assert len(list(mc.iter_chunks(cfg.reps, n, 4))) == 1
+        monkeypatch.setattr(sim, "draw_blocks", whole_draw)
         whole, whole_tables = run_experiment(cfg)
         assert report == whole
         assert len(tables["replications.csv"]) == len(cfg.n_grid)
@@ -285,15 +307,14 @@ class TestRunExperiment:
 
     def test_diagnostics_share_one_draw_per_n(self, monkeypatch):
         import covsel._mc as mc
-        import covsel.simulate as sim
 
         drawn = []
 
-        def counting_draw(factor, n, seed, start, stop, out=None):
+        def counting_draw(factor, n, seed, start, stop, out=None, _draw=mc.draw_batch):
             drawn.append((n, stop - start))
-            return mc.draw_batch(factor, n, seed, start, stop, out)
+            return _draw(factor, n, seed, start, stop, out)
 
-        monkeypatch.setattr(sim, "draw_batch", counting_draw)
+        monkeypatch.setattr(mc, "draw_batch", counting_draw)
         for reps, diagnostics_reps in ((40, 200), (300, 100)):
             drawn.clear()
             cfg = small_config(reps=reps, n_grid=(30, 50), diagnostics=True,
@@ -370,16 +391,15 @@ class TestRunExperiment:
         # draw's, and no earlier batch array is alive when the next is drawn
         batches, buffers = [], {}
 
-        def watching_draw(factor, n, seed, start, stop, out=None):
+        def watching_draw(factor, n, seed, start, stop, out=None, _draw=mc.draw_batch):
             assert all(ref() is None for ref in batches), "a previous batch is still alive"
-            x = mc.draw_batch(factor, n, seed, start, stop, out)
+            x = _draw(factor, n, seed, start, stop, out)
             buffer = buffers.setdefault((seed, n), x.base)
             assert buffer is not None and np.shares_memory(x, buffer), "a new buffer was drawn"
             batches.append(weakref.ref(x))
             return x
 
-        for module in (sim, reference):
-            monkeypatch.setattr(module, "draw_batch", watching_draw)
+        monkeypatch.setattr(mc, "draw_batch", watching_draw)
         # and each batch goes through one kernel call, statistics and
         # deviation together
         calls = []
@@ -388,19 +408,19 @@ class TestRunExperiment:
                 calls.append(args[0].shape[0])  # not the batch: it must be freed
                 return _kernel(*args)
             monkeypatch.setattr(kernels, name, counting)
-        # p = 4, n = 40: 10_000 replications span several chunks, drawn once
+        # p = 4, n = 40: 10_000 replications span several blocks, drawn once
         # for the selection and the diagnostics together
-        chunks = len(list(mc.iter_chunks(10_000, 40, 4)))
-        assert chunks >= 2
+        blocks = -(-10_000 // mc.block_reps(40, 4))
+        assert blocks >= 2
         cfg = small_config(n=40, reps=10_000, diagnostics=True, diagnostics_reps=10_000)
         run_experiment(cfg)
-        assert len(batches) == chunks
-        assert len(calls) == chunks
+        assert len(batches) == blocks
+        assert len(calls) == blocks
         truth = TruthSpec(sigma=kernel_to_sigma(cfg.kernel, cfg.grid))
         model = build_collection(cfg.family, cfg.grid, scheme="nested", d_max=2)[-1]
         reference.check_quadratic_form_tail(truth, model, 40, [1.0], reps=10_000)
-        assert len(batches) == 2 * chunks
-        assert len(calls) == 2 * chunks
+        assert len(batches) == 2 * blocks
+        assert len(calls) == 2 * blocks
 
     def test_manyreps_peak_stays_within_three_chunks(self):
         # the simulate-manyreps shape: ten histogram models share one table of
@@ -413,7 +433,7 @@ class TestRunExperiment:
         # table at a chunk target of 1M floats
         import tracemalloc
 
-        from covsel._mc import CHUNK_FLOATS
+        from covsel._mc import BLOCK_FLOATS
 
         cfg = small_config(kernel=KernelSpec("brownian"),
                            family=BasisFamily("histogram", 0.0, 1.0, 3), scheme="all_subsets",
@@ -424,7 +444,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * CHUNK_FLOATS * 8, peak
+        assert peak <= 3 * BLOCK_FLOATS * 8, peak
 
     def test_diagnostics_block_present_when_requested(self):
         cfg = small_config(diagnostics=True, diagnostics_reps=200, reps=5)
