@@ -238,35 +238,6 @@ def _worst_below(errors, tol):
     return worst < tol, f"worst rel err {worst:.2e}"
 
 
-def check_vec_kron(key, cases=50):
-    """(A kron B) vec X = vec(B X A^T)."""
-    def error(gen):
-        p = int(gen.integers(2, 4))
-        a, b, x = (gen.standard_normal((p, p)) for _ in range(3))
-        return _rel_err(kron(a, b) @ vec(x), vec(b @ x @ a.T))
-    return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-12)
-
-
-def check_kron_trace(key, cases=50):
-    """Tr(A kron B) = Tr A Tr B."""
-    def error(gen):
-        a, b = gen.standard_normal((3, 3)), gen.standard_normal((3, 3))
-        return _rel_err(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
-    return _worst_below([error(rep_rng(key, c)) for c in range(cases)], 1e-10)
-
-
-def check_commutation(key, cases=10):
-    """K^2 = I and K vec(A) = vec(A^T), exactly, for p = 1..4."""
-    worst = 0.0
-    for p in (1, 2, 3, 4):
-        k = commutation_matrix(p)
-        worst = max(worst, np.max(np.abs(k @ k - np.eye(p * p))))
-        for c in range(cases):
-            a = rep_rng(key + (p,), c).standard_normal((p, p))
-            worst = max(worst, np.max(np.abs(k @ vec(a) - vec(a.T))))
-    return worst == 0.0, f"worst abs err {worst:.2e}"
-
-
 def check_projectors(key, cases=100):
     """Projectors of random designs are symmetric and idempotent
     (:func:`check_projector`'s bounds)."""
@@ -395,9 +366,6 @@ def check_collection_fit(key, p=32, n=4200):
 
 # (name `covsel validate` prints, check), in the order it runs them
 CHECKS = [
-    ("vec-kron identity", check_vec_kron),
-    ("kron trace factorisation", check_kron_trace),
-    ("commutation defining property", check_commutation),
     ("projector symmetry and idempotence", check_projectors),
     ("projected trace range for PSD matrices", check_trace_range),
     ("kron-free fourth-moment trace vs dense", check_kron_free_trace),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -154,22 +155,11 @@ def write_matrix_csv(path, header_values, matrix):
 
 
 def _column_block(values):
-    """(format, values) for one column block as plain Python values: FLOAT_FMT
-    for a float array and %s for an int or bool array, read off the dtype;
-    for any other column FLOAT_FMT where every value is a float, %s where none
-    is, and %s over cells formatted one by one (FLOAT_FMT or str) where the
-    column mixes them."""
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        values = values.tolist()
-        if kind in "fiub":
-            return FLOAT_FMT if kind == "f" else "%s", values
-    floats = sum(isinstance(v, float) for v in values)
-    if floats == len(values):
-        return FLOAT_FMT, values
-    if not floats:
-        return "%s", values
-    return "%s", [FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values]
+    """(format, values) for one column block as plain Python values, the
+    format read off np.asarray(values).dtype: FLOAT_FMT for a float dtype, %s
+    for any other."""
+    values = np.asarray(values)
+    return FLOAT_FMT if values.dtype.kind == "f" else "%s", values.tolist()
 
 
 def _table_lines(table, start):
@@ -186,9 +176,9 @@ def write_table_csv(path, tables):
     or of a sequence of such tables with the same columns, written in turn
     under one header.
 
-    Floats are written in FLOAT_FMT and every other value through str; an
-    array column is read with tolist(), which gives plain Python values. Rows
-    are written TABLE_BLOCK_ROWS at a time, each formatted by one `%`.
+    A column whose np.asarray has a float dtype is written in FLOAT_FMT, any
+    other through str, each value read with tolist() as a plain Python value.
+    Rows are written TABLE_BLOCK_ROWS at a time, each formatted by one `%`.
     """
     if isinstance(tables, dict):
         tables = (tables,)
@@ -512,7 +502,22 @@ def build_parser():
     return parser
 
 
+def _pin_blas_threads():
+    """Run numpy's OpenBLAS on one thread, so a seed's bytes do not depend on
+    OPENBLAS_NUM_THREADS; without a known setter the environment's count stands."""
+    try:
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym searches its dependencies
+    except (AttributeError, OSError):
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(blas, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter(1)
+
+
 def main(argv=None):
+    _pin_blas_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -39,10 +39,6 @@ class TruthSpec:
         object.__setattr__(self, "factor", psd_factor(sigma, "sigma"))
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
 
-    @property
-    def p(self):
-        return self.sigma.shape[0]
-
     @functools.cached_property
     def floors(self):
         """ZERO_RTOL times ||sigma||^2 and (tr sigma)^2 + ||sigma||^2, the

@@ -259,6 +259,31 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert runs[command, 1] == runs[command, 2], command
 
 
+def test_select_wide_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The benchmark's select-wide workload at seed 2, its inputs written by
+    perfbench/workloads.py, writes the same bytes at OPENBLAS_NUM_THREADS 1
+    and 2: at two threads numpy's BLAS would round some of its products
+    differently, but the CLI runs it on one."""
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    script = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+              "import workloads; print(' '.join(workloads.write_inputs("
+              "workloads.WORKLOADS['select-wide'], 2, Path.cwd())[0]))")
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIGS.parent / "perfbench")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run([sys.executable, "-m", "covsel.cli", *proc.stdout.split(),
+                              "--out", str(out)], cwd=tmp_path, capture_output=True, text=True,
+                             env={**env, "OPENBLAS_NUM_THREADS": str(threads)}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        runs[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(runs[1]) == sorted(SELECT_FILES)
+    assert runs[1] == runs[2]
+
+
 if __name__ == "__main__":
     # rewrite tests/golden/ in place from a fresh run of the examples, and
     # print the FINGERPRINT row of this build

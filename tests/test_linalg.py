@@ -113,11 +113,14 @@ class TestKron:
         np.testing.assert_array_equal(_reference.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_vec_identity(self):
-        for _ in range(20):
-            a, b, x = (rng.standard_normal((2, 2)) for _ in range(3))
-            lhs = _reference.kron(a, b) @ _reference.vec(x)
-            rhs = _reference.vec(b @ x @ a.T)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # max |lhs - rhs| <= 1e-12 max(1, max |rhs|)
+        for p in (2, 3):
+            for _ in range(20):
+                a, b, x = (rng.standard_normal((p, p)) for _ in range(3))
+                lhs = _reference.kron(a, b) @ _reference.vec(x)
+                rhs = _reference.vec(b @ x @ a.T)
+                scale = max(1.0, np.max(np.abs(rhs)))
+                np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * scale)
 
     def test_trace_identity(self):
         for _ in range(20):
@@ -136,10 +139,11 @@ class TestCommutation:
         np.testing.assert_array_equal(_reference.commutation_matrix(1), [[1.0]])
 
     def test_defining_property(self):
-        k = _reference.commutation_matrix(3)
-        for _ in range(20):
-            a = rng.standard_normal((3, 3))
-            np.testing.assert_array_equal(k @ _reference.vec(a), _reference.vec(a.T))
+        for p in (1, 2, 3, 4):
+            k = _reference.commutation_matrix(p)
+            for _ in range(20):
+                a = rng.standard_normal((p, p))
+                np.testing.assert_array_equal(k @ _reference.vec(a), _reference.vec(a.T))
 
     def test_involution(self):
         for p in (1, 2, 3, 4):

@@ -22,9 +22,8 @@ MOVED = {
     estimator: ("fourth_moment_cov_dense", "project"),
     oracle: ("gaussian_fourth_moment_dense", "check_quadratic_form_tail",
              "true_variance_factor"),
-    cli: ("_random_projector", "_check_vec_kron", "_check_kron_trace", "_check_commutation",
-          "_check_projectors", "_check_trace_range", "_check_kron_free_trace",
-          "_check_gaussian_closed_form", "_check_loss_expansion"),
+    cli: ("_random_projector", "_check_projectors", "_check_trace_range",
+          "_check_kron_free_trace", "_check_gaussian_closed_form", "_check_loss_expansion"),
 }
 
 
@@ -46,9 +45,6 @@ def test_test_only_paths_are_gone():
 def test_checks_are_the_validate_listing():
     names = [name for name, _ in _reference.CHECKS]
     assert names == [
-        "vec-kron identity",
-        "kron trace factorisation",
-        "commutation defining property",
         "projector symmetry and idempotence",
         "projected trace range for PSD matrices",
         "kron-free fourth-moment trace vs dense",
